@@ -210,7 +210,8 @@ def qb_validate(M, degree_bound=None):
     """
     bound = degree_bound if degree_bound is not None else M.degree_cap
     if bound > M.degree_cap:
-        raise ValueError("bound exceeds degree cap")
+        raise DegreeCapExceeded("bound %d exceeds the tower's degree cap %d"
+                                % (bound, M.degree_cap))
     space = M.space
     entries = []
     triples = sorted((i, j, k)

@@ -66,7 +66,7 @@ class Session:
             raise UnknownTarget(
                 "expected exactly one %s in the session, found %d"
                 % ("/".join(k.__name__ for k in kinds), len(found)))
-        return found[1 - 1][1]
+        return found[0][1]
 
 
 def load_session(path):
@@ -81,11 +81,22 @@ def load_session(path):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno)
+    if not isinstance(data, dict):
+        raise ParseError("a session must be a JSON object")
     if data.get("version") != 1:
         raise ParseError("unsupported session version %r"
                          % (data.get("version"),))
-    session = Session(degree_cap=data.get("degree_cap", 6))
-    for decl in data.get("objects", []):
+    cap = data.get("degree_cap", 6)
+    if type(cap) is not int:
+        raise ParseError("degree_cap must be an integer, got %r" % (cap,))
+    decls = data.get("objects", [])
+    if not isinstance(decls, list):
+        raise ParseError("objects must be a list of declarations")
+    session = Session(degree_cap=cap)
+    for decl in decls:
+        if not isinstance(decl, dict):
+            raise ParseError("object declaration %r is not a JSON object"
+                             % (decl,))
         name = decl.get("name")
         if not name or name in session.objects:
             raise ParseError("missing or duplicate object name %r" % (name,))
@@ -105,8 +116,14 @@ def _build_object(decl, session):
     if kind == "catalog":
         return catalog.resolve_catalog(decl["address"])
     if kind == "diagonal":
-        matrix = [[parse_scalar(entry) for entry in row]
-                  for row in decl["matrix"]]
+        rows = decl["matrix"]
+        if not (isinstance(rows, list)
+                and all(isinstance(row, list) and
+                        all(isinstance(entry, str) for entry in row)
+                        for row in rows)):
+            raise ParseError("matrix of %r must be a list of rows of "
+                             "coefficient strings" % (decl["name"],))
+        matrix = [[parse_scalar(entry) for entry in row] for row in rows]
         return catalog.diagonal_braiding(matrix)
     if kind == "hopf":
         h = hopf.hopf_from_obj(decl["data"])
@@ -260,17 +277,26 @@ def _parse_element(text, space):
     """`e1*e2` words with optional scalar weights, joined by + and -.
 
     A term is an optional scalar literal followed by a `*`-joined word of
-    basis names; the bare scalar `1` denotes the empty word.
+    basis names; the bare scalar `1` denotes the empty word.  Terms are
+    split at signs outside parentheses that do not follow `^` or `*`.
     """
     stripped = text.strip()
     if not stripped or stripped[0] not in "+-":
         stripped = "+" + stripped
-    terms = re.split(r"\s*(?<![\^*(])([+-])\s*", stripped)
+    cuts, depth = [], 0
+    for i, ch in enumerate(stripped):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif (ch in "+-" and depth == 0
+              and (i == 0 or stripped[i - 1] not in "^*")):
+            cuts.append(i)
+    cuts.append(len(stripped))
     out = Element.zero()
     index = {n: i for i, n in enumerate(space.basis_names)}
-    it = iter(terms[1:] if terms[0] == "" else terms)
-    for sign, chunk in zip(it, it):
-        chunk = chunk.strip()
+    for start, end in zip(cuts, cuts[1:]):
+        sign, chunk = stripped[start], stripped[start + 1:end].strip()
         if not chunk:
             raise ParseError("empty term in element literal %r" % text)
         pieces = chunk.split()
@@ -447,8 +473,8 @@ def format_element(x, space):
         elif cs == "-1":
             parts.append("-%s" % word)
         else:
-            # a sign that is not an exponent sign means a sum of monomials
-            if re.search(r"(?<!\^)[+-]", cs[1:]):
+            # a quotient already parenthesizes its sums; a sum needs them
+            if "/" not in cs and len(coeff.num.coeffs) > 1:
                 cs = "(%s)" % cs
             parts.append("%s %s" % (cs, word))
     text = " + ".join(parts)
@@ -477,9 +503,6 @@ def cmd_compute(session, expression, fmt="text", cap=None):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="ybalg")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sampling (unused by the "
-                             "exhaustive suites)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run an identity suite on one object")

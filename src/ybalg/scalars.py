@@ -13,11 +13,20 @@ never zero).  A Scalar is a quotient num/den of Polys in canonical form:
 
 Equality of Scalars is structural, which makes every identity check in the
 rest of the library an exact test.
+
+Every stock braiding has Laurent-polynomial entries, so almost all scalars
+have den = 1.  A Laurent polynomial over 1 is already canonical (nothing can
+cancel, the content across num and den is 1), and sums, differences and
+products of such scalars stay Laurent, so `+`, `-` and `*` on two den = 1
+operands skip normalisation; negation never renormalises.  Every other
+result is normalised by a primitive polynomial remainder sequence over the
+integers (pseudo-remainders divided by their content, Knuth TAOCP vol. 2
+4.6.1; Collins 1967), stopping as soon as a remainder is a nonzero constant,
+followed by exact integer division by the gcd.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -72,18 +81,6 @@ class Poly:
     def leading_coeff(self):
         return self.coeffs[self.max_exp()]
 
-    def content(self):
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, abs(c))
-        return g
-
-    def shift(self, k):
-        """Multiply by q^k."""
-        if k == 0:
-            return self
-        return Poly({e + k: c for e, c in self.coeffs.items()})
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -108,9 +105,6 @@ class Poly:
         if n == 0:
             return Poly()
         return Poly({e: c * n for e, c in self.coeffs.items()})
-
-    def divexact_int(self, n):
-        return Poly({e: c // n for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -143,73 +137,64 @@ class Poly:
     __repr__ = __str__
 
 
-def _to_dense(p):
-    """Ordinary poly (min exp 0 assumed) -> coefficient list, low to high."""
-    if p.is_zero():
-        return []
-    n = p.max_exp()
-    return [p.coeffs.get(i, 0) for i in range(n + 1)]
+def _to_dense(p, low):
+    """Coefficient list of p / q^low, low to high (low <= p.min_exp())."""
+    return [p.coeffs.get(i, 0) for i in range(low, p.max_exp() + 1)]
 
 
-def _from_dense(cs):
-    return Poly({i: c for i, c in enumerate(cs) if c != 0})
+def _primitive_part(a):
+    g = gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _pseudo_remainder(a, b):
+    """a reduced modulo b over Z: each step subtracts a multiple of b from a
+    (multiplied by b's leading coefficient only when that does not divide
+    a's), so the result is an integer multiple of the true remainder."""
+    a = a[:]
+    lb, nb = b[-1], len(b) - 1
+    while len(a) > nb:
+        c = a.pop()
+        f, r = divmod(c, lb)
+        if r:
+            a = [x * lb for x in a]
+            f = c
+        shift = len(a) - nb
+        for i in range(nb):
+            a[shift + i] -= f * b[i]
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def _dense_gcd(a, b):
-    """Gcd of two ordinary integer polynomials, primitive over Z."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b and not any(b):
-        b = []
-    while b:
-        # a mod b
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] -= f * bc
-            while a and a[-1] == 0:
-                a.pop()
+    """Primitive gcd, leading coefficient positive, of two nonzero ordinary
+    integer polynomials, by the primitive polynomial remainder sequence."""
+    if len(a) < len(b):
         a, b = b, a
-        while b and b[-1] == 0:
-            b.pop()
-    # clear denominators, take primitive part
-    if not a:
-        return []
-    from math import lcm
-
-    den = 1
-    for c in a:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    b = _primitive_part(b)
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b if b[-1] > 0 else [-c for c in b]
+        a, b = b, _primitive_part(r)
+    return [1]
 
 
 def _dense_divexact(a, b):
-    """Exact division of ordinary integer polys (a = b * result)."""
-    a = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        out[shift] = f
-        for i, bc in enumerate(b):
-            a[shift + i] -= f * bc
-    return [int(c) for c in out]
+    """Exact division of ordinary integer polys (a = b * result over Z)."""
+    a = a[:]
+    lb, nb = b[-1], len(b) - 1
+    out = [0] * (len(a) - nb)
+    for k in range(len(out) - 1, -1, -1):
+        f = out[k] = a[k + nb] // lb
+        if f:
+            for i in range(nb):
+                a[k + i] -= f * b[i]
+    return out
+
+
+_UNIT = {0: 1}
 
 
 class Scalar:
@@ -230,20 +215,19 @@ class Scalar:
             return
         # clear Laurent shifts: den becomes ordinary with nonzero constant
         mn, md = num.min_exp(), den.min_exp()
-        n0 = num.shift(-mn)
-        d0 = den.shift(-md)
-        g = _dense_gcd(_to_dense(n0), _to_dense(d0))
-        if len(g) > 1 or (g and g[0] != 1):
-            n0 = _from_dense(_dense_divexact(_to_dense(n0), g))
-            d0 = _from_dense(_dense_divexact(_to_dense(d0), g))
-        cg = gcd(n0.content(), d0.content())
-        if cg > 1:
-            n0 = n0.divexact_int(cg)
-            d0 = d0.divexact_int(cg)
-        if d0.leading_coeff() < 0:
-            n0, d0 = -n0, -d0
-        self.num = n0.shift(mn - md)
-        self.den = d0
+        n0, d0 = _to_dense(num, mn), _to_dense(den, md)
+        g = _dense_gcd(n0, d0)
+        if len(g) > 1:
+            n0, d0 = _dense_divexact(n0, g), _dense_divexact(d0, g)
+        cg = gcd(*n0, *d0)
+        if d0[-1] < 0:
+            cg = -cg
+        if cg != 1:
+            n0 = [c // cg for c in n0]
+            d0 = [c // cg for c in d0]
+        shift = mn - md
+        self.num = Poly({i + shift: c for i, c in enumerate(n0)})
+        self.den = Poly(dict(enumerate(d0)))
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -274,19 +258,31 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
 
+    # With both denominators 1 the result is canonical as it stands.  It
+    # still goes through __init__, so construction keeps one entry point;
+    # the flag is passed positionally, where a call tracer's argument
+    # tuple shows it.
+
     def __add__(self, other):
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        sd, od = self.den, other.den
+        if sd.coeffs == _UNIT and od.coeffs == _UNIT:
+            return Scalar(self.num + other.num, sd, True)
+        return Scalar(self.num * od + other.num * sd, sd * od)
 
     def __sub__(self, other):
-        return Scalar(self.num * other.den - other.num * self.den,
-                      self.den * other.den)
+        sd, od = self.den, other.den
+        if sd.coeffs == _UNIT and od.coeffs == _UNIT:
+            return Scalar(self.num - other.num, sd, True)
+        return Scalar(self.num * od - other.num * sd, sd * od)
 
     def __neg__(self):
-        return Scalar(-self.num, self.den)
+        return Scalar(-self.num, self.den, True)
 
     def __mul__(self, other):
-        return Scalar(self.num * other.num, self.den * other.den)
+        sd, od = self.den, other.den
+        if sd.coeffs == _UNIT and od.coeffs == _UNIT:
+            return Scalar(self.num * other.num, sd, True)
+        return Scalar(self.num * other.num, sd * od)
 
     def invert(self):
         if self.is_zero():
@@ -437,18 +433,22 @@ class _Parser:
 
 
 def _poly_pow(p, e):
-    if e >= 0:
-        out = Poly.one()
-        for _ in range(e):
-            out = out * p
-        return out
+    if len(p.coeffs) == 1:
+        (exp, c), = p.coeffs.items()
+        if e < 0 and abs(c) != 1:
+            raise ScalarParseError("negative power of a non-unit monomial")
+        return Poly({exp * e: c ** abs(e)})
     # negative powers only for monomials
-    if len(p.coeffs) != 1:
+    if e < 0:
         raise ScalarParseError("negative power of a non-monomial")
-    (exp, c), = p.coeffs.items()
-    if abs(c) != 1:
-        raise ScalarParseError("negative power of a non-unit monomial")
-    return Poly({exp * e: c if e % 2 else abs(c)})
+    out = Poly.one()
+    while e:
+        if e & 1:
+            out = out * p
+        e >>= 1
+        if e:
+            p = p * p
+    return out
 
 
 def parse_scalar(text):

@@ -164,6 +164,29 @@ def test_compute_json_roundtrip(tmp_path):
     assert x == compute_expression(session, "shuffle(e1, e2)")
 
 
+@pytest.mark.parametrize("expr", [
+    "shuffle((1-q) e1, e2)",
+    "shuffle((q^2-q+1) e1*e2 - 2q^-1 e2, e1 + (1+q^-1) e2)",
+    "shuffle((q+1)/(q-1) e1 - q/(q+1) e2, (1-q)/2 e2)",
+])
+def test_compute_output_parses_back(tmp_path, expr):
+    session = load_session(basic_session(tmp_path))
+    x = compute_expression(session, expr)
+    assert any(len(c.num.coeffs) > 1 or len(c.den.coeffs) > 1
+               for c in x.terms.values())
+    _, text = cmd_compute(session, expr)
+    assert _parse_element(text, session.get("sigma").space) == x
+    _, text = cmd_compute(session, expr, fmt="json")
+    assert element_from_obj(json.loads(text)) == x
+
+
+def test_parse_element_splits_outside_parentheses():
+    sp = exterior_braiding(2).space
+    assert _parse_element("(1-q) e1 - (q+1)/(q-1) e2", sp) == \
+        Element.basis((0,), coeff=parse_scalar("1-q")) \
+        - Element.basis((1,), coeff=parse_scalar("(q+1)/(q-1)"))
+
+
 def test_compute_parse_and_target_errors(tmp_path):
     session = load_session(basic_session(tmp_path))
     with pytest.raises(ParseError):
@@ -208,3 +231,34 @@ def test_main_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1|e1 + e1|1"
+
+
+@pytest.mark.parametrize("data", [
+    [{"version": 1}],
+    {"version": 1, "objects": "x"},
+    {"version": 1, "objects": [
+        {"name": "d", "kind": "diagonal", "matrix": [[1, 2], [3, 4]]}]},
+    {"version": 1, "degree_cap": "6", "objects": []},
+], ids=["top-level-list", "objects-not-a-list", "matrix-not-strings",
+        "cap-not-an-integer"])
+def test_main_malformed_session_exits_2(tmp_path, capsys, data):
+    path = write_session(tmp_path, data)
+    with pytest.raises(ParseError):
+        load_session(path)
+    assert main(["verify", path, "d"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_verify_bound_above_tower_cap_exits_2(tmp_path, capsys):
+    data = {"version": 1, "objects": [
+        {"name": "sigma", "kind": "catalog", "address": "exterior:N=2"},
+        {"name": "base", "kind": "yb-base", "braiding": "sigma",
+         "mult": linmap_to_obj(LinMap(2))},
+        {"name": "M", "kind": "quasishuffle", "base": "base",
+         "degree_cap": 5},
+    ]}
+    path = write_session(tmp_path, data)
+    assert main(["verify", path, "M", "--suite", "qb-infinity",
+                 "--bound", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree cap 5" in err

@@ -1,11 +1,14 @@
 """Exact rational-function scalars: canonical forms, parsing, field axioms."""
 
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybalg.scalars import (DivisionByZero, Scalar, ScalarParseError,
-                           ZeroDenominator, parse_scalar)
+from ybalg.scalars import (DivisionByZero, Poly, Scalar, ScalarParseError,
+                           ZeroDenominator, parse_scalar, scalar_normalize)
 
 
 def test_cancellation_to_polynomial():
@@ -95,3 +98,175 @@ def test_str_roundtrip(a, b):
         return
     x = a * b.invert()
     assert parse_scalar(str(x)) == x
+
+
+def test_power_literals():
+    assert parse_scalar("q^200") == Scalar.q_power(200)
+    assert parse_scalar("q^-200") == Scalar.q_power(-200)
+    assert parse_scalar("(2q)^3") == Scalar.q_power(3, 8)
+    assert parse_scalar("(-q)^-3") == Scalar.q_power(-3, -1)
+    assert parse_scalar("(-q)^-2") == Scalar.q_power(-2)
+    assert parse_scalar("(q+1)^0") == Scalar.one()
+    cube = parse_scalar("q+1") * parse_scalar("q+1") * parse_scalar("q+1")
+    assert parse_scalar("(q+1)^3") == cube
+    assert parse_scalar("(q+1)^13") == parse_scalar("(q+1)^6") * \
+        parse_scalar("(q+1)^7")
+    with pytest.raises(ScalarParseError):
+        parse_scalar("(2q)^-1")
+    with pytest.raises(ScalarParseError):
+        parse_scalar("(q+1)^-1")
+
+
+# -- the normaliser against an independent reference ----------------------
+#
+# The reference is the textbook algorithm over Q: Euclid's algorithm on
+# Fraction coefficient lists, then clearing denominators and content.
+
+def _ref_gcd(a, b):
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while b:
+        a = a[:]
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] -= f * bc
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    den = 1
+    for c in a:
+        den = lcm(den, c.denominator)
+    ints = [int(c * den) for c in a]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _ref_divexact(a, b):
+    a = [Fraction(c) for c in a]
+    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        f = out[k] = a[k + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            a[k + i] -= f * bc
+    assert not any(a)
+    return [int(c) for c in out]
+
+
+def _ref_normalize(num, den):
+    """(num, den) coefficient dicts of the canonical form of num/den."""
+    if not num.coeffs:
+        return {}, {0: 1}
+    mn, md = min(num.coeffs), min(den.coeffs)
+    n0 = [num.coeffs.get(i, 0) for i in range(mn, max(num.coeffs) + 1)]
+    d0 = [den.coeffs.get(i, 0) for i in range(md, max(den.coeffs) + 1)]
+    g = _ref_gcd(n0, d0)
+    n0, d0 = _ref_divexact(n0, g), _ref_divexact(d0, g)
+    cg = gcd(*n0, *d0) * (1 if d0[-1] > 0 else -1)
+    n0 = [c // cg for c in n0]
+    d0 = [c // cg for c in d0]
+    return ({i + mn - md: c for i, c in enumerate(n0) if c},
+            {i: c for i, c in enumerate(d0) if c})
+
+
+def laurent_polys(min_size=0):
+    return st.dictionaries(st.integers(-3, 3), st.integers(-5, 5),
+                           min_size=min_size, max_size=4).map(Poly)
+
+
+def ordinary_polys():
+    """Nonzero polynomials with a nonzero constant term."""
+    return st.tuples(st.integers(-4, 4).filter(bool),
+                     st.dictionaries(st.integers(1, 3),
+                                     st.integers(-4, 4), max_size=3)
+                     ).map(lambda t: Poly({0: t[0], **t[1]}))
+
+
+@st.composite
+def num_den_pairs(draw):
+    """Raw num/den with a planted common factor and a Laurent shift."""
+    common = draw(ordinary_polys()) * Poly.q(draw(st.integers(-2, 2)))
+    num = draw(laurent_polys()) * common
+    den = draw(ordinary_polys()) * common
+    return num, den
+
+
+def canonical(x):
+    return x.num.coeffs, x.den.coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(num_den_pairs())
+def test_normalizer_matches_reference(pair):
+    num, den = pair
+    x = Scalar(num, den)
+    assert canonical(x) == _ref_normalize(num, den)
+    assert canonical(scalar_normalize(x.num, x.den)) == canonical(x)
+
+
+def test_normalizer_cancels_planted_factors():
+    f = parse_scalar("2q^2-3q+5")
+    x = Scalar(f.num * Poly({-3: 6, -1: -4}),
+               f.num * Poly({0: -2, 1: 8}))
+    assert str(x) == "(-2q^-1+3q^-3)/(4q-1)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys(), laurent_polys())
+def test_laurent_fast_path_is_canonical(a, b):
+    one = Poly.one()
+    x, y = Scalar(a, one), Scalar(b, one)
+    for result, raw in ((x + y, a + b), (x - y, a - b), (x * y, a * b),
+                        (-x, -a)):
+        assert canonical(result) == canonical(scalar_normalize(raw, one))
+        assert canonical(result) == _ref_normalize(raw, one)
+
+
+# -- evaluation homomorphism: q -> t for rational t -----------------------
+
+POINTS = [Fraction(t) for t in (2, -3, 5)] + [Fraction(1, 3),
+                                                Fraction(-7, 2)]
+
+
+def eval_poly(p, t):
+    return sum((c * t ** e for e, c in p.coeffs.items()), Fraction(0))
+
+
+def eval_at(x, t):
+    """x(t), or None where t is a root of the denominator."""
+    d = eval_poly(x.den, t)
+    return None if d == 0 else eval_poly(x.num, t) / d
+
+
+def general_scalars():
+    return num_den_pairs().map(lambda p: Scalar(*p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_scalars(), general_scalars())
+def test_evaluation_commutes_with_arithmetic(x, y):
+    for t in POINTS:
+        a, b = eval_at(x, t), eval_at(y, t)
+        if a is None or b is None:
+            continue
+        assert eval_at(x + y, t) == a + b
+        assert eval_at(x - y, t) == a - b
+        assert eval_at(x * y, t) == a * b
+        assert eval_at(-x, t) == -a
+        if b != 0:
+            quotient = eval_at(x / y, t)
+            assert quotient is None or quotient == a / b
+        assert eval_at(parse_scalar(str(x)), t) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(num_den_pairs())
+def test_evaluation_commutes_with_parsing(pair):
+    num, den = pair
+    x = parse_scalar("(%s)/(%s)" % (num, den))
+    assert parse_scalar(str(x)) == x
+    for t in POINTS:
+        d = eval_poly(den, t)
+        if d != 0:
+            assert eval_at(x, t) == eval_poly(num, t) / d
