@@ -11,11 +11,11 @@ from __future__ import annotations
 from itertools import combinations
 
 from .braid import apply_beta_letters
-from .linear import Element, LinMap
+from .linear import Element, LinMap, Report, apply_at, tensor_elements
 from .scalars import Scalar
 from .tensoralg import (DegreeCapExceeded, InvalidBase, check_yb_algebra,
-                        counit, delta_beta_iter, delta_beta_via_w,
-                        slot_bounds)
+                        check_yb_product_rows, counit, delta_beta_iter,
+                        delta_beta_via_w, slot_bounds)
 
 
 class QBStructure:
@@ -158,20 +158,6 @@ def star_power(n, M):
 
 # -- validation ------------------------------------------------------------
 
-class QBReport:
-    """Outcome of qb_validate: one entry per identity instance."""
-
-    def __init__(self, entries):
-        self.entries = entries
-
-    @property
-    def ok(self):
-        return all(e["ok"] for e in self.entries)
-
-    def failures(self):
-        return [e for e in self.entries if not e["ok"]]
-
-
 def _eq5_side(M, letters, i, j, k, left):
     """One side of the associativity condition on a basis word.
 
@@ -206,14 +192,15 @@ def qb_validate(M, degree_bound=None):
     """Check the braiding-compatibility and associativity conditions.
 
     All identities are verified on every basis word with i+j+k up to the
-    bound; each instance yields a report entry, failures carry a witness.
+    bound; each instance yields a report entry named like "assoc 1,2,1",
+    ordered by identity and then triple, and failures carry a witness.
     """
     bound = degree_bound if degree_bound is not None else M.degree_cap
     if bound > M.degree_cap:
         raise DegreeCapExceeded("bound %d exceeds the tower's degree cap %d"
                                 % (bound, M.degree_cap))
     space = M.space
-    entries = []
+    rows = []
     triples = sorted((i, j, k)
                      for i in range(1, bound + 1)
                      for j in range(1, bound + 1)
@@ -232,16 +219,12 @@ def qb_validate(M, degree_bound=None):
                     br = apply_beta_letters(M.braiding, 1, k, wl + z[i + j:])
                     for key, s in br.terms.items():
                         lhs.add_term(key, s * c)
-                br = apply_beta_letters(M.braiding, i + j, k, z)
-                for (bl, _), c in br.terms.items():
-                    img = f.apply_word(bl[k:])
-                    for (wl, _), s in img.terms.items():
-                        rhs.add_term((bl[:k] + wl, ()), s * c)
+                rhs = apply_at(f, i + j, k,
+                               apply_beta_letters(M.braiding, i + j, k, z))
             if lhs != rhs:
                 witness = z
                 break
-        entries.append({"identity": "yb-left", "triple": (i, j, k),
-                        "ok": witness is None, "witness": witness})
+        rows.append(("yb-left", (i, j, k), witness is None, witness))
         # beta_{i1}(id^i (x) M_jk) = (M_jk (x) id^i) beta_{i,j+k}
         f = M.component(j, k)
         witness = None
@@ -254,16 +237,12 @@ def qb_validate(M, degree_bound=None):
                     br = apply_beta_letters(M.braiding, i, 1, z[:i] + wl)
                     for key, s in br.terms.items():
                         lhs.add_term(key, s * c)
-                br = apply_beta_letters(M.braiding, i, j + k, z)
-                for (bl, _), c in br.terms.items():
-                    img = f.apply_word(bl[:j + k])
-                    for (wl, _), s in img.terms.items():
-                        rhs.add_term((wl + bl[j + k:], ()), s * c)
+                rhs = apply_at(f, j + k, 0,
+                               apply_beta_letters(M.braiding, i, j + k, z))
             if lhs != rhs:
                 witness = z
                 break
-        entries.append({"identity": "yb-right", "triple": (i, j, k),
-                        "ok": witness is None, "witness": witness})
+        rows.append(("yb-right", (i, j, k), witness is None, witness))
         # associativity condition, with vanishing of the next summand
         witness = None
         vanish_ok = True
@@ -274,12 +253,13 @@ def qb_validate(M, degree_bound=None):
             if lhs != rhs:
                 witness = z
                 break
-        entries.append({"identity": "assoc", "triple": (i, j, k),
-                        "ok": witness is None, "witness": witness})
-        entries.append({"identity": "assoc-vanishing", "triple": (i, j, k),
-                        "ok": vanish_ok, "witness": None})
-    entries.sort(key=lambda e: (e["identity"], e["triple"]))
-    return QBReport(entries)
+        rows.append(("assoc", (i, j, k), witness is None, witness))
+        rows.append(("assoc-vanishing", (i, j, k), vanish_ok, None))
+    report = Report()
+    for name, triple, ok, witness in sorted(rows, key=lambda r: r[:2]):
+        report.record("%s %s" % (name, ",".join(map(str, triple))), ok,
+                      witness)
+    return report
 
 
 # -- quasi-shuffle ---------------------------------------------------------
@@ -297,10 +277,10 @@ class YBBase:
         self.mult = mult
         self.braiding = braiding
         if validate:
-            fails = _base_row_failures(space, mult, braiding)
+            fails = check_yb_product_rows(space, mult, braiding)
             if fails:
                 raise InvalidBase("base fails compatibility at %r"
-                                  % (fails[0],))
+                                  % (fails[0][:2],))
         self.uid = YBBase._next_id
         YBBase._next_id += 1
         self._memo = {}
@@ -311,37 +291,6 @@ class YBBase:
         if self.mult.columns:
             comps[(1, 1)] = self.mult
         return QBStructure(self.braiding, comps, degree_cap)
-
-
-def _base_row_failures(space, mult, braiding):
-    sig = braiding.fwd
-
-    def act(pos, x):
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            img = sig.apply_word(letters[pos:pos + 2])
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 2:], cuts),
-                             a * c)
-        return out
-
-    def mul_at(pos, x):
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            img = mult.apply_word(letters[pos:pos + 2])
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 2:], cuts),
-                             a * c)
-        return out
-
-    fails = []
-    for word in space.words(3):
-        x = Element.basis(word)
-        if act(0, mul_at(0, x)) != mul_at(1, act(0, act(1, x))):
-            fails.append(("row-1", word))
-        if act(0, mul_at(1, x)) != mul_at(0, act(1, act(0, x))):
-            fails.append(("row-2", word))
-    return fails
 
 
 def quasi_shuffle(x, y, base):
@@ -500,7 +449,7 @@ def from_2yb(a, degree_bound):
                         acc = Element.basis((), (), c)
                         for t, f in enumerate(maps):
                             seg = letters[b[2 * t]:b[2 * t + 2]]
-                            acc = _mult_pointwise(acc, f.apply_word(seg))
+                            acc = tensor_elements(acc, f.apply_word(seg))
                         folded = _fold_dot(a, acc)
                         col = col - folded
                 if not col.is_zero():
@@ -508,14 +457,6 @@ def from_2yb(a, degree_bound):
             if cols:
                 comps[(p, q)] = LinMap(total, cols)
     return QBStructure(a.braiding, comps, degree_bound)
-
-
-def _mult_pointwise(acc, factor):
-    out = Element()
-    for (aw, _), s in acc.terms.items():
-        for (fw, _), t in factor.terms.items():
-            out.add_term((aw + fw, ()), s * t)
-    return out
 
 
 # -- antipode --------------------------------------------------------------

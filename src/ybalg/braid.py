@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linear import Element, LinMap, map_compose, map_invert_exact
+from .linear import Element, LinMap, apply_at, map_invert_exact
 
 
 class UnvalidatedBraiding(ValueError):
@@ -145,9 +145,9 @@ class Braiding:
         self.fwd = fwd
         self.inv = inv if inv is not None else map_invert_exact(fwd, space, 2)
         ident = LinMap.identity(space, 2)
-        if not map_compose(self.fwd, self.inv).equals(ident, space, 2):
+        if not self.fwd.compose(self.inv).equals(ident, space, 2):
             raise ValueError("supplied inverse is not a right inverse")
-        if not map_compose(self.inv, self.fwd).equals(ident, space, 2):
+        if not self.inv.compose(self.fwd).equals(ident, space, 2):
             raise ValueError("supplied inverse is not a left inverse")
         if validate:
             ok, witness = check_yang_baxter(self.fwd, space)
@@ -171,16 +171,7 @@ class Braiding:
 
     def sigma_i(self, i, n):
         """id^{i-1} (x) sigma (x) id^{n-i-1} applied to an Element."""
-        def act(x):
-            out = Element()
-            for (letters, cuts), c in x.terms.items():
-                pair = letters[i - 1:i + 1]
-                img = self.fwd.apply_word(pair)
-                for (pw, _), a in img.terms.items():
-                    out.add_term(
-                        (letters[:i - 1] + pw + letters[i + 1:], cuts), a * c)
-            return out
-        return act
+        return lambda x: apply_at(self.fwd, 2, i - 1, x)
 
 
 def braid_lift_word(braiding, word, x):
@@ -241,20 +232,12 @@ def check_yang_baxter(sigma, space):
 
     On failure the witness is (word, lhs_image, rhs_image).
     """
-    def act(pos, letters_coeff):
-        out = Element()
-        for (letters, cuts), c in letters_coeff.terms.items():
-            pair = letters[pos:pos + 2]
-            img = sigma.apply_word(pair)
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 2:], cuts),
-                             a * c)
-        return out
-
     for word in space.words(3):
-        x = Element.basis(word)
-        lhs = act(0, act(1, act(0, x)))
-        rhs = act(1, act(0, act(1, x)))
+        lhs = rhs = Element.basis(word)
+        for pos in (0, 1, 0):
+            lhs = apply_at(sigma, 2, pos, lhs)
+        for pos in (1, 0, 1):
+            rhs = apply_at(sigma, 2, pos, rhs)
         if lhs != rhs:
             return False, (word, lhs, rhs)
     return True, None

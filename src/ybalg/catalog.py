@@ -12,9 +12,9 @@ import json
 from itertools import combinations
 
 from .braid import Braiding
-from .hopf import AxiomReport, HopfPresentation
-from .linear import (Element, LinMap, Space, column_echelon_basis, in_span,
-                     map_kernel_basis)
+from .hopf import HopfPresentation
+from .linear import (Element, LinMap, Report, Space, apply_at,
+                     column_echelon_basis, in_span, map_kernel_basis)
 from .scalars import Scalar, parse_scalar
 from .tensoralg import symmetrizer_image
 
@@ -88,32 +88,29 @@ def exterior_relations_check(N):
     space = b.space
     sym = symmetrizer_image(2, b, sign=-1)
     qinv = Scalar.q_power(-1)
-    entries = []
+    report = Report()
     relations = []
     for i in range(N):
         x = Element.basis((i, i))
         relations.append(x)
         img = sym.apply(x)
-        entries.append({"axiom": "square e%d" % (i + 1),
-                        "ok": img.is_zero(),
-                        "witness": None if img.is_zero() else img})
+        report.record("square e%d" % (i + 1), img.is_zero(),
+                      None if img.is_zero() else img)
     for i in range(N):
         for j in range(i + 1, N):
             x = Element.basis((j, i)) + Element.basis((i, j), coeff=qinv)
             relations.append(x)
             img = sym.apply(x)
-            entries.append({"axiom": "skew e%d e%d" % (i + 1, j + 1),
-                            "ok": img.is_zero(),
-                            "witness": None if img.is_zero() else img})
+            report.record("skew e%d e%d" % (i + 1, j + 1), img.is_zero(),
+                          None if img.is_zero() else img)
     # the relations span the full fixed space of sigma
     fixer = LinMap.identity(space, 2).add(b.fwd.scale(-Scalar.one()))
     kernel = map_kernel_basis(fixer, space, 2)
     span = column_echelon_basis(relations, space, 2)
     spans = (len(kernel) == len(span)
              and all(in_span(v, kernel, space, 2) for v in span))
-    entries.append({"axiom": "fixed-space span", "ok": spans,
-                    "witness": None})
-    return AxiomReport(entries)
+    report.record("fixed-space span", spans)
+    return report
 
 
 def signed_symmetrizer_rank(N, degree):
@@ -222,47 +219,8 @@ def qflip_compat_check(wa):
     the plain transposition and the product rows do not apply.  Checked:
     both product rows, both coproduct rows, and the unit/counit rows.
     """
-    sig = wa.braiding.fwd
-
-    def flip_at(pos, x):
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            img = sig.apply_word(letters[pos:pos + 2])
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 2:], cuts),
-                             a * c)
-        return out
-
-    def wedge_at(pos, x):
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            img = wa.wedge.apply_word(letters[pos:pos + 2])
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 2:], cuts),
-                             a * c)
-        return out
-
-    def delta_at(pos, x):
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            img = wa.coproduct.apply_word(letters[pos:pos + 1])
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 1:], cuts),
-                             a * c)
-        return out
-
-    entries = []
-
-    def record(axiom, ok, witness=None):
-        entries.append({"axiom": axiom, "ok": ok, "witness": witness})
-
-    def check(axiom, cases):
-        for w, lhs, rhs in cases:
-            if lhs != rhs:
-                record(axiom, False, (w, lhs, rhs))
-                return
-        record(axiom, True)
-
+    sig, wedge, delta = wa.braiding.fwd, wa.wedge, wa.coproduct
+    report = Report()
     subs = wa.subsets
 
     def wedge_left():
@@ -273,8 +231,9 @@ def qflip_compat_check(wa):
                         continue
                     x = Element.basis((a, b, c))
                     yield ((I, J, K),
-                           wedge_at(0, flip_at(1, flip_at(0, x))),
-                           flip_at(0, wedge_at(1, x)))
+                           apply_at(wedge, 2, 0, apply_at(
+                               sig, 2, 1, apply_at(sig, 2, 0, x))),
+                           apply_at(sig, 2, 0, apply_at(wedge, 2, 1, x)))
 
     def wedge_right():
         for a, I in enumerate(subs):
@@ -284,8 +243,9 @@ def qflip_compat_check(wa):
                         continue
                     x = Element.basis((a, b, c))
                     yield ((I, J, K),
-                           wedge_at(1, flip_at(0, flip_at(1, x))),
-                           flip_at(0, wedge_at(0, x)))
+                           apply_at(wedge, 2, 1, apply_at(
+                               sig, 2, 0, apply_at(sig, 2, 1, x))),
+                           apply_at(sig, 2, 0, apply_at(wedge, 2, 0, x)))
 
     def coproduct_left():
         for a, I in enumerate(subs):
@@ -294,8 +254,9 @@ def qflip_compat_check(wa):
                     continue
                 x = Element.basis((a, b))
                 yield ((I, J),
-                       flip_at(1, flip_at(0, delta_at(1, x))),
-                       delta_at(0, flip_at(0, x)))
+                       apply_at(sig, 2, 1, apply_at(
+                           sig, 2, 0, apply_at(delta, 1, 1, x))),
+                       apply_at(delta, 1, 0, apply_at(sig, 2, 0, x)))
 
     def coproduct_right():
         for a, I in enumerate(subs):
@@ -304,20 +265,21 @@ def qflip_compat_check(wa):
                     continue
                 x = Element.basis((a, b))
                 yield ((I, J),
-                       flip_at(0, flip_at(1, delta_at(0, x))),
-                       delta_at(1, flip_at(0, x)))
+                       apply_at(sig, 2, 0, apply_at(
+                           sig, 2, 1, apply_at(delta, 1, 0, x))),
+                       apply_at(delta, 1, 1, apply_at(sig, 2, 0, x)))
 
-    check("wedge-left", wedge_left())
-    check("wedge-right", wedge_right())
-    check("coproduct-left", coproduct_left())
-    check("coproduct-right", coproduct_right())
+    report.check("wedge-left", wedge_left())
+    report.check("wedge-right", wedge_right())
+    report.check("coproduct-left", coproduct_left())
+    report.check("coproduct-right", coproduct_right())
 
     unit_idx = wa.index[()]
     ok = all(sig.apply_word((a, unit_idx)) == Element.basis((unit_idx, a))
              and sig.apply_word((unit_idx, a)) == Element.basis((a, unit_idx))
              for a in range(len(subs)))
-    record("unit-flip", ok)
-    return AxiomReport(entries)
+    report.record("unit-flip", ok)
+    return report
 
 
 def cartan_qmatrix(A, d):

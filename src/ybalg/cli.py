@@ -16,7 +16,8 @@ import sys
 
 from . import binfty, catalog, hopf, tensoralg
 from .braid import Braiding, beta_component, check_yang_baxter
-from .linear import Element, LinMap, Space, element_to_obj, linmap_from_obj
+from .linear import (Element, Report, Space, element_to_obj,
+                     linmap_from_obj)
 from .scalars import Scalar, ScalarParseError, parse_scalar
 
 
@@ -75,8 +76,13 @@ def load_session(path):
     Construction-time invariant violations surface as ValidationError naming
     the object and axiom; malformed files as ParseError with a location.
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ParseError("cannot read session %s: %s" % (path, e.strerror))
+    except UnicodeDecodeError as e:
+        raise ParseError("session %s is not UTF-8 text: %s" % (path, e.reason))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -104,6 +110,8 @@ def load_session(path):
             session.objects[name] = _build_object(decl, session)
         except ScalarParseError as e:
             raise ParseError(str(e))
+        except OSError as e:
+            raise ParseError("object %r: %s" % (name, e))
         except (ParseError, ValidationError):
             raise
         except (ValueError, KeyError) as e:
@@ -130,14 +138,16 @@ def _build_object(decl, session):
         report = hopf.hopf_validate(h)
         if not report.ok:
             bad = report.failures()[0]
-            raise ValidationError(decl["name"], bad["axiom"], bad["witness"])
+            raise ValidationError(decl["name"], bad["identity"],
+                                  bad["witness"])
         return h
     if kind == "yd":
         m = hopf.yd_from_obj(decl["data"])
         report = hopf.yd_validate(m)
         if not report.ok:
             bad = report.failures()[0]
-            raise ValidationError(decl["name"], bad["axiom"], bad["witness"])
+            raise ValidationError(decl["name"], bad["identity"],
+                                  bad["witness"])
         return m
     if kind == "yb-base":
         braiding = session.get(decl["braiding"])
@@ -169,82 +179,62 @@ def _witness_obj(w):
 
 def _suite_entries(session, target, suite, bound):
     obj = session.get(target)
-    entries = []
-
-    def add(identity, ok, witness=None):
-        entries.append({"identity": identity, "ok": bool(ok),
-                        "witness": _witness_obj(witness)})
-
-    def braiding_suites(b):
-        ran = False
-        if suite in ("yb-algebra", "all"):
-            ran = True
-            ok, wit = check_yang_baxter(b.fwd, b.space)
-            add("yang-baxter", ok, wit)
-            for i in range(1, bound + 1):
-                for j in range(1, bound + 1):
-                    for k in range(1, bound + 1):
-                        if i + j + k > bound:
-                            continue
-                        fails = tensoralg.check_tensor_yb_product(
-                            lambda x, y: tensoralg.qshuffle_product(x, y, b),
-                            b, i, j, k)
-                        add("shuffle-product %d,%d,%d" % (i, j, k),
-                            not fails, fails[0] if fails else None)
-        if suite in ("yb-coalgebra", "all"):
-            ran = True
-            ok, wit = check_yang_baxter(b.fwd, b.space)
-            add("yang-baxter", ok, wit)
-            for p in range(1, bound + 1):
-                for q in range(1, bound + 1):
-                    for r in range(1, bound + 1):
-                        if p + q + r > bound:
-                            continue
-                        fails = tensoralg.check_tensor_yb_coproduct(
-                            b, p, q, r)
-                        add("unshuffle-coproduct %d,%d,%d" % (p, q, r),
-                            not fails, fails[0] if fails else None)
-        if not ran:
-            raise SuiteMismatch("suite %r does not apply to a braiding"
-                                % (suite,))
-
     if isinstance(obj, Braiding):
-        braiding_suites(obj)
+        report = _braiding_report(obj, suite, bound)
     elif isinstance(obj, binfty.QBStructure):
         if suite not in ("qb-infinity", "all"):
             raise SuiteMismatch("suite %r does not apply to a tower"
                                 % (suite,))
         report = binfty.qb_validate(obj, bound)
-        for e in report.entries:
-            add("%s %s" % (e["identity"], ",".join(map(str, e["triple"]))),
-                e["ok"], e.get("witness"))
     elif isinstance(obj, hopf.HopfPresentation):
         if suite not in ("hopf", "all"):
             raise SuiteMismatch("suite %r does not apply to a Hopf algebra"
                                 % (suite,))
         report = hopf.hopf_validate(obj)
-        for e in report.entries:
-            add(e["axiom"], e["ok"], e["witness"])
     elif isinstance(obj, hopf.YDModule):
         if suite not in ("yd", "all"):
             raise SuiteMismatch("suite %r does not apply to a YD module"
                                 % (suite,))
         report = hopf.yd_validate(obj)
-        for e in report.entries:
-            add(e["axiom"], e["ok"], e["witness"])
     elif isinstance(obj, catalog.WedgeAlgebra):
         if suite not in ("yb-algebra", "yb-coalgebra", "all"):
             raise SuiteMismatch("suite %r does not apply to the signed flip"
                                 % (suite,))
-        ok, wit = check_yang_baxter(obj.braiding.fwd, obj.space)
-        add("yang-baxter", ok, wit)
-        report = catalog.qflip_compat_check(obj)
-        for e in report.entries:
-            add(e["axiom"], e["ok"], e["witness"])
+        report = Report()
+        report.record("yang-baxter",
+                      *check_yang_baxter(obj.braiding.fwd, obj.space))
+        report.entries += catalog.qflip_compat_check(obj).entries
     else:
         raise SuiteMismatch("no suite applies to objects of type %s"
                             % type(obj).__name__)
-    return entries
+    return [{"identity": e["identity"], "ok": bool(e["ok"]),
+             "witness": _witness_obj(e["witness"])} for e in report.entries]
+
+
+def _braiding_report(b, suite, bound):
+    """The shuffle-product and unshuffle-coproduct rows up to the bound,
+    each suite opening with its own Yang-Baxter entry."""
+    if suite not in ("yb-algebra", "yb-coalgebra", "all"):
+        raise SuiteMismatch("suite %r does not apply to a braiding"
+                            % (suite,))
+    triples = [(i, j, k) for i in range(1, bound + 1)
+               for j in range(1, bound + 1) for k in range(1, bound + 1)
+               if i + j + k <= bound]
+    report = Report()
+    if suite in ("yb-algebra", "all"):
+        report.record("yang-baxter", *check_yang_baxter(b.fwd, b.space))
+        for i, j, k in triples:
+            fails = tensoralg.check_tensor_yb_product(
+                lambda x, y: tensoralg.qshuffle_product(x, y, b), b, i, j, k)
+            report.record("shuffle-product %d,%d,%d" % (i, j, k),
+                          not fails, fails[0] if fails else None)
+    if suite in ("yb-coalgebra", "all"):
+        report.record("yang-baxter", *check_yang_baxter(b.fwd, b.space))
+        for p, q, r in triples:
+            fails = tensoralg.check_tensor_yb_coproduct(b, p, q, r)
+            report.record("unshuffle-coproduct %d,%d,%d" % (p, q, r),
+                          not fails, fails[0] if fails else None)
+    return report
 
 
 def cmd_verify(session, target, suite, bound):
@@ -443,8 +433,17 @@ def compute_expression(session, text, cap=None):
         b = session.get(args[0])
         if not isinstance(b, Braiding):
             raise SuiteMismatch("braid expects a braiding first")
-        i, j = int(args[1]), int(args[2])
+        try:
+            i, j = int(args[1]), int(args[2])
+        except ValueError:
+            raise ParseError("braid degrees must be integers, got %r and %r"
+                             % (args[1], args[2]))
+        if i < 0 or j < 0:
+            raise ParseError("braid degrees must be non-negative")
         x = _parse_element(args[3], b.space)
+        if x.degrees() not in ([], [i + j]):
+            raise ParseError("braid(%d, %d) expects an element of degree %d"
+                             % (i, j, i + j))
         return beta_component(i, j, b).apply(x)
     raise ParseError("unknown operation %r" % op)
 

@@ -15,9 +15,9 @@ braiding.
 from __future__ import annotations
 
 from .braid import Braiding
-from .linear import (Element, LinMap, Singular, Space, element_from_obj,
-                     element_to_obj, linmap_from_obj, linmap_to_obj,
-                     map_invert_exact, tensor_elements)
+from .linear import (Element, LinMap, Report, Singular, Space, apply_at,
+                     element_from_obj, element_to_obj, linmap_from_obj,
+                     linmap_to_obj, map_invert_exact, tensor_elements)
 from .scalars import Scalar
 
 
@@ -35,37 +35,6 @@ class InvalidRMatrix(ValueError):
 
 class PredicateFailed(ValueError):
     pass
-
-
-class AxiomReport:
-    """One entry per axiom instance: {"axiom", "ok", "witness"}."""
-
-    def __init__(self, entries):
-        self.entries = entries
-
-    @property
-    def ok(self):
-        return all(e["ok"] for e in self.entries)
-
-    def failures(self):
-        return [e for e in self.entries if not e["ok"]]
-
-
-def _apply_at(f, arity, pos, x):
-    """Apply a map to `arity` consecutive tensor legs of every term of x.
-
-    Legs are single letters; the map may change the number of legs (the
-    counit drops one, the comultiplication adds one).
-    """
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        if cuts:
-            raise ValueError("expected an uncut element")
-        img = f.apply_word(letters[pos:pos + arity])
-        for (mid, _), a in img.terms.items():
-            out.add_term((letters[:pos] + mid + letters[pos + arity:], ()),
-                         a * c)
-    return out
 
 
 class HopfPresentation:
@@ -99,7 +68,7 @@ class HopfPresentation:
         """Iterated comultiplication of a one-leg element into `legs` legs."""
         cur = x
         for _ in range(legs - 1):
-            cur = _apply_at(self.comult, 1, 0, cur)
+            cur = apply_at(self.comult, 1, 0, cur)
         return cur
 
     def product_fold(self, x):
@@ -110,7 +79,7 @@ class HopfPresentation:
                 raise ValueError("expected an uncut element")
             cur = Element.basis(letters, coeff=c)
             while len(next(iter(cur.terms))[0]) > 1:
-                cur = _apply_at(self.mult, 2, 0, cur)
+                cur = apply_at(self.mult, 2, 0, cur)
                 if cur.is_zero():
                     break
             if cur.is_zero():
@@ -135,66 +104,54 @@ class HopfPresentation:
         return self.antipode.apply(x)
 
 
+def _on_basis(space, degree, lhs, rhs):
+    """(word, lhs(x), rhs(x)) cases over the basis words x of one degree."""
+    for w in space.words(degree):
+        x = Element.basis(w)
+        yield w, lhs(x), rhs(x)
+
+
 def hopf_validate(h):
     """Exhaustive structure-constant check of all Hopf axioms.
 
-    Returns an AxiomReport with one entry per axiom; witnesses are
+    Returns a Report with one entry per axiom; witnesses are
     (input word, lhs, rhs) triples on the first failing basis tuple.
     """
-    sp = h.space
-    entries = []
-
-    def record(axiom, ok, witness=None):
-        entries.append({"axiom": axiom, "ok": ok, "witness": witness})
-
-    def scan(axiom, degree, lhs_fn, rhs_fn):
-        for w in sp.words(degree):
-            x = Element.basis(w)
-            lhs, rhs = lhs_fn(x), rhs_fn(x)
-            if lhs != rhs:
-                record(axiom, False, (w, lhs, rhs))
-                return
-        record(axiom, True)
-
-    scan("assoc", 3,
-         lambda x: _apply_at(h.mult, 2, 0, _apply_at(h.mult, 2, 0, x)),
-         lambda x: _apply_at(h.mult, 2, 0, _apply_at(h.mult, 2, 1, x)))
-    scan("unit", 1,
-         lambda x: h.mul(h.unit, x),
-         lambda x: x)
-    scan("unit-right", 1,
-         lambda x: h.mul(x, h.unit),
-         lambda x: x)
-    scan("coassoc", 1,
-         lambda x: _apply_at(h.comult, 1, 0, h.comult.apply(x)),
-         lambda x: _apply_at(h.comult, 1, 1, h.comult.apply(x)))
-    scan("counit", 1,
-         lambda x: _apply_at(h.counit, 1, 0, h.comult.apply(x)),
-         lambda x: x)
-    scan("counit-right", 1,
-         lambda x: _apply_at(h.counit, 1, 1, h.comult.apply(x)),
-         lambda x: x)
+    # m, Delta, epsilon and S in the usual notation
+    sp, m, d, e, s = h.space, h.mult, h.comult, h.counit, h.antipode
+    report = Report()
+    report.check("assoc", _on_basis(
+        sp, 3, lambda x: apply_at(m, 2, 0, apply_at(m, 2, 0, x)),
+        lambda x: apply_at(m, 2, 0, apply_at(m, 2, 1, x))))
+    report.check("unit", _on_basis(
+        sp, 1, lambda x: h.mul(h.unit, x), lambda x: x))
+    report.check("unit-right", _on_basis(
+        sp, 1, lambda x: h.mul(x, h.unit), lambda x: x))
+    report.check("coassoc", _on_basis(
+        sp, 1, lambda x: apply_at(d, 1, 0, d.apply(x)),
+        lambda x: apply_at(d, 1, 1, d.apply(x))))
+    report.check("counit", _on_basis(
+        sp, 1, lambda x: apply_at(e, 1, 0, d.apply(x)), lambda x: x))
+    report.check("counit-right", _on_basis(
+        sp, 1, lambda x: apply_at(e, 1, 1, d.apply(x)), lambda x: x))
     # comultiplication is an algebra map: componentwise product with a flip
-    scan("comult-mult", 2,
-         lambda x: h.comult.apply(_apply_at(h.mult, 2, 0, x)),
-         lambda x: _apply_at(h.mult, 2, 0, _apply_at(
-             h.mult, 2, 2, _flip_legs(_apply_at(h.comult, 1, 0, _apply_at(
-                 h.comult, 1, 1, x)), 1))))
-    record("comult-unit", h.comult.apply(h.unit)
-           == tensor_elements(h.unit, h.unit))
-    scan("counit-mult", 2,
-         lambda x: h.counit.apply(_apply_at(h.mult, 2, 0, x)),
-         lambda x: _apply_at(h.counit, 1, 0, _apply_at(h.counit, 1, 1, x)))
-    record("counit-unit", h.counit_scalar(h.unit) == Scalar.one())
-    scan("antipode-left", 1,
-         lambda x: _apply_at(h.mult, 2, 0, _apply_at(
-             h.antipode, 1, 0, h.comult.apply(x))),
-         lambda x: h.unit.scale(h.counit_scalar(x)))
-    scan("antipode-right", 1,
-         lambda x: _apply_at(h.mult, 2, 0, _apply_at(
-             h.antipode, 1, 1, h.comult.apply(x))),
-         lambda x: h.unit.scale(h.counit_scalar(x)))
-    return AxiomReport(entries)
+    report.check("comult-mult", _on_basis(
+        sp, 2, lambda x: d.apply(apply_at(m, 2, 0, x)),
+        lambda x: apply_at(m, 2, 0, apply_at(m, 2, 2, _flip_legs(
+            apply_at(d, 1, 0, apply_at(d, 1, 1, x)), 1)))))
+    report.record("comult-unit",
+                  d.apply(h.unit) == tensor_elements(h.unit, h.unit))
+    report.check("counit-mult", _on_basis(
+        sp, 2, lambda x: e.apply(apply_at(m, 2, 0, x)),
+        lambda x: apply_at(e, 1, 0, apply_at(e, 1, 1, x))))
+    report.record("counit-unit", h.counit_scalar(h.unit) == Scalar.one())
+    report.check("antipode-left", _on_basis(
+        sp, 1, lambda x: apply_at(m, 2, 0, apply_at(s, 1, 0, d.apply(x))),
+        lambda x: h.unit.scale(h.counit_scalar(x))))
+    report.check("antipode-right", _on_basis(
+        sp, 1, lambda x: apply_at(m, 2, 0, apply_at(s, 1, 1, d.apply(x))),
+        lambda x: h.unit.scale(h.counit_scalar(x))))
+    return report
 
 
 def _flip_legs(x, pos):
@@ -233,17 +190,7 @@ def yd_validate(m):
     """Module, comodule, and compatibility checks, plus the four optional
     (co)module-(co)algebra predicates when V carries the extra structure."""
     h, sp = m.hopf, m.space
-    entries = []
-
-    def record(axiom, ok, witness=None):
-        entries.append({"axiom": axiom, "ok": ok, "witness": witness})
-
-    def check(axiom, cases):
-        for w, lhs, rhs in cases:
-            if lhs != rhs:
-                record(axiom, False, (w, lhs, rhs))
-                return
-        record(axiom, True)
+    report = Report()
 
     def module_cases():
         for hw in h.space.words(2):
@@ -257,17 +204,17 @@ def yd_validate(m):
             v = Element.basis(vw)
             yield (vw, m.act(h.unit, v), v)
 
-    check("module", module_cases())
+    report.check("module", module_cases())
 
     def comodule_cases():
         for vw in sp.words(1):
             rho = m.coaction.apply_word(vw)
-            lhs = _apply_at(h.comult, 1, 0, rho)
-            rhs = _apply_at(m.coaction, 1, 1, rho)
+            lhs = apply_at(h.comult, 1, 0, rho)
+            rhs = apply_at(m.coaction, 1, 1, rho)
             yield (vw, lhs, rhs)
-            yield (vw, _apply_at(h.counit, 1, 0, rho), Element.basis(vw))
+            yield (vw, apply_at(h.counit, 1, 0, rho), Element.basis(vw))
 
-    check("comodule", comodule_cases())
+    report.check("comodule", comodule_cases())
 
     def yd_cases():
         for hw in h.space.words(1):
@@ -291,7 +238,7 @@ def yd_validate(m):
                                 prod, Element.basis(rv[1:])).scale(c * b * a)
                 yield (hw + vw, lhs, rhs)
 
-    check("yd-compat", yd_cases())
+    report.check("yd-compat", yd_cases())
 
     if m.algebra_on_V is not None:
         mult_v, unit_v = m.algebra_on_V
@@ -314,7 +261,7 @@ def yd_validate(m):
                 yield (hw, m.act(x, unit_v),
                        unit_v.scale(h.counit_scalar(x)))
 
-        check("module-algebra", malg_cases())
+        report.check("module-algebra", malg_cases())
 
         def calg_cases():
             for vw in sp.words(2):
@@ -332,7 +279,7 @@ def yd_validate(m):
             yield ((), m.coaction.apply(unit_v),
                    tensor_elements(h.unit, unit_v))
 
-        check("comodule-algebra", calg_cases())
+        report.check("comodule-algebra", calg_cases())
 
     if m.coalgebra_on_V is not None:
         comult_v, counit_v = m.coalgebra_on_V
@@ -359,12 +306,12 @@ def yd_validate(m):
                            Element.basis((), coeff=eps) if not eps.is_zero()
                            else Element.zero())
 
-        check("module-coalgebra", mcoalg_cases())
+        report.check("module-coalgebra", mcoalg_cases())
 
         def ccoalg_cases():
             for vw in sp.words(1):
                 rho = m.coaction.apply_word(vw)
-                lhs = _apply_at(comult_v, 1, 1, rho)
+                lhs = apply_at(comult_v, 1, 1, rho)
                 rhs = Element()
                 dv = comult_v.apply_word(vw)
                 for (cv, _), d in dv.terms.items():
@@ -387,20 +334,20 @@ def yd_validate(m):
                                                           Scalar.zero())
                 yield (vw, lhs2, h.unit.scale(eps_v))
 
-        check("comodule-coalgebra", ccoalg_cases())
+        report.check("comodule-coalgebra", ccoalg_cases())
 
-    return AxiomReport(entries)
+    return report
 
 
 def yd_braiding(m):
     """The natural braiding sigma(v (x) w) = sum v_(-1).w (x) v_(0)."""
     rep = yd_validate(m)
     core = [e for e in rep.entries
-            if e["axiom"] in ("module", "comodule", "yd-compat")]
+            if e["identity"] in ("module", "comodule", "yd-compat")]
     bad = [e for e in core if not e["ok"]]
     if bad:
         raise InvalidYD("axiom %s fails at %r"
-                        % (bad[0]["axiom"], bad[0]["witness"]))
+                        % (bad[0]["identity"], bad[0]["witness"]))
     cols = {}
     for vw in m.space.words(2):
         rho = m.coaction.apply_word(vw[:1])
@@ -629,13 +576,13 @@ class RMatrix:
             if lhs != rhs:
                 raise InvalidRMatrix(
                     "conjugation identity fails at %r" % (w,))
-        lhs = _apply_at(h.comult, 1, 0, R)
+        lhs = apply_at(h.comult, 1, 0, R)
         rhs = _triple_product(h, _embed_three(h, R, (0, 2)),
                               _embed_three(h, R, (1, 2)))
         if lhs != rhs:
             raise InvalidRMatrix(
                 "comultiplication expansion on the first leg fails",)
-        lhs = _apply_at(h.comult, 1, 1, R)
+        lhs = apply_at(h.comult, 1, 1, R)
         rhs = _triple_product(h, _embed_three(h, R, (0, 2)),
                               _embed_three(h, R, (0, 1)))
         if lhs != rhs:
@@ -719,7 +666,7 @@ def smash_structures(v, w):
         for e in rep.entries:
             if not e["ok"]:
                 raise PredicateFailed("%s on factor %s fails at %r"
-                                      % (e["axiom"], name, e["witness"]))
+                                      % (e["identity"], name, e["witness"]))
 
     nv, nw = v.space.dim, w.space.dim
     names = ["%s.%s" % (a, b) for a in v.space.basis_names

@@ -146,6 +146,52 @@ def tensor_elements(x, y):
     return out
 
 
+def apply_at(f, arity, pos, x):
+    """Apply the map f to the `arity` letters at `pos` of every term of x.
+
+    f may change the number of letters (a counit drops one, a
+    comultiplication adds one); each term keeps its cuts.
+    """
+    out = Element()
+    end = pos + arity
+    for (letters, cuts), c in x.terms.items():
+        head, tail = letters[:pos], letters[end:]
+        for (mid, _), a in f.apply_word(letters[pos:end]).terms.items():
+            out.add_term((head + mid + tail, cuts), a * c)
+    return out
+
+
+class Report:
+    """Outcome of an identity check: one entry per identity.
+
+    Entries are {"identity", "ok", "witness"}; a failing entry carries a
+    witness, typically (input word, lhs, rhs).
+    """
+
+    def __init__(self):
+        self.entries = []
+
+    def record(self, identity, ok, witness=None):
+        self.entries.append({"identity": identity, "ok": ok,
+                             "witness": witness})
+
+    def check(self, identity, cases):
+        """Record `identity` from (word, lhs, rhs) cases, stopping at the
+        first case whose sides differ."""
+        for w, lhs, rhs in cases:
+            if lhs != rhs:
+                self.record(identity, False, (w, lhs, rhs))
+                return
+        self.record(identity, True)
+
+    @property
+    def ok(self):
+        return all(e["ok"] for e in self.entries)
+
+    def failures(self):
+        return [e for e in self.entries if not e["ok"]]
+
+
 class LinMap:
     """Sparse exact linear map defined on basis words of one degree.
 
@@ -235,18 +281,6 @@ class LinMap:
         return "LinMap(deg=%d, %d cols)" % (self.in_degree, len(self.columns))
 
 
-def map_apply(f, x):
-    return f.apply(x)
-
-
-def map_compose(f, g):
-    return f.compose(g)
-
-
-def map_tensor(f, g):
-    return f.tensor(g)
-
-
 def map_invert_exact(f, space, degree=None):
     """Exact inverse on one degree component via Gaussian elimination.
 
@@ -333,7 +367,6 @@ def map_kernel_basis(f, space, degree=None):
     # run column reduction on the columns, tracking combinations
     combos = {w: Element.basis(w) for w in words}
     cols = {w: Element(dict(f.column(w).terms)) for w in words}
-    index = {}
     out_words = sorted({k[0] for c in cols.values() for k in c.terms})
     index = {w: i for i, w in enumerate(out_words)}
     pivots = {}  # pivot row index -> column word

@@ -457,4 +457,6 @@ def parse_scalar(text):
     if not tokens:
         raise ScalarParseError("empty scalar string")
     num, den = _Parser(tokens).parse_rational()
+    if den.is_zero():
+        raise ScalarParseError("division by zero in %r" % (text,))
     return Scalar(num, den)

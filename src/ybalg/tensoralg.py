@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .braid import (Perm, apply_beta_letters, braid_lift_apply,
                     enumerate_shuffles, w_block)
-from .linear import Element, LinMap
+from .linear import Element, LinMap, apply_at, tensor_elements
 from .scalars import Scalar
 
 
@@ -333,7 +333,7 @@ def power_product(i, mult, braiding):
             for t in range(i):
                 pair = wl[2 * t:2 * t + 2]
                 factor = mult.apply_word(pair)
-                acc = _tensor_accumulate(acc, factor)
+                acc = tensor_elements(acc, factor)
             for key, s in acc.terms.items():
                 out.add_term(key, s)
         return out
@@ -348,18 +348,10 @@ def power_coproduct(i, comult, braiding):
                             else Scalar.one())
         for t in range(i):
             factor = comult.apply_word(letters[t:t + 1])
-            acc = _tensor_accumulate(acc, factor)
+            acc = tensor_elements(acc, factor)
         y = apply_letter_lift(braiding, w_block(i).inverse(), acc)
         return y
     return coprod
-
-
-def _tensor_accumulate(acc, factor):
-    out = Element()
-    for (aw, _), a in acc.terms.items():
-        for (fw, _), b in factor.terms.items():
-            out.add_term((aw + fw, ()), a * b)
-    return out
 
 
 def apply_letter_lift(braiding, w, x):
@@ -374,50 +366,41 @@ def apply_letter_lift(braiding, w, x):
 
 # -- Def 2.1 checks --------------------------------------------------------
 
-def check_yb_algebra(space, mult, unit, braiding):
-    """Def 2.1 YB algebra diagram on a single space; list of failures."""
-    failures = []
+def check_yb_product_rows(space, mult, braiding):
+    """The two product rows of the Def 2.1 YB algebra diagram on V^{(x)3}.
+
+    Returns failures as (row, word, lhs, rhs).
+    """
     sig = braiding.fwd
-
-    def act(pos, x):
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            pair = letters[pos:pos + 2]
-            img = sig.apply_word(pair)
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 2:], cuts),
-                             a * c)
-        return out
-
-    def mul_at(pos, x):
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            pair = letters[pos:pos + 2]
-            img = mult.apply_word(pair)
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 2:], cuts),
-                             a * c)
-        return out
-
+    failures = []
     for word in space.words(3):
         x = Element.basis(word)
         # sigma(m (x) id) = (id (x) m) sigma_1 sigma_2
-        lhs = act(0, mul_at(0, x))
-        rhs = mul_at(1, act(0, act(1, x)))
+        lhs = apply_at(sig, 2, 0, apply_at(mult, 2, 0, x))
+        rhs = apply_at(mult, 2, 1,
+                       apply_at(sig, 2, 0, apply_at(sig, 2, 1, x)))
         if lhs != rhs:
             failures.append(("product-row-1", word, lhs, rhs))
         # sigma(id (x) m) = (m (x) id) sigma_2 sigma_1
-        lhs = act(0, mul_at(1, x))
-        rhs = mul_at(0, act(1, act(0, x)))
+        lhs = apply_at(sig, 2, 0, apply_at(mult, 2, 1, x))
+        rhs = apply_at(mult, 2, 0,
+                       apply_at(sig, 2, 1, apply_at(sig, 2, 0, x)))
         if lhs != rhs:
             failures.append(("product-row-2", word, lhs, rhs))
+    return failures
+
+
+def check_yb_algebra(space, mult, unit, braiding):
+    """Def 2.1 YB algebra diagram on a single space; list of failures."""
+    failures = check_yb_product_rows(space, mult, braiding)
+    sig = braiding.fwd
     for j in range(space.dim):
         x = Element.basis((j,))
-        left = _pair_apply(sig, _tensor_accumulate(unit, x))
-        if left != _tensor_accumulate(x, unit):
+        left = apply_at(sig, 2, 0, tensor_elements(unit, x))
+        if left != tensor_elements(x, unit):
             failures.append(("unit-row-1", (j,), left, None))
-        right = _pair_apply(sig, _tensor_accumulate(x, unit))
-        if right != _tensor_accumulate(unit, x):
+        right = apply_at(sig, 2, 0, tensor_elements(x, unit))
+        if right != tensor_elements(unit, x):
             failures.append(("unit-row-2", (j,), right, None))
     return failures
 
@@ -426,75 +409,31 @@ def check_yb_coalgebra(space, comult, counit_map, braiding):
     """Def 2.1 YB coalgebra diagram on a single space; list of failures."""
     failures = []
     sig = braiding.fwd
-
-    def act(pos, x):
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            pair = letters[pos:pos + 2]
-            img = sig.apply_word(pair)
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 2:], cuts),
-                             a * c)
-        return out
-
-    def comul_at(pos, x):
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            img = comult.apply_word(letters[pos:pos + 1])
-            for (pw, _), a in img.terms.items():
-                out.add_term((letters[:pos] + pw + letters[pos + 1:], cuts),
-                             a * c)
-        return out
-
     for word in space.words(2):
         x = Element.basis(word)
+        y = apply_at(sig, 2, 0, x)
         # sigma_1 sigma_2 (Delta (x) id) = (id (x) Delta) sigma
-        lhs = act(0, act(1, comul_at(0, x)))
-        rhs = comul_at(1, _pair_apply(sig, x))
+        lhs = apply_at(sig, 2, 0,
+                       apply_at(sig, 2, 1, apply_at(comult, 1, 0, x)))
+        rhs = apply_at(comult, 1, 1, y)
         if lhs != rhs:
             failures.append(("coproduct-row-1", word, lhs, rhs))
         # sigma_2 sigma_1 (id (x) Delta) = (Delta (x) id) sigma
-        lhs = act(1, act(0, comul_at(1, x)))
-        rhs = comul_at(0, _pair_apply(sig, x))
+        lhs = apply_at(sig, 2, 1,
+                       apply_at(sig, 2, 0, apply_at(comult, 1, 1, x)))
+        rhs = apply_at(comult, 1, 0, y)
         if lhs != rhs:
             failures.append(("coproduct-row-2", word, lhs, rhs))
-        # counit rows
-        y = _pair_apply(sig, x)
-        left = _apply_counit_at(counit_map, y, 0)
-        expect = Element.basis(word[:1], (),
-                               _counit_word(counit_map, word[1:2]))
+        # counit rows: (eps (x) id) sigma = id (x) eps and its mirror
+        left = apply_at(counit_map, 1, 0, y)
+        expect = apply_at(counit_map, 1, 1, x)
         if left != expect:
             failures.append(("counit-row-1", word, left, expect))
-        right = _apply_counit_at(counit_map, y, 1)
-        expect = Element.basis(word[1:2], (),
-                               _counit_word(counit_map, word[:1]))
+        right = apply_at(counit_map, 1, 1, y)
+        expect = apply_at(counit_map, 1, 0, x)
         if right != expect:
             failures.append(("counit-row-2", word, right, expect))
     return failures
-
-
-def _pair_apply(sig, x):
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        img = sig.apply_word(letters)
-        for (pw, _), a in img.terms.items():
-            out.add_term((pw, cuts), a * c)
-    return out
-
-
-def _counit_word(counit_map, word):
-    img = counit_map.apply_word(word)
-    return img.terms.get(((), ()), Scalar.zero())
-
-
-def _apply_counit_at(counit_map, x, pos):
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        s = _counit_word(counit_map, letters[pos:pos + 1])
-        if not s.is_zero():
-            rest = letters[:pos] + letters[pos + 1:]
-            out.add_term((rest, ()), c * s)
-    return out
 
 
 # -- graded YB algebra check for products on T(V) --------------------------

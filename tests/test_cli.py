@@ -3,16 +3,18 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ybalg.binfty import QBStructure, YBBase, qb_to_obj
 from ybalg.braid import Braiding
-from ybalg.catalog import exterior_braiding
+from ybalg.catalog import exterior_braiding, group_algebra_hopf
 from ybalg.cli import (ParseError, SuiteMismatch, UnknownTarget,
                        ValidationError, cmd_compute, cmd_verify,
                        compute_expression, format_element, load_session,
                        main, _parse_element)
+from ybalg.hopf import yd_adjoint, yd_to_obj
 from ybalg.linear import Element, LinMap, element_from_obj, linmap_to_obj
 from ybalg.scalars import Scalar, parse_scalar
 
@@ -195,6 +197,10 @@ def test_compute_parse_and_target_errors(tmp_path):
         compute_expression(session, "star(missing, e1, e2)")
     with pytest.raises(SuiteMismatch):
         compute_expression(session, "star(sigma, e1, e2)")
+    for expr in ("braid(sigma, x, 1, e1)", "braid(sigma, -1, 1, e1)",
+                 "braid(sigma, 1, 1, e1*e2*e1)"):
+        with pytest.raises(ParseError):
+            compute_expression(session, expr)
 
 
 def test_format_element_coefficient_rules():
@@ -239,14 +245,37 @@ def test_main_subprocess(tmp_path):
     {"version": 1, "objects": [
         {"name": "d", "kind": "diagonal", "matrix": [[1, 2], [3, 4]]}]},
     {"version": 1, "degree_cap": "6", "objects": []},
+    {"version": 1, "objects": [
+        {"name": "d", "kind": "diagonal", "matrix": [["1/0"]]}]},
+    {"version": 1, "objects": [
+        {"name": "d", "kind": "catalog",
+         "address": "diagonal:file=no-such-dir/matrix.json"}]},
 ], ids=["top-level-list", "objects-not-a-list", "matrix-not-strings",
-        "cap-not-an-integer"])
+        "cap-not-an-integer", "matrix-divides-by-zero",
+        "catalog-file-missing"])
 def test_main_malformed_session_exits_2(tmp_path, capsys, data):
     path = write_session(tmp_path, data)
     with pytest.raises(ParseError):
         load_session(path)
     assert main(["verify", path, "d"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("expr", ["shuffle(1/0 e1, e2)",
+                                  "shuffle(1/(q-q) e1, e2)"])
+def test_main_compute_divides_by_zero_exits_2(tmp_path, capsys, expr):
+    assert main(["compute", basic_session(tmp_path), expr]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_unreadable_session_exits_2(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"version": 1, "objects": [\xff]}')
+    for path in (str(tmp_path / "missing.json"), str(binary)):
+        with pytest.raises(ParseError):
+            load_session(path)
+        assert main(["verify", path, "sigma"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_verify_bound_above_tower_cap_exits_2(tmp_path, capsys):
@@ -262,3 +291,59 @@ def test_main_verify_bound_above_tower_cap_exits_2(tmp_path, capsys):
                  "--bound", "6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "degree cap 5" in err
+
+
+GOLDEN = Path(__file__).with_name("verify_reports_golden.json")
+
+# (case, target, suite, bound) for test_verify_reports_golden
+GOLDEN_CASES = [
+    ("exterior", "sigma", "all", 3),
+    ("diagonal-rational", "rational", "all", 3),
+    ("quasishuffle-tower", "M", "qb-infinity", 4),
+    ("failing-tower", "bad", "qb-infinity", 4),
+    ("hopf", "H", "hopf", 4),
+    ("yd", "Y", "yd", 4),
+    ("qflip", "W", "all", 4),
+]
+
+
+def golden_session(tmp_path):
+    """One session holding every target of the golden verify reports."""
+    sigma = exterior_braiding(2)
+    bad = QBStructure(sigma, {(1, 1): LinMap(
+        2, {(0, 0): Element.basis((1,))})}, degree_cap=4)
+    data = {"version": 1, "objects": [
+        {"name": "sigma", "kind": "catalog", "address": "exterior:N=2"},
+        {"name": "rational", "kind": "diagonal",
+         "matrix": [["(q+1)/(q-1)", "q/(q^2+2)"],
+                    ["-3/(2q+1)", "(1-q^2)/(q^3+q+1)"]]},
+        {"name": "graded", "kind": "diagonal",
+         "matrix": [["q", "q^2"], ["q^2", "q^4"]]},
+        {"name": "base", "kind": "yb-base", "braiding": "graded",
+         "mult": linmap_to_obj(LinMap(2, {(0, 0): Element.basis((1,))}))},
+        {"name": "M", "kind": "quasishuffle", "base": "base",
+         "degree_cap": 4},
+        {"name": "bad", "kind": "qb", "braiding": "sigma",
+         "data": qb_to_obj(bad)},
+        {"name": "H", "kind": "catalog", "address": "groupalgebra:n=2"},
+        {"name": "Y", "kind": "yd",
+         "data": yd_to_obj(yd_adjoint(group_algebra_hopf(2)))},
+        {"name": "W", "kind": "catalog", "address": "qflip:N=2"},
+    ]}
+    return write_session(tmp_path, data)
+
+
+def test_verify_reports_golden(tmp_path, capsys):
+    # verify_reports_golden.json holds {case: {"code", "report"}}; stdout
+    # must match the canonical dump of each stored report byte for byte
+    expected = json.loads(GOLDEN.read_text())
+    path = golden_session(tmp_path)
+    assert sorted(expected) == sorted(c[0] for c in GOLDEN_CASES)
+    for case, target, suite, bound in GOLDEN_CASES:
+        code = main(["verify", path, target, "--suite", suite,
+                     "--bound", str(bound)])
+        out = capsys.readouterr().out
+        want = expected[case]
+        assert code == want["code"], case
+        assert out == json.dumps(want["report"], sort_keys=True,
+                                 indent=2) + "\n", case

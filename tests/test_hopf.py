@@ -54,7 +54,7 @@ def test_corrupted_comult_fails_with_witness():
                            h.antipode)
     rep = hopf_validate(bad)
     assert not rep.ok
-    failing = {e["axiom"] for e in rep.failures()}
+    failing = {e["identity"] for e in rep.failures()}
     assert failing & {"coassoc", "counit", "counit-right"}
     assert all(e["witness"] is not None for e in rep.failures())
 
@@ -119,7 +119,7 @@ def test_yd_compat_failure_raises():
     m = YDModule(h, h.space, action, coaction)
     rep = yd_validate(m)
     assert not rep.ok
-    assert any(e["axiom"] == "yd-compat" for e in rep.failures())
+    assert any(e["identity"] == "yd-compat" for e in rep.failures())
     with pytest.raises(InvalidYD):
         yd_braiding(m)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybalg.linear import (DegreeMismatch, Element, LinMap, Singular, Space,
-                          column_echelon_basis, element_from_obj,
+                          apply_at, column_echelon_basis, element_from_obj,
                           element_to_obj, in_span, linmap_from_obj,
                           linmap_to_obj, map_invert_exact, map_kernel_basis,
                           tensor_elements, term_sort_key)
@@ -128,3 +128,35 @@ def test_linearity_of_apply(data):
         x.add_term((word, ()), Scalar.from_int(c))
         y.add_term((word, ()), Scalar.from_int(c * 2))
     assert f.apply(x + y) == f.apply(x) + f.apply(y)
+
+
+@st.composite
+def combinations_of(draw, words):
+    """A random element: up to three terms with coefficients c q^e."""
+    x = Element()
+    for w, c, e in draw(st.lists(st.tuples(st.sampled_from(words),
+                                           st.integers(-2, 2),
+                                           st.integers(-2, 2)),
+                                 max_size=3)):
+        x.add_term((w, ()), Scalar.from_int(c) * Scalar.q_power(e))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_at_matches_kronecker_reference(data):
+    # apply_at(f, arity, pos, .) is id^pos (x) f (x) id^rest, cuts untouched
+    sp = Space(["a", "b"])
+    arity, out = data.draw(st.sampled_from([(1, 0), (1, 1), (1, 2), (2, 1)]))
+    f = LinMap(arity, {w: data.draw(combinations_of(sp.words(out)))
+                       for w in sp.words(arity)})
+    pos, rest = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    n = pos + arity + rest
+    x = data.draw(combinations_of(sp.words(n)))
+    ref = LinMap.identity(sp, pos).tensor(f).tensor(
+        LinMap.identity(sp, rest)).apply(x)
+    assert apply_at(f, arity, pos, x) == ref
+    cuts = tuple(sorted(data.draw(st.lists(st.integers(0, n), max_size=2))))
+    cut_x = Element({(w, cuts): c for (w, _), c in x.terms.items()})
+    assert apply_at(f, arity, pos, cut_x) == Element(
+        {(w, cuts): c for (w, _), c in ref.terms.items()})
