@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .braid import apply_beta_letters
-from .linear import Element, LinMap, Report, apply_at, tensor_elements
+from .linear import Element, LinMap, Report, apply_at
 from .scalars import Scalar
 from .tensoralg import (DegreeCapExceeded, InvalidBase, check_yb_algebra,
                         check_yb_product_rows, counit, delta_beta_iter,
@@ -146,14 +146,14 @@ def star_power(n, M):
     if n + 1 > M.degree_cap:
         raise DegreeCapExceeded("power %d exceeds cap %d" % (n + 1,
                                                              M.degree_cap))
-    cols = {}
-    for word in M.space.words(n + 1):
+
+    def column(word):
         acc = Element.basis(word[:1])
         for t in range(1, n + 1):
             acc = star_product(M, acc, Element.basis(word[t:t + 1]))
-        if not acc.is_zero():
-            cols[word] = acc
-    return LinMap(n + 1, cols)
+        return acc
+
+    return LinMap.tabulate(M.space, n + 1, column)
 
 
 # -- validation ------------------------------------------------------------
@@ -419,44 +419,29 @@ def from_2yb(a, degree_bound):
     M_pq is the star product of the dot-collapsed blocks minus all shorter
     factorizations through previously built components.
     """
-    comps = {}
-
-    def component(p, q):
-        if p == 0 or q == 0:
-            if (p, q) in ((1, 0), (0, 1)):
-                return LinMap.identity(a.space, 1)
-            return None
-        return comps.get((p, q))
-
+    # components join M as they are peeled; a factorization into k >= 2
+    # pair factors only reaches components of lower total degree
+    M = QBStructure(a.braiding, degree_cap=degree_bound)
     for total in range(2, degree_bound + 1):
         for p in range(1, total):
-            q = total - p
-            cols = {}
-            for z in a.space.words(total):
-                left = _fold_dot(a, Element.basis(z[:p]))
-                right = _fold_dot(a, Element.basis(z[p:]))
-                col = _mult_elems(a.star, left, right)
-                pair = Element.basis(z, (p,))
-                for k in range(2, total + 1):
-                    d = delta_beta_iter(a.braiding, pair, k - 1,
-                                        reduced=True)
-                    for (letters, cuts), c in d.terms.items():
-                        degrees = _block_degrees(letters, cuts)
-                        maps = [component(dp, dq) for (dp, dq) in degrees]
-                        if any(f is None for f in maps):
-                            continue
-                        b = slot_bounds(letters, cuts)
-                        acc = Element.basis((), (), c)
-                        for t, f in enumerate(maps):
-                            seg = letters[b[2 * t]:b[2 * t + 2]]
-                            acc = tensor_elements(acc, f.apply_word(seg))
-                        folded = _fold_dot(a, acc)
-                        col = col - folded
-                if not col.is_zero():
-                    cols[z] = col
-            if cols:
-                comps[(p, q)] = LinMap(total, cols)
-    return QBStructure(a.braiding, comps, degree_bound)
+            f = LinMap.tabulate(a.space, total,
+                                lambda z: _peeled_column(a, M, z, p))
+            if f.columns:
+                M.components[(p, total - p)] = f
+    return M
+
+
+def _peeled_column(a, M, z, p):
+    """M_pq on the word z: the star product of the dot-collapsed blocks
+    z[:p] and z[p:] minus its factorizations through the components of M."""
+    left = _fold_dot(a, Element.basis(z[:p]))
+    right = _fold_dot(a, Element.basis(z[p:]))
+    pair = Element.basis(z, (p,))
+    shorter = Element()
+    for k in range(2, len(z) + 1):
+        d = delta_beta_iter(a.braiding, pair, k - 1, reduced=True)
+        shorter = shorter + _apply_m_blocks(M, d)
+    return _mult_elems(a.star, left, right) - _fold_dot(a, shorter)
 
 
 # -- antipode --------------------------------------------------------------

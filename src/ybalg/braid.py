@@ -201,12 +201,8 @@ def braid_lift(w, braiding, degree=None):
     n = degree if degree is not None else w.n
     if n != w.n:
         raise ValueError("degree must match the permutation size")
-    cols = {}
-    for word in braiding.space.words(n):
-        res = braid_lift_apply(braiding, w, word)
-        if not res.is_zero():
-            cols[word] = res
-    return LinMap(n, cols)
+    return LinMap.tabulate(braiding.space, n,
+                           lambda word: braid_lift_apply(braiding, w, word))
 
 
 def beta_component(i, j, braiding):

@@ -104,7 +104,8 @@ def load_session(path):
             raise ParseError("object declaration %r is not a JSON object"
                              % (decl,))
         name = decl.get("name")
-        if not name or name in session.objects:
+        if not isinstance(name, str) or not name \
+                or name in session.objects:
             raise ParseError("missing or duplicate object name %r" % (name,))
         try:
             session.objects[name] = _build_object(decl, session)
@@ -119,22 +120,70 @@ def load_session(path):
     return session
 
 
+# JSON forms of declaration fields: a type, [form] for a list of that form,
+# {key: form} for an object ("key?" marks an optional key), or a tuple of
+# alternative forms
+_WORD = [int]
+_LINMAP = [{"in": _WORD, "out": [{"word": _WORD, "coeff": str}]}]
+_ELEMENT = [{"word": _WORD, "coeff": str, "split?": (int, _WORD)}]
+_HOPF = {"basis": [str], "mult": _LINMAP, "unit": _ELEMENT,
+         "comult": _LINMAP, "counit": _LINMAP, "antipode": _LINMAP}
+_YD = {"hopf": _HOPF, "basis": [str], "action": _LINMAP,
+       "coaction": _LINMAP, "mult?": _LINMAP, "unit?": _ELEMENT,
+       "comult?": _LINMAP, "counit?": _LINMAP}
+_QB = {"M": [{"p": int, "q": int, "map": _LINMAP}], "degree_cap": int}
+
+
+def _fits(value, form):
+    """Whether a parsed JSON value has the given form."""
+    if isinstance(form, tuple):
+        return any(_fits(value, f) for f in form)
+    if isinstance(form, list):
+        return isinstance(value, list) and all(_fits(v, form[0])
+                                               for v in value)
+    if isinstance(form, dict):
+        if not isinstance(value, dict):
+            return False
+        for key, f in form.items():
+            name = key.rstrip("?")
+            if name in value:
+                if not _fits(value[name], f):
+                    return False
+            elif not key.endswith("?"):
+                return False
+        return True
+    # bool is an int subclass that JSON keeps apart
+    return type(value) is form
+
+
+def _field(decl, key, form, default=None):
+    """decl[key] (or the default when absent), checked against a JSON form."""
+    value = decl.get(key, default)
+    if not _fits(value, form):
+        raise ParseError("%s of %r is missing or malformed"
+                         % (key, decl["name"]))
+    return value
+
+
+def _ref(decl, key, session, kind):
+    """The session object that decl[key] names, which must be a `kind`."""
+    obj = session.get(_field(decl, key, str))
+    if not isinstance(obj, kind):
+        raise ParseError("%s of %r names %r, which is not a %s"
+                         % (key, decl["name"], decl[key], kind.__name__))
+    return obj
+
+
 def _build_object(decl, session):
     kind = decl.get("kind")
     if kind == "catalog":
-        return catalog.resolve_catalog(decl["address"])
+        return catalog.resolve_catalog(_field(decl, "address", str))
     if kind == "diagonal":
-        rows = decl["matrix"]
-        if not (isinstance(rows, list)
-                and all(isinstance(row, list) and
-                        all(isinstance(entry, str) for entry in row)
-                        for row in rows)):
-            raise ParseError("matrix of %r must be a list of rows of "
-                             "coefficient strings" % (decl["name"],))
-        matrix = [[parse_scalar(entry) for entry in row] for row in rows]
+        matrix = [[parse_scalar(entry) for entry in row]
+                  for row in _field(decl, "matrix", [[str]])]
         return catalog.diagonal_braiding(matrix)
     if kind == "hopf":
-        h = hopf.hopf_from_obj(decl["data"])
+        h = hopf.hopf_from_obj(_field(decl, "data", _HOPF))
         report = hopf.hopf_validate(h)
         if not report.ok:
             bad = report.failures()[0]
@@ -142,7 +191,7 @@ def _build_object(decl, session):
                                   bad["witness"])
         return h
     if kind == "yd":
-        m = hopf.yd_from_obj(decl["data"])
+        m = hopf.yd_from_obj(_field(decl, "data", _YD))
         report = hopf.yd_validate(m)
         if not report.ok:
             bad = report.failures()[0]
@@ -150,16 +199,16 @@ def _build_object(decl, session):
                                   bad["witness"])
         return m
     if kind == "yb-base":
-        braiding = session.get(decl["braiding"])
-        mult = linmap_from_obj(decl["mult"], 2)
+        braiding = _ref(decl, "braiding", session, Braiding)
+        mult = linmap_from_obj(_field(decl, "mult", _LINMAP), 2)
         return binfty.YBBase(braiding.space, mult, braiding)
     if kind == "quasishuffle":
-        base = session.get(decl["base"])
-        cap = decl.get("degree_cap", session.degree_cap)
-        return base.qb_structure(cap)
+        base = _ref(decl, "base", session, binfty.YBBase)
+        return base.qb_structure(
+            _field(decl, "degree_cap", int, session.degree_cap))
     if kind == "qb":
-        braiding = session.get(decl["braiding"])
-        return binfty.qb_from_obj(decl["data"], braiding)
+        braiding = _ref(decl, "braiding", session, Braiding)
+        return binfty.qb_from_obj(_field(decl, "data", _QB), braiding)
     raise ParseError("unknown object kind %r" % (kind,))
 
 

@@ -2,8 +2,9 @@
 
 A Hopf algebra is presented by structure constants: sparse linear maps for
 multiplication, comultiplication, counit, and antipode on a named basis.
-Sweedler sums are evaluated by explicit expansion of the comultiplication
-columns; nothing is symbolic.
+Every Sweedler sum is a leg program: a chain of structure maps applied at
+given legs of a multi-leg element (linear.apply_at) and leg permutations
+(linear.permute_legs), run by `_legs`; nothing is symbolic.
 
 On top of this sit Yetter-Drinfel'd modules with their natural braiding
 sigma_V, the four conjugation-style braidings on H itself, quasi-triangular
@@ -14,11 +15,13 @@ braiding.
 
 from __future__ import annotations
 
+import itertools
+
 from .braid import Braiding
 from .linear import (Element, LinMap, Report, Singular, Space, apply_at,
                      element_from_obj, element_to_obj, linmap_from_obj,
-                     linmap_to_obj, map_invert_exact, tensor_elements)
-from .scalars import Scalar
+                     linmap_to_obj, map_invert_exact, permute_legs,
+                     tensor_elements)
 
 
 class InvalidYD(ValueError):
@@ -64,51 +67,45 @@ class HopfPresentation:
                     "antipode is singular on this presentation")
         return self.antipode_inv
 
-    def sweedler(self, x, legs):
-        """Iterated comultiplication of a one-leg element into `legs` legs."""
-        cur = x
-        for _ in range(legs - 1):
-            cur = apply_at(self.comult, 1, 0, cur)
-        return cur
 
-    def product_fold(self, x):
-        """Fold every multi-leg term of x down to a single leg."""
-        out = Element()
-        for (letters, cuts), c in x.terms.items():
-            if cuts:
-                raise ValueError("expected an uncut element")
-            cur = Element.basis(letters, coeff=c)
-            while len(next(iter(cur.terms))[0]) > 1:
-                cur = apply_at(self.mult, 2, 0, cur)
-                if cur.is_zero():
-                    break
-            if cur.is_zero():
-                continue
-            if next(iter(cur.terms))[0] == ():
-                # scalar times the unit of H
-                for (_, _), a in cur.terms.items():
-                    out = out + self.unit.scale(a)
-            else:
-                out = out + cur
-        return out
-
-    def mul(self, x, y):
-        """Product of two one-leg elements."""
-        return self.mult.apply(tensor_elements(x, y))
-
-    def counit_scalar(self, x):
-        res = self.counit.apply(x)
-        return res.terms.get(((), ()), Scalar.zero())
-
-    def apply_antipode(self, x):
-        return self.antipode.apply(x)
+def _point(x):
+    """The arity-0 map inserting the element x as new legs."""
+    return LinMap(0, {(): x})
 
 
-def _on_basis(space, degree, lhs, rhs):
-    """(word, lhs(x), rhs(x)) cases over the basis words x of one degree."""
-    for w in space.words(degree):
+def _legs(x, *steps):
+    """Run a leg program on x, left to right.
+
+    A step (f, pos) applies the map f at legs pos..pos+arity of every term;
+    a list [i_0, i_1, ...] permutes the legs, new leg t being old leg i_t.
+    """
+    for step in steps:
+        if isinstance(step, list):
+            x = permute_legs(x, step)
+        else:
+            f, pos = step
+            x = apply_at(f, f.in_degree, pos, x)
+    return x
+
+
+def _side(*steps):
+    """The leg program as a function of one element."""
+    return lambda x: _legs(x, *steps)
+
+
+def _program_map(space, degree, *steps):
+    """The leg program as a LinMap on the basis words of one degree."""
+    return LinMap.tabulate(space, degree,
+                           lambda w: _legs(Element.basis(w), *steps))
+
+
+def _on_basis(spaces, *sides):
+    """(word, lhs(x), rhs(x)) cases over the basis words x of the tensor
+    product of `spaces`; each word runs every (lhs, rhs) pair in turn."""
+    for w in itertools.product(*(range(sp.dim) for sp in spaces)):
         x = Element.basis(w)
-        yield w, lhs(x), rhs(x)
+        for lhs, rhs in sides:
+            yield w, lhs(x), rhs(x)
 
 
 def hopf_validate(h):
@@ -117,51 +114,32 @@ def hopf_validate(h):
     Returns a Report with one entry per axiom; witnesses are
     (input word, lhs, rhs) triples on the first failing basis tuple.
     """
-    # m, Delta, epsilon and S in the usual notation
+    # m, Delta, epsilon, S and the unit in the usual notation
     sp, m, d, e, s = h.space, h.mult, h.comult, h.counit, h.antipode
+    u = _point(h.unit)
+    one = Element.unit()
     report = Report()
-    report.check("assoc", _on_basis(
-        sp, 3, lambda x: apply_at(m, 2, 0, apply_at(m, 2, 0, x)),
-        lambda x: apply_at(m, 2, 0, apply_at(m, 2, 1, x))))
-    report.check("unit", _on_basis(
-        sp, 1, lambda x: h.mul(h.unit, x), lambda x: x))
-    report.check("unit-right", _on_basis(
-        sp, 1, lambda x: h.mul(x, h.unit), lambda x: x))
-    report.check("coassoc", _on_basis(
-        sp, 1, lambda x: apply_at(d, 1, 0, d.apply(x)),
-        lambda x: apply_at(d, 1, 1, d.apply(x))))
-    report.check("counit", _on_basis(
-        sp, 1, lambda x: apply_at(e, 1, 0, d.apply(x)), lambda x: x))
-    report.check("counit-right", _on_basis(
-        sp, 1, lambda x: apply_at(e, 1, 1, d.apply(x)), lambda x: x))
+
+    def check(name, degree, lhs, rhs):
+        report.check(name, _on_basis([sp] * degree, (_side(*lhs),
+                                                      _side(*rhs))))
+
+    check("assoc", 3, [(m, 0), (m, 0)], [(m, 1), (m, 0)])
+    check("unit", 1, [(u, 0), (m, 0)], [])
+    check("unit-right", 1, [(u, 1), (m, 0)], [])
+    check("coassoc", 1, [(d, 0), (d, 0)], [(d, 0), (d, 1)])
+    check("counit", 1, [(d, 0), (e, 0)], [])
+    check("counit-right", 1, [(d, 0), (e, 1)], [])
     # comultiplication is an algebra map: componentwise product with a flip
-    report.check("comult-mult", _on_basis(
-        sp, 2, lambda x: d.apply(apply_at(m, 2, 0, x)),
-        lambda x: apply_at(m, 2, 0, apply_at(m, 2, 2, _flip_legs(
-            apply_at(d, 1, 0, apply_at(d, 1, 1, x)), 1)))))
+    check("comult-mult", 2, [(m, 0), (d, 0)],
+          [(d, 1), (d, 0), [0, 2, 1, 3], (m, 2), (m, 0)])
     report.record("comult-unit",
-                  d.apply(h.unit) == tensor_elements(h.unit, h.unit))
-    report.check("counit-mult", _on_basis(
-        sp, 2, lambda x: e.apply(apply_at(m, 2, 0, x)),
-        lambda x: apply_at(e, 1, 0, apply_at(e, 1, 1, x))))
-    report.record("counit-unit", h.counit_scalar(h.unit) == Scalar.one())
-    report.check("antipode-left", _on_basis(
-        sp, 1, lambda x: apply_at(m, 2, 0, apply_at(s, 1, 0, d.apply(x))),
-        lambda x: h.unit.scale(h.counit_scalar(x))))
-    report.check("antipode-right", _on_basis(
-        sp, 1, lambda x: apply_at(m, 2, 0, apply_at(s, 1, 1, d.apply(x))),
-        lambda x: h.unit.scale(h.counit_scalar(x))))
+                  _legs(one, (u, 0), (d, 0)) == _legs(one, (u, 0), (u, 0)))
+    check("counit-mult", 2, [(m, 0), (e, 0)], [(e, 1), (e, 0)])
+    report.record("counit-unit", _legs(one, (u, 0), (e, 0)) == one)
+    check("antipode-left", 1, [(d, 0), (s, 0), (m, 0)], [(e, 0), (u, 0)])
+    check("antipode-right", 1, [(d, 0), (s, 1), (m, 0)], [(e, 0), (u, 0)])
     return report
-
-
-def _flip_legs(x, pos):
-    """Swap tensor legs pos and pos+1 of every term."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        lt = list(letters)
-        lt[pos], lt[pos + 1] = lt[pos + 1], lt[pos]
-        out.add_term((tuple(lt), cuts), c)
-    return out
 
 
 class YDModule:
@@ -181,160 +159,62 @@ class YDModule:
         self.algebra_on_V = algebra_on_V
         self.coalgebra_on_V = coalgebra_on_V
 
-    def act(self, h_elem, v_elem):
-        """Extend the action to arbitrary one-leg elements of H and V."""
-        return self.action.apply(tensor_elements(h_elem, v_elem))
-
 
 def yd_validate(m):
     """Module, comodule, and compatibility checks, plus the four optional
     (co)module-(co)algebra predicates when V carries the extra structure."""
-    h, sp = m.hopf, m.space
+    h, sp, hs = m.hopf, m.space, m.hopf.space
+    mu, d, e, u = h.mult, h.comult, h.counit, _point(h.unit)
+    a, co = m.action, m.coaction
     report = Report()
 
-    def module_cases():
-        for hw in h.space.words(2):
-            ab = h.mult.apply_word(hw)
-            for vw in sp.words(1):
-                v = Element.basis(vw)
-                lhs = m.act(Element.basis(hw[:1]),
-                            m.act(Element.basis(hw[1:]), v))
-                yield (hw + vw, lhs, m.act(ab, v))
-        for vw in sp.words(1):
-            v = Element.basis(vw)
-            yield (vw, m.act(h.unit, v), v)
-
-    report.check("module", module_cases())
-
-    def comodule_cases():
-        for vw in sp.words(1):
-            rho = m.coaction.apply_word(vw)
-            lhs = apply_at(h.comult, 1, 0, rho)
-            rhs = apply_at(m.coaction, 1, 1, rho)
-            yield (vw, lhs, rhs)
-            yield (vw, apply_at(h.counit, 1, 0, rho), Element.basis(vw))
-
-    report.check("comodule", comodule_cases())
-
-    def yd_cases():
-        for hw in h.space.words(1):
-            dh = h.comult.apply_word(hw)
-            for vw in sp.words(1):
-                lhs = Element()
-                rhs = Element()
-                for (pair, _), c in dh.terms.items():
-                    h1, h2 = pair
-                    rho = m.coaction.apply_word(vw)
-                    for (rv, _), a in rho.terms.items():
-                        prod = h.mult.apply_word((h1, rv[0]))
-                        img = m.action.apply_word((h2, rv[1]))
-                        lhs = lhs + tensor_elements(prod, img).scale(c * a)
-                    acted = m.action.apply_word((h1, vw[0]))
-                    for (aw, _), b in acted.terms.items():
-                        rho2 = m.coaction.apply_word(aw)
-                        for (rv, _), a in rho2.terms.items():
-                            prod = h.mult.apply_word((rv[0], h2))
-                            rhs = rhs + tensor_elements(
-                                prod, Element.basis(rv[1:])).scale(c * b * a)
-                yield (hw + vw, lhs, rhs)
-
-    report.check("yd-compat", yd_cases())
+    # g.(h.v) = (gh).v and 1.v = v
+    report.check("module", itertools.chain(
+        _on_basis([hs, hs, sp],
+                  (_side((a, 1), (a, 0)), _side((mu, 0), (a, 0)))),
+        _on_basis([sp], (_side((u, 0), (a, 0)), _side()))))
+    # (Delta (x) id) rho = (id (x) rho) rho and (eps (x) id) rho = id
+    report.check("comodule", _on_basis(
+        [sp], (_side((co, 0), (d, 0)), _side((co, 0), (co, 1))),
+        (_side((co, 0), (e, 0)), _side())))
+    # h_(1) v_(-1) (x) h_(2).v_(0) = (h_(1).v)_(-1) h_(2) (x) (h_(1).v)_(0)
+    report.check("yd-compat", _on_basis([hs, sp], (
+        _side((d, 0), (co, 2), [0, 2, 1, 3], (mu, 0), (a, 1)),
+        _side((d, 0), [0, 2, 1], (a, 0), (co, 0), [0, 2, 1], (mu, 0)))))
 
     if m.algebra_on_V is not None:
         mult_v, unit_v = m.algebra_on_V
-
-        def malg_cases():
-            for hw in h.space.words(1):
-                dh = h.comult.apply_word(hw)
-                for vw in sp.words(2):
-                    prod = mult_v.apply_word(vw)
-                    lhs = m.act(Element.basis(hw), prod)
-                    rhs = Element()
-                    for (pair, _), c in dh.terms.items():
-                        a = m.action.apply_word((pair[0], vw[0]))
-                        b = m.action.apply_word((pair[1], vw[1]))
-                        rhs = rhs + mult_v.apply(
-                            tensor_elements(a, b)).scale(c)
-                    yield (hw + vw, lhs, rhs)
-            for hw in h.space.words(1):
-                x = Element.basis(hw)
-                yield (hw, m.act(x, unit_v),
-                       unit_v.scale(h.counit_scalar(x)))
-
-        report.check("module-algebra", malg_cases())
-
-        def calg_cases():
-            for vw in sp.words(2):
-                prod = mult_v.apply_word(vw)
-                lhs = m.coaction.apply(prod)
-                rhs = Element()
-                ra = m.coaction.apply_word(vw[:1])
-                rb = m.coaction.apply_word(vw[1:])
-                for (pa, _), c in ra.terms.items():
-                    for (pb, _), d in rb.terms.items():
-                        hh = h.mult.apply_word((pa[0], pb[0]))
-                        vv = mult_v.apply_word((pa[1], pb[1]))
-                        rhs = rhs + tensor_elements(hh, vv).scale(c * d)
-                yield (vw, lhs, rhs)
-            yield ((), m.coaction.apply(unit_v),
-                   tensor_elements(h.unit, unit_v))
-
-        report.check("comodule-algebra", calg_cases())
+        uv = _point(unit_v)
+        # h.(vw) = (h_(1).v)(h_(2).w) and h.1 = eps(h) 1; then rho is an
+        # algebra map into H (x) V
+        report.check("module-algebra", itertools.chain(
+            _on_basis([hs, sp, sp], (
+                _side((mult_v, 1), (a, 0)),
+                _side((d, 0), [0, 2, 1, 3], (a, 0), (a, 1), (mult_v, 0)))),
+            _on_basis([hs], (_side((uv, 1), (a, 0)), _side((e, 0), (uv, 0))))))
+        report.check("comodule-algebra", itertools.chain(
+            _on_basis([sp, sp], (
+                _side((mult_v, 0), (co, 0)),
+                _side((co, 0), (co, 2), [0, 2, 1, 3], (mu, 0), (mult_v, 1)))),
+            _on_basis([], (_side((uv, 0), (co, 0)),
+                           _side((uv, 0), (u, 0))))))
 
     if m.coalgebra_on_V is not None:
         comult_v, counit_v = m.coalgebra_on_V
-
-        def mcoalg_cases():
-            for hw in h.space.words(1):
-                dh = h.comult.apply_word(hw)
-                for vw in sp.words(1):
-                    acted = m.action.apply_word((hw[0], vw[0]))
-                    lhs = comult_v.apply(acted)
-                    rhs = Element()
-                    dv = comult_v.apply_word(vw)
-                    for (pair, _), c in dh.terms.items():
-                        for (cv, _), d in dv.terms.items():
-                            a = m.action.apply_word((pair[0], cv[0]))
-                            b = m.action.apply_word((pair[1], cv[1]))
-                            rhs = rhs + tensor_elements(a, b).scale(c * d)
-                    yield (hw + vw, lhs, rhs)
-                    lhs2 = counit_v.apply(acted)
-                    eps = h.counit_scalar(Element.basis(hw)) \
-                        * counit_v.apply_word(vw).terms.get(
-                            ((), ()), Scalar.zero())
-                    yield (hw + vw, lhs2,
-                           Element.basis((), coeff=eps) if not eps.is_zero()
-                           else Element.zero())
-
-        report.check("module-coalgebra", mcoalg_cases())
-
-        def ccoalg_cases():
-            for vw in sp.words(1):
-                rho = m.coaction.apply_word(vw)
-                lhs = apply_at(comult_v, 1, 1, rho)
-                rhs = Element()
-                dv = comult_v.apply_word(vw)
-                for (cv, _), d in dv.terms.items():
-                    r1 = m.coaction.apply_word(cv[:1])
-                    r2 = m.coaction.apply_word(cv[1:])
-                    for (p1, _), a in r1.terms.items():
-                        for (p2, _), b in r2.terms.items():
-                            # product order in H follows the display
-                            hh = h.mult.apply_word((p1[0], p2[0]))
-                            rhs = rhs + tensor_elements(
-                                hh, Element.basis((p1[1], p2[1]))).scale(
-                                    d * a * b)
-                yield (vw, lhs, rhs)
-                lhs2 = Element()
-                for (rv, _), a in rho.terms.items():
-                    eps = counit_v.apply_word(rv[1:]).terms.get(
-                        ((), ()), Scalar.zero())
-                    lhs2 = lhs2 + Element.basis(rv[:1]).scale(a * eps)
-                eps_v = counit_v.apply_word(vw).terms.get(((), ()),
-                                                          Scalar.zero())
-                yield (vw, lhs2, h.unit.scale(eps_v))
-
-        report.check("comodule-coalgebra", ccoalg_cases())
+        # Delta(h.v) = h_(1).v_(1) (x) h_(2).v_(2) and eps(h.v) = eps(h)eps(v)
+        report.check("module-coalgebra", _on_basis(
+            [hs, sp],
+            (_side((a, 0), (comult_v, 0)),
+             _side((d, 0), (comult_v, 2), [0, 2, 1, 3], (a, 0), (a, 1))),
+            (_side((a, 0), (counit_v, 0)), _side((e, 0), (counit_v, 0)))))
+        # v_(-1) (x) Delta(v_(0)) = v_(1)(-1) v_(2)(-1) (x) v_(1)(0) (x)
+        # v_(2)(0), the product in H in display order; and
+        # v_(-1) eps(v_(0)) = eps(v) 1
+        report.check("comodule-coalgebra", _on_basis(
+            [sp],
+            (_side((co, 0), (comult_v, 1)),
+             _side((comult_v, 0), (co, 0), (co, 2), [0, 2, 1, 3], (mu, 0))),
+            (_side((co, 0), (counit_v, 1)), _side((counit_v, 0), (u, 0)))))
 
     return report
 
@@ -348,17 +228,8 @@ def yd_braiding(m):
     if bad:
         raise InvalidYD("axiom %s fails at %r"
                         % (bad[0]["identity"], bad[0]["witness"]))
-    cols = {}
-    for vw in m.space.words(2):
-        rho = m.coaction.apply_word(vw[:1])
-        res = Element()
-        for (rv, _), a in rho.terms.items():
-            acted = m.action.apply_word((rv[0], vw[1]))
-            res = res + tensor_elements(acted,
-                                        Element.basis(rv[1:])).scale(a)
-        if not res.is_zero():
-            cols[vw] = res
-    return Braiding(m.space, LinMap(2, cols))
+    return Braiding(m.space, _program_map(
+        m.space, 2, (m.coaction, 0), [0, 2, 1], (m.action, 0)))
 
 
 def yd_adjoint(h):
@@ -368,20 +239,9 @@ def yd_adjoint(h):
     predicates hold, and the induced braiding is the conjugation braiding
     that sends a (x) b to a_(1) b S(a_(2)) (x) a_(3).
     """
-    cols = {}
-    for hw in h.space.words(2):
-        dh = h.comult.apply_word(hw[:1])
-        res = Element()
-        for (pair, _), c in dh.terms.items():
-            sx = h.antipode.apply_word(pair[1:])
-            mid = h.mul(Element.basis(hw[1:]), sx)
-            res = res + h.mul(Element.basis(pair[:1]), mid).scale(c)
-        if not res.is_zero():
-            cols[hw] = res
-    action = LinMap(2, cols)
-    coaction = LinMap(1, {w: h.comult.apply_word(w)
-                          for w in h.space.words(1)})
-    return YDModule(h, h.space, action, coaction,
+    action = _program_map(h.space, 2, (h.comult, 0), (h.antipode, 1),
+                          [0, 2, 1], (h.mult, 1), (h.mult, 0))
+    return YDModule(h, h.space, action, h.comult,
                     algebra_on_V=(h.mult, h.unit))
 
 
@@ -392,20 +252,9 @@ def yd_regular(h):
     comodule-coalgebra predicates hold, and the induced braiding sends
     a (x) b to a_(1) S(a_(3)) b (x) a_(2).
     """
-    action = LinMap(2, {w: h.mult.apply_word(w) for w in h.space.words(2)})
-    cols = {}
-    for hw in h.space.words(1):
-        d3 = h.sweedler(Element.basis(hw), 3)
-        res = Element()
-        for (tri, _), c in d3.terms.items():
-            s3 = h.antipode.apply_word(tri[2:])
-            left = h.mul(Element.basis(tri[:1]), s3)
-            res = res + tensor_elements(left,
-                                        Element.basis(tri[1:2])).scale(c)
-        if not res.is_zero():
-            cols[hw] = res
-    coaction = LinMap(1, cols)
-    return YDModule(h, h.space, action, coaction,
+    coaction = _program_map(h.space, 1, (h.comult, 0), (h.comult, 0),
+                            (h.antipode, 2), [0, 2, 1], (h.mult, 0))
+    return YDModule(h, h.space, h.mult, coaction,
                     coalgebra_on_V=(h.comult, h.counit))
 
 
@@ -422,134 +271,39 @@ def woronowicz_braiding(h, which):
     """
     if which not in ("T", "T'", "F", "F'"):
         raise ValueError("which must be one of T, T', F, F'")
-    S = h.antipode
-    Sinv = h.antipode_inverse()
-
-    def col(which, a, b):
-        res = Element()
-        if which in ("T", "T'"):
-            d3 = h.sweedler(Element.basis((b,)), 3)
-            for (tri, _), c in d3.terms.items():
-                b1, b2, b3 = tri
-                if which == "T":
-                    right = h.product_fold(tensor_elements(
-                        Element.basis((a,)),
-                        tensor_elements(S.apply_word((b1,)),
-                                        Element.basis((b3,)))))
-                    res = res + tensor_elements(Element.basis((b2,)),
-                                                right).scale(c)
-                else:
-                    right = h.product_fold(tensor_elements(
-                        S.apply_word((b2,)),
-                        Element.basis((a, b3))))
-                    res = res + tensor_elements(Element.basis((b1,)),
-                                                right).scale(c)
-        else:
-            d3 = h.sweedler(Element.basis((a,)), 3)
-            for (tri, _), c in d3.terms.items():
-                a1, a2, a3 = tri
-                if which == "F":
-                    left = h.product_fold(tensor_elements(
-                        Element.basis((a1,)),
-                        tensor_elements(S.apply_word((a3,)),
-                                        Element.basis((b,)))))
-                    res = res + tensor_elements(left,
-                                                Element.basis((a2,))).scale(c)
-                else:
-                    left = h.product_fold(tensor_elements(
-                        Element.basis((a1, b)), S.apply_word((a2,))))
-                    res = res + tensor_elements(left,
-                                                Element.basis((a3,))).scale(c)
-        return res
-
-    def inv_col(which, a, b):
-        res = Element()
-        if which in ("T", "T'"):
-            d3 = h.sweedler(Element.basis((a,)), 3)
-            for (tri, _), c in d3.terms.items():
-                a1, a2, a3 = tri
-                if which == "T":
-                    left = h.product_fold(tensor_elements(
-                        Element.basis((b,)),
-                        tensor_elements(Sinv.apply_word((a3,)),
-                                        Element.basis((a1,)))))
-                    res = res + tensor_elements(left,
-                                                Element.basis((a2,))).scale(c)
-                else:
-                    left = h.product_fold(tensor_elements(
-                        Element.basis((a3, b)), Sinv.apply_word((a2,))))
-                    res = res + tensor_elements(left,
-                                                Element.basis((a1,))).scale(c)
-        else:
-            d3 = h.sweedler(Element.basis((b,)), 3)
-            for (tri, _), c in d3.terms.items():
-                b1, b2, b3 = tri
-                if which == "F":
-                    # F = T^{-1} over the opposite algebra, so invert back
-                    right = h.product_fold(tensor_elements(
-                        Element.basis((b3,)),
-                        tensor_elements(Sinv.apply_word((b1,)),
-                                        Element.basis((a,)))))
-                    res = res + tensor_elements(Element.basis((b2,)),
-                                                right).scale(c)
-                else:
-                    # F' = (T')^{-1} over the co-opposite coalgebra
-                    right = h.product_fold(tensor_elements(
-                        Sinv.apply_word((b2,)),
-                        Element.basis((a, b1))))
-                    res = res + tensor_elements(Element.basis((b3,)),
-                                                right).scale(c)
-        return res
-
-    fwd_cols, inv_cols = {}, {}
-    for w in h.space.words(2):
-        f = col(which, w[0], w[1])
-        g = inv_col(which, w[0], w[1])
-        if not f.is_zero():
-            fwd_cols[w] = f
-        if not g.is_zero():
-            inv_cols[w] = g
-    return Braiding(h.space, LinMap(2, fwd_cols), LinMap(2, inv_cols))
+    m, d, S, Si = h.mult, h.comult, h.antipode, h.antipode_inverse()
+    # (forward, inverse) leg programs on a (x) b; the comultiplications
+    # split b (legs 1..3) or a (legs 0..2) into three Sweedler legs
+    on_b, on_a = [(d, 1), (d, 1)], [(d, 0), (d, 0)]
+    programs = {
+        # inverse: a (x) b -> b S^{-1}(a_(3)) a_(1) (x) a_(2)
+        "T": (on_b + [(S, 1), [2, 0, 1, 3], (m, 1), (m, 1)],
+              on_a + [(Si, 2), [3, 2, 0, 1], (m, 0), (m, 0)]),
+        # inverse: a (x) b -> a_(3) b S^{-1}(a_(2)) (x) a_(1)
+        "T'": (on_b + [(S, 2), [1, 2, 0, 3], (m, 1), (m, 1)],
+               on_a + [(Si, 1), [2, 3, 1, 0], (m, 0), (m, 0)]),
+        # F = T^{-1} over the opposite algebra, so invert back:
+        # a (x) b -> b_(2) (x) b_(3) S^{-1}(b_(1)) a
+        "F": (on_a + [(S, 2), [0, 2, 3, 1], (m, 0), (m, 0)],
+              on_b + [(Si, 1), [2, 3, 1, 0], (m, 1), (m, 1)]),
+        # F' = (T')^{-1} over the co-opposite coalgebra:
+        # a (x) b -> b_(3) (x) S^{-1}(b_(2)) a b_(1)
+        "F'": (on_a + [(S, 1), [0, 3, 1, 2], (m, 0), (m, 0)],
+               on_b + [(Si, 2), [3, 2, 0, 1], (m, 1), (m, 1)]),
+    }
+    fwd, inv = programs[which]
+    return Braiding(h.space, _program_map(h.space, 2, *fwd),
+                    _program_map(h.space, 2, *inv))
 
 
 # -- quasi-triangular structures -------------------------------------------
 
-def _pair_product(h, x, y):
-    """Componentwise product of two two-leg elements of H (x) H."""
-    out = Element()
-    for (pw, _), c in x.terms.items():
-        for (qw, _), d in y.terms.items():
-            left = h.mult.apply_word((pw[0], qw[0]))
-            right = h.mult.apply_word((pw[1], qw[1]))
-            out = out + tensor_elements(left, right).scale(c * d)
-    return out
-
-
-def _triple_product(h, x, y):
-    """Componentwise product of two three-leg elements of H^{(x)3}."""
-    out = Element()
-    for (pw, _), c in x.terms.items():
-        for (qw, _), d in y.terms.items():
-            cur = Element.unit()
-            for t in range(3):
-                cur = tensor_elements(cur, h.mult.apply_word((pw[t], qw[t])))
-            out = out + cur.scale(c * d)
-    return out
-
-
-def _embed_three(h, r, legs):
-    """Place a two-leg element into the two stated legs of H^{(x)3}."""
-    unit = h.unit
-    out = Element()
-    for (pw, _), c in r.terms.items():
-        parts = [unit, unit, unit]
-        parts[legs[0]] = Element.basis(pw[:1])
-        parts[legs[1]] = Element.basis(pw[1:])
-        cur = parts[0]
-        for p in parts[1:]:
-            cur = tensor_elements(cur, p)
-        out = out + cur.scale(c)
-    return out
+def _legwise_product(h, x, y, n):
+    """Product of two n-leg elements in the algebra H^{(x)n}: tensor them,
+    interleave the legs and multiply each pair."""
+    order = [i for t in range(n) for i in (t, t + n)]
+    return _legs(tensor_elements(x, y), order,
+                 *[(h.mult, t) for t in range(n)])
 
 
 class RMatrix:
@@ -565,27 +319,26 @@ class RMatrix:
         self.R = R
         self.R_inv = R_inv
         h = hopf
+        u = _point(h.unit)
         unit2 = tensor_elements(h.unit, h.unit)
-        if _pair_product(h, R, R_inv) != unit2 \
-                or _pair_product(h, R_inv, R) != unit2:
+        if _legwise_product(h, R, R_inv, 2) != unit2 \
+                or _legwise_product(h, R_inv, R, 2) != unit2:
             raise InvalidRMatrix("R and R_inv are not mutually inverse")
         for w in h.space.words(1):
             dx = h.comult.apply_word(w)
-            lhs = _pair_product(h, R, dx)
-            rhs = _pair_product(h, _flip_legs(dx, 0), R)
+            lhs = _legwise_product(h, R, dx, 2)
+            rhs = _legwise_product(h, permute_legs(dx, [1, 0]), R, 2)
             if lhs != rhs:
                 raise InvalidRMatrix(
                     "conjugation identity fails at %r" % (w,))
+        # R_13, R_23 and R_12 in H^{(x)3}: the unit fills the missing leg
+        r13, r23, r12 = (_legs(R, (u, t)) for t in (1, 0, 2))
         lhs = apply_at(h.comult, 1, 0, R)
-        rhs = _triple_product(h, _embed_three(h, R, (0, 2)),
-                              _embed_three(h, R, (1, 2)))
-        if lhs != rhs:
+        if lhs != _legwise_product(h, r13, r23, 3):
             raise InvalidRMatrix(
                 "comultiplication expansion on the first leg fails",)
         lhs = apply_at(h.comult, 1, 1, R)
-        rhs = _triple_product(h, _embed_three(h, R, (0, 2)),
-                              _embed_three(h, R, (0, 1)))
-        if lhs != rhs:
+        if lhs != _legwise_product(h, r13, r12, 3):
             raise InvalidRMatrix(
                 "comultiplication expansion on the second leg fails")
 
@@ -593,15 +346,11 @@ class RMatrix:
     def from_element(hopf, R):
         """Compute R^{-1} in H (x) H by exact linear algebra."""
         sp = hopf.space
-        mul = LinMap(4, {w: _pair_product(hopf, Element.basis(w[:2]),
-                                          Element.basis(w[2:]))
-                         for w in sp.words(4)})
         # right multiplication by R as a map on H (x) H
-        cols = {}
-        for w in sp.words(2):
-            cols[w] = mul.apply(tensor_elements(Element.basis(w), R))
+        right = LinMap.tabulate(sp, 2, lambda w: _legwise_product(
+            hopf, Element.basis(w), R, 2))
         try:
-            inv = map_invert_exact(LinMap(2, cols), sp, 2)
+            inv = map_invert_exact(right, sp, 2)
         except Singular:
             raise InvalidRMatrix("R is not invertible in H (x) H")
         return RMatrix(hopf, R, inv.apply(tensor_elements(hopf.unit,
@@ -610,18 +359,9 @@ class RMatrix:
 
 def rmatrix_yd(r, space, action, algebra_on_V=None, coalgebra_on_V=None):
     """H-module plus coaction rho(m) = sum t_i (x) s_i.m, as a YD module."""
-    h = r.hopf
-    cols = {}
-    for vw in space.words(1):
-        res = Element()
-        for (pw, _), c in r.R.terms.items():
-            acted = action.apply_word((pw[0],) + vw)
-            res = res + tensor_elements(Element.basis(pw[1:]),
-                                        acted).scale(c)
-        if not res.is_zero():
-            cols[vw] = res
-    coaction = LinMap(1, cols)
-    return YDModule(h, space, action, coaction,
+    coaction = _program_map(space, 1, (_point(r.R), 0), [1, 0, 2],
+                            (action, 1))
+    return YDModule(r.hopf, space, action, coaction,
                     algebra_on_V=algebra_on_V,
                     coalgebra_on_V=coalgebra_on_V)
 
@@ -631,10 +371,10 @@ def rmatrix_yd(r, space, action, algebra_on_V=None, coalgebra_on_V=None):
 class SmashStructures:
     """Product, coproduct, and braiding on the tensor product space.
 
-    `space` enumerates the product basis; `encode` maps a (V word, W word)
-    pair of single letters to the product-space letter.  `product` and
-    `coproduct` are present only when both factors carry the corresponding
-    validated structure.
+    `space` enumerates the product basis; `encode` (degree 2 -> 1) maps a
+    V letter followed by a W letter to the product-space letter and
+    `decode` (1 -> 2) splits it back.  `product` and `coproduct` are present
+    only when both factors carry the corresponding validated structure.
     """
 
     def __init__(self, space, encode, decode, product, unit,
@@ -660,7 +400,6 @@ def smash_structures(v, w):
     """
     if v.hopf is not w.hopf and v.hopf.space is not w.hopf.space:
         raise ValueError("both modules must live over the same Hopf algebra")
-    h = v.hopf
     rep_v, rep_w = yd_validate(v), yd_validate(w)
     for name, rep in (("V", rep_v), ("W", rep_w)):
         for e in rep.entries:
@@ -668,103 +407,48 @@ def smash_structures(v, w):
                 raise PredicateFailed("%s on factor %s fails at %r"
                                       % (e["identity"], name, e["witness"]))
 
-    nv, nw = v.space.dim, w.space.dim
+    nw = w.space.dim
     names = ["%s.%s" % (a, b) for a in v.space.basis_names
              for b in w.space.basis_names]
     vw_space = Space(names)
+    encode = LinMap(2, {divmod(k, nw): Element.basis((k,))
+                        for k in range(vw_space.dim)})
+    decode = LinMap.tabulate(vw_space, 1,
+                             lambda k: Element.basis(divmod(k[0], nw)))
+    split2 = [(decode, 1), (decode, 0)]  # v (x) w (x) v' (x) w'
+    join2 = [(encode, 2), (encode, 0)]
 
-    def encode(i, j):
-        return i * nw + j
-
-    def decode(k):
-        return divmod(k, nw)
-
-    def enc_pair(x, y):
-        """Tensor a V element and a W element into one product-space leg."""
-        out = Element()
-        for (a, _), c in x.terms.items():
-            for (b, _), d in y.terms.items():
-                out.add_term(((encode(a[0], b[0]),), ()), c * d)
-        return out
+    def half_flip(coaction, action):
+        # x (x) y (x) x' (x) y' -> x (x) y_(-1).x' (x) y_(0) (x) y'
+        return [(coaction, 1), [0, 1, 3, 2, 4], (action, 1)]
 
     product = unit = None
     if v.algebra_on_V is not None and w.algebra_on_V is not None:
         mult_v, unit_v = v.algebra_on_V
         mult_w, unit_w = w.algebra_on_V
-        cols = {}
-        for word in vw_space.words(2):
-            (i1, j1), (i2, j2) = decode(word[0]), decode(word[1])
-            res = Element()
-            rho = w.coaction.apply_word((j1,))
-            for (rv, _), c in rho.terms.items():
-                acted = v.action.apply_word((rv[0], i2))
-                left = mult_v.apply(tensor_elements(Element.basis((i1,)),
-                                                    acted))
-                right = mult_w.apply_word((rv[1], j2))
-                res = res + enc_pair(left, right).scale(c)
-            if not res.is_zero():
-                cols[word] = res
-        product = LinMap(2, cols)
-        unit = enc_pair(unit_v, unit_w)
+        product = _program_map(
+            vw_space, 2, *split2, *half_flip(w.coaction, v.action),
+            (mult_v, 0), (mult_w, 1), (encode, 0))
+        unit = encode.apply(tensor_elements(unit_v, unit_w))
 
     coproduct = counit = None
     if v.coalgebra_on_V is not None and w.coalgebra_on_V is not None:
         comult_v, counit_v = v.coalgebra_on_V
         comult_w, counit_w = w.coalgebra_on_V
-        cols = {}
-        ccols = {}
-        for word in vw_space.words(1):
-            i, j = decode(word[0])
-            res = Element()
-            dv = comult_v.apply_word((i,))
-            dw = comult_w.apply_word((j,))
-            for (cv, _), c in dv.terms.items():
-                r2 = v.coaction.apply_word(cv[1:])
-                for (rv, _), a in r2.terms.items():
-                    for (cw, _), d in dw.terms.items():
-                        acted = w.action.apply_word((rv[0], cw[0]))
-                        left = enc_pair(Element.basis(cv[:1]), acted)
-                        right = enc_pair(Element.basis(rv[1:]),
-                                         Element.basis(cw[1:]))
-                        res = res + tensor_elements(left, right).scale(
-                            c * a * d)
-            if not res.is_zero():
-                cols[word] = res
-            eps = counit_v.apply_word((i,)).terms.get(((), ()),
-                                                      Scalar.zero()) \
-                * counit_w.apply_word((j,)).terms.get(((), ()),
-                                                      Scalar.zero())
-            if not eps.is_zero():
-                ccols[word] = Element.basis((), coeff=eps)
-        coproduct = LinMap(1, cols)
-        counit = LinMap(1, ccols)
+        # v (x) w -> (v_(1) (x) v_(2)(-1).w_(1)) (x) (v_(2)(0) (x) w_(2))
+        coproduct = _program_map(
+            vw_space, 1, (decode, 0), (comult_w, 1), (comult_v, 0),
+            *half_flip(v.coaction, w.action), *join2)
+        counit = _program_map(vw_space, 1, (decode, 0), (counit_w, 1),
+                              (counit_v, 0))
 
     # braiding: theta' on the middle legs, sigma_V and sigma_W, then theta
     sigma_v = yd_braiding(v)
     sigma_w = yd_braiding(w)
-    cols = {}
-    for word in vw_space.words(2):
-        (i1, j1), (i2, j2) = decode(word[0]), decode(word[1])
-        res = Element()
-        rho_w = w.coaction.apply_word((j1,))
-        for (rw, _), c in rho_w.terms.items():
-            mid_v = v.action.apply_word((rw[0], i2))
-            for (mv, _), a in mid_v.terms.items():
-                sv = sigma_v.fwd.apply_word((i1, mv[0]))
-                sw = sigma_w.fwd.apply_word((rw[1], j2))
-                for (pv, _), b in sv.terms.items():
-                    for (pw, _), d in sw.terms.items():
-                        rho_v = v.coaction.apply_word(pv[1:])
-                        for (rv, _), e in rho_v.terms.items():
-                            acted = w.action.apply_word((rv[0], pw[0]))
-                            for (aw, _), f in acted.terms.items():
-                                res.add_term(
-                                    ((encode(pv[0], aw[0]),
-                                      encode(rv[1], pw[1])), ()),
-                                    c * a * b * d * e * f)
-        if not res.is_zero():
-            cols[word] = res
-    braiding = Braiding(vw_space, LinMap(2, cols))
+    braiding = Braiding(vw_space, _program_map(
+        vw_space, 2, *split2, *half_flip(w.coaction, v.action),
+        (sigma_v.fwd, 0), (sigma_w.fwd, 2), *half_flip(v.coaction, w.action),
+        *join2))
     return SmashStructures(vw_space, encode, decode, product, unit,
                            coproduct, counit, braiding)
 

@@ -161,6 +161,16 @@ def apply_at(f, arity, pos, x):
     return out
 
 
+def permute_legs(x, order):
+    """Reorder the letters of every term of x: letter t of the result is
+    letter order[t] of the input, so order is a permutation of
+    range(len(letters)).  Each term keeps its cuts."""
+    out = Element()
+    for (letters, cuts), c in x.terms.items():
+        out.add_term((tuple(letters[i] for i in order), cuts), c)
+    return out
+
+
 class Report:
     """Outcome of an identity check: one entry per identity.
 
@@ -207,6 +217,17 @@ class LinMap:
     def identity(space, degree):
         cols = {w: Element.basis(w) for w in space.words(degree)}
         return LinMap(degree, cols, name="id")
+
+    @staticmethod
+    def tabulate(space, degree, column):
+        """The map sending each basis word w of one degree to column(w);
+        zero columns are left out."""
+        cols = {}
+        for w in space.words(degree):
+            res = column(w)
+            if not res.is_zero():
+                cols[w] = res
+        return LinMap(degree, cols)
 
     def column(self, word):
         return self.columns.get(tuple(word), Element.zero())

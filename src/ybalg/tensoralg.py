@@ -294,18 +294,18 @@ def symmetrizer_image(k, braiding, sign=1):
     """Operator sum of (sign)^{l(w)} T_w over S_k, as a LinMap."""
     from .braid import braid_lift
     space = braiding.space
-    cols = {}
     perms = _all_perms(k)
-    for word in space.words(k):
+
+    def column(word):
         acc = Element()
         for w in perms:
             img = braid_lift_apply(braiding, w, word)
             if sign < 0 and w.inversions() % 2:
                 img = -img
             acc = acc + img
-        if not acc.is_zero():
-            cols[word] = acc
-    return LinMap(k, cols)
+        return acc
+
+    return LinMap.tabulate(space, k, column)
 
 
 def _all_perms(k):

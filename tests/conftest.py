@@ -52,3 +52,49 @@ def dual_numbers_twoyb():
     mult = LinMap(2, cols)
     unit = Element.basis((0,))
     return TwoYB(b.space, b, mult, mult, unit)
+
+
+def sweedler_h4():
+    """Sweedler's four-dimensional Hopf algebra, basis 1, g, x, gx.
+
+    g^2 = 1, x^2 = 0, xg = -gx; Delta g = g (x) g, Delta x = x (x) 1 + g (x) x,
+    eps(x) = 0, S(x) = -gx, S(gx) = x.  Neither commutative nor
+    cocommutative, so a wrong leg order in a Sweedler sum shows up.
+    """
+    from ybalg.hopf import HopfPresentation
+    one, neg = Scalar.one(), Scalar.from_int(-1)
+
+    def e(*terms):
+        out = Element()
+        for c, w in terms:
+            out.add_term((w, ()), c)
+        return out
+
+    # letters: 0 = 1, 1 = g, 2 = x, 3 = gx
+    prod = {(1, 1): e((one, (0,))), (1, 2): e((one, (3,))),
+            (1, 3): e((one, (2,))), (2, 1): e((neg, (3,))),
+            (3, 1): e((neg, (2,)))}
+    for a in range(4):
+        prod[(0, a)] = prod[(a, 0)] = e((one, (a,)))
+    mult = LinMap(2, prod)
+    comult = LinMap(1, {(0,): e((one, (0, 0))), (1,): e((one, (1, 1))),
+                        (2,): e((one, (2, 0)), (one, (1, 2))),
+                        (3,): e((one, (3, 1)), (one, (0, 3)))})
+    counit = LinMap(1, {(0,): Element.unit(), (1,): Element.unit()})
+    antipode = LinMap(1, {(0,): e((one, (0,))), (1,): e((one, (1,))),
+                          (2,): e((neg, (3,))), (3,): e((one, (2,)))})
+    return HopfPresentation(Space(["1", "g", "x", "gx"]), mult,
+                            Element.basis((0,)), comult, counit, antipode)
+
+
+def sweedler_r(t):
+    """R_t = 1/2 (1(x)1 + 1(x)g + g(x)1 - g(x)g)
+    + t/2 (x(x)x - x(x)gx + gx(x)x + gx(x)gx) in H4 (x) H4."""
+    half = Scalar.one() / Scalar.from_int(2)
+    th = t * half
+    R = Element()
+    for w, c in (((0, 0), half), ((0, 1), half), ((1, 0), half),
+                 ((1, 1), -half), ((2, 2), th), ((2, 3), -th),
+                 ((3, 2), th), ((3, 3), th)):
+        R.add_term((w, ()), c)
+    return R

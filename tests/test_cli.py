@@ -1,12 +1,14 @@
 """Session loading, verification suites, and the expression evaluator."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ybalg
 from ybalg.binfty import QBStructure, YBBase, qb_to_obj
 from ybalg.braid import Braiding
 from ybalg.catalog import exterior_braiding, group_algebra_hopf
@@ -231,12 +233,19 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_main_subprocess(tmp_path):
     path = basic_session(tmp_path)
+    # the child imports ybalg from where these tests did
+    root = str(Path(ybalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "ybalg.cli", "compute", path,
          "coproduct(e1)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1|e1 + e1|1"
+
+
+SIGMA = {"name": "sigma", "kind": "catalog", "address": "exterior:N=2"}
 
 
 @pytest.mark.parametrize("data", [
@@ -250,9 +259,41 @@ def test_main_subprocess(tmp_path):
     {"version": 1, "objects": [
         {"name": "d", "kind": "catalog",
          "address": "diagonal:file=no-such-dir/matrix.json"}]},
+    {"version": 1, "objects": [SIGMA, {"name": "d", "kind": "quasishuffle",
+                                       "base": "sigma"}]},
+    {"version": 1, "objects": [
+        {"name": "H", "kind": "catalog", "address": "groupalgebra:n=2"},
+        {"name": "d", "kind": "yb-base", "braiding": "H", "mult": []}]},
+    {"version": 1, "objects": [
+        {"name": "W", "kind": "catalog", "address": "qflip:N=2"},
+        {"name": "d", "kind": "qb", "braiding": "W",
+         "data": {"M": [], "degree_cap": 4}}]},
+    {"version": 1, "objects": [{"name": "d", "kind": "hopf", "data": "x"}]},
+    {"version": 1, "objects": [{"name": "d", "kind": "yd", "data": [1]}]},
+    {"version": 1, "objects": [SIGMA, {"name": "d", "kind": "qb",
+                                       "braiding": "sigma", "data": []}]},
+    {"version": 1, "objects": [SIGMA, {"name": "d", "kind": "yb-base",
+                                       "braiding": "sigma", "mult": "x"}]},
+    {"version": 1, "objects": [SIGMA, {
+        "name": "d", "kind": "qb", "braiding": "sigma",
+        "data": {"M": [], "degree_cap": "4"}}]},
+    {"version": 1, "objects": [
+        SIGMA, {"name": "base", "kind": "yb-base", "braiding": "sigma",
+                "mult": []},
+        {"name": "d", "kind": "quasishuffle", "base": "base",
+         "degree_cap": "4"}]},
+    {"version": 1, "objects": [{"name": "d", "kind": "catalog",
+                                "address": 3}]},
+    {"version": 1, "objects": [{"name": ["a"], "kind": "catalog",
+                                "address": "exterior:N=2"}]},
 ], ids=["top-level-list", "objects-not-a-list", "matrix-not-strings",
         "cap-not-an-integer", "matrix-divides-by-zero",
-        "catalog-file-missing"])
+        "catalog-file-missing", "quasishuffle-base-is-a-braiding",
+        "yb-base-braiding-is-a-hopf-algebra", "qb-braiding-is-qflip",
+        "hopf-data-not-an-object", "yd-data-not-an-object",
+        "qb-data-empty-list", "yb-base-mult-not-a-map", "qb-cap-a-string",
+        "quasishuffle-cap-a-string", "catalog-address-not-a-string",
+        "name-not-a-string"])
 def test_main_malformed_session_exits_2(tmp_path, capsys, data):
     path = write_session(tmp_path, data)
     with pytest.raises(ParseError):

@@ -8,7 +8,7 @@ from ybalg.linear import (DegreeMismatch, Element, LinMap, Singular, Space,
                           apply_at, column_echelon_basis, element_from_obj,
                           element_to_obj, in_span, linmap_from_obj,
                           linmap_to_obj, map_invert_exact, map_kernel_basis,
-                          tensor_elements, term_sort_key)
+                          permute_legs, tensor_elements, term_sort_key)
 from ybalg.scalars import Scalar, parse_scalar
 
 
@@ -160,3 +160,31 @@ def test_apply_at_matches_kronecker_reference(data):
     cut_x = Element({(w, cuts): c for (w, _), c in x.terms.items()})
     assert apply_at(f, arity, pos, cut_x) == Element(
         {(w, cuts): c for (w, _), c in ref.terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_permute_legs_matches_adjacent_flips(data):
+    # new leg t is old leg order[t]; reference: adjacent flips by apply_at
+    sp = Space(["a", "b", "c"])
+    n = data.draw(st.integers(1, 4))
+    order = data.draw(st.permutations(range(n)))
+    cuts = tuple(sorted(data.draw(st.lists(st.integers(0, n), max_size=2))))
+    x = Element({(w, cuts): c for (w, _), c in
+                 data.draw(combinations_of(sp.words(n))).terms.items()})
+    tau = LinMap.tabulate(sp, 2, lambda w: Element.basis(w[::-1]))
+    ref, legs = x, list(range(n))
+    for t in range(n):
+        for j in range(legs.index(order[t]), t, -1):
+            ref = apply_at(tau, 2, j - 1, ref)
+            legs[j - 1], legs[j] = legs[j], legs[j - 1]
+    assert permute_legs(x, order) == ref
+
+
+def test_tabulate_leaves_out_zero_columns():
+    sp = Space(["a", "b"])
+    f = LinMap.tabulate(sp, 2, lambda w: Element() if w[0] == w[1]
+                        else Element.basis(w[::-1]))
+    assert sorted(f.columns) == [(0, 1), (1, 0)]
+    assert f.in_degree == 2
+    assert f.apply_word((0, 1)) == Element.basis((1, 0))
