@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .braid import apply_beta_letters
-from .linear import Element, LinMap, Report, apply_at
+from .linear import (Element, LinMap, Report, _leg_rows, _legs, _on_basis,
+                     _point, apply_at, tensor_elements)
 from .scalars import Scalar
-from .tensoralg import (DegreeCapExceeded, InvalidBase, check_yb_algebra,
-                        check_yb_product_rows, counit, delta_beta_iter,
-                        delta_beta_via_w, slot_bounds)
+from .tensoralg import (DegreeCapExceeded, InvalidBase, _memo, _slot_rows,
+                        beta_slots, check_yb_algebra, check_yb_product_rows,
+                        counit, delta_beta_iter, delta_beta_via_w,
+                        slot_bounds)
 
 
 class QBStructure:
@@ -200,49 +201,27 @@ def qb_validate(M, degree_bound=None):
         raise DegreeCapExceeded("bound %d exceeds the tower's degree cap %d"
                                 % (bound, M.degree_cap))
     space = M.space
-    rows = []
+    beta = _memo(beta_slots(M.braiding))
+    rows = Report()
     triples = sorted((i, j, k)
                      for i in range(1, bound + 1)
                      for j in range(1, bound + 1)
                      for k in range(1, bound + 1)
                      if i + j + k <= bound)
     for (i, j, k) in triples:
-        # beta_{1k}(M_ij (x) id^k) = (id^k (x) M_ij) beta_{i+j,k}
-        f = M.component(i, j)
-        witness = None
-        for z in space.words(i + j + k):
-            lhs = Element()
-            rhs = Element()
-            if f is not None:
-                img = f.apply_word(z[:i + j])
-                for (wl, _), c in img.terms.items():
-                    br = apply_beta_letters(M.braiding, 1, k, wl + z[i + j:])
-                    for key, s in br.terms.items():
-                        lhs.add_term(key, s * c)
-                rhs = apply_at(f, i + j, k,
-                               apply_beta_letters(M.braiding, i + j, k, z))
-            if lhs != rhs:
-                witness = z
-                break
-        rows.append(("yb-left", (i, j, k), witness is None, witness))
+        # slot programs on z_1 | z_2, each case named by the word z_1 z_2:
+        # beta_{1k}(M_ij (x) id^k) = (id^k (x) M_ij) beta_{i+j,k} and
         # beta_{i1}(id^i (x) M_jk) = (M_jk (x) id^i) beta_{i,j+k}
-        f = M.component(j, k)
-        witness = None
-        for z in space.words(i + j + k):
-            lhs = Element()
-            rhs = Element()
-            if f is not None:
-                img = f.apply_word(z[i:])
-                for (wl, _), c in img.terms.items():
-                    br = apply_beta_letters(M.braiding, i, 1, z[:i] + wl)
-                    for key, s in br.terms.items():
-                        lhs.add_term(key, s * c)
-                rhs = apply_at(f, j + k, 0,
-                               apply_beta_letters(M.braiding, i, j + k, z))
-            if lhs != rhs:
-                witness = z
-                break
-        rows.append(("yb-right", (i, j, k), witness is None, witness))
+        for name, f, degrees, pos in (
+                ("yb-left", M.component(i, j), (i + j, k), 0),
+                ("yb-right", M.component(j, k), (i, j + k), 1)):
+            if f is None:
+                rows.record((name, (i, j, k)), True)
+                continue
+            m = _memo(lambda key, f=f: f.apply_word(key[0]))
+            _slot_rows(rows, space, degrees, lambda ws: ws[0] + ws[1], [
+                ((name, (i, j, k)), [(m, 1, pos), (beta, 2, 0)],
+                 [(beta, 2, 0), (m, 1, 1 - pos)])])
         # associativity condition, with vanishing of the next summand
         witness = None
         vanish_ok = True
@@ -253,11 +232,15 @@ def qb_validate(M, degree_bound=None):
             if lhs != rhs:
                 witness = z
                 break
-        rows.append(("assoc", (i, j, k), witness is None, witness))
-        rows.append(("assoc-vanishing", (i, j, k), vanish_ok, None))
+        rows.record(("assoc", (i, j, k)), witness is None, witness)
+        rows.record(("assoc-vanishing", (i, j, k)), vanish_ok)
     report = Report()
-    for name, triple, ok, witness in sorted(rows, key=lambda r: r[:2]):
-        report.record("%s %s" % (name, ",".join(map(str, triple))), ok,
+    for e in sorted(rows.entries, key=lambda e: e["identity"]):
+        name, triple = e["identity"]
+        witness = e["witness"]
+        if name.startswith("yb-") and witness is not None:
+            witness = witness[0]  # the bare failing word
+        report.record("%s %s" % (name, ",".join(map(str, triple))), e["ok"],
                       witness)
     return report
 
@@ -277,10 +260,10 @@ class YBBase:
         self.mult = mult
         self.braiding = braiding
         if validate:
-            fails = check_yb_product_rows(space, mult, braiding)
-            if fails:
+            bad = check_yb_product_rows(space, mult, braiding).first_failure()
+            if bad is not None:
                 raise InvalidBase("base fails compatibility at %r"
-                                  % (fails[0][:2],))
+                                  % ((bad["identity"], bad["witness"][0]),))
         self.uid = YBBase._next_id
         YBBase._next_id += 1
         self._memo = {}
@@ -325,16 +308,16 @@ def _qsh_words(base, u, v):
             res.add_term((wl + v[-1:], ()), c)
         # migrate the last letter of u to the end, then recurse on the rest
         z = Element.basis(u + v)
-        for pos in range(i, i + j):
-            z = base.braiding.sigma_i(pos, None)(z)
+        for pos in range(i - 1, i + j - 1):
+            z = apply_at(base.braiding.fwd, 2, pos, z)
         for (wl, _), c in z.terms.items():
             rec = _qsh_words(base, wl[:i - 1], wl[i - 1:i + j - 1])
             for (rl, _), s in rec.terms.items():
                 res.add_term((rl + wl[i + j - 1:], ()), s * c)
         # migrate one step less and close with the base product
         z = Element.basis(u + v)
-        for pos in range(i, i + j - 1):
-            z = base.braiding.sigma_i(pos, None)(z)
+        for pos in range(i - 1, i + j - 2):
+            z = apply_at(base.braiding.fwd, 2, pos, z)
         for (wl, _), c in z.terms.items():
             prod = base.mult.apply_word(wl[i + j - 2:])
             if prod.is_zero():
@@ -362,54 +345,46 @@ class TwoYB:
         self.star = star
         self.dot = dot
         self.unit = unit
-        if validate:
-            for name, f in (("star", star), ("dot", dot)):
-                if not _is_associative(space, f):
-                    raise InvalidBase("%s product is not associative" % name)
-                if not _is_unital(space, f, unit):
-                    raise InvalidBase("%s product is not unital" % name)
-                fails = check_yb_algebra(space, f, unit, braiding)
-                if fails:
-                    raise InvalidBase(
-                        "%s product fails compatibility at %r"
-                        % (name, fails[0][:2]))
+        if not validate:
+            return
+        report = self.validate()
+        bad = report.failures()
+        if bad:
+            name, _, identity = bad[0]["identity"].partition(" ")
+            if identity == "associativity":
+                raise InvalidBase("%s product is not associative" % name)
+            if identity == "unit":
+                raise InvalidBase("%s product is not unital" % name)
+            # the failure a case-by-case scan of the product rows, or else
+            # of the unit rows, meets first
+            first = report.first_failure(bad[0]["identity"][:-1])
+            raise InvalidBase("%s product fails compatibility at %r"
+                              % (name, (first["identity"].partition(" ")[2],
+                                        first["witness"][0])))
 
-
-def _mult_elems(f, x, y):
-    out = Element()
-    for (lw, _), a in x.terms.items():
-        for (rw, _), b in y.terms.items():
-            img = f.apply_word(lw + rw)
-            for key, s in img.terms.items():
-                out.add_term(key, s * (a * b))
-    return out
-
-
-def _is_associative(space, f):
-    for word in space.words(3):
-        a, b, c = (Element.basis(word[t:t + 1]) for t in range(3))
-        if _mult_elems(f, _mult_elems(f, a, b), c) != \
-                _mult_elems(f, a, _mult_elems(f, b, c)):
-            return False
-    return True
-
-
-def _is_unital(space, f, unit):
-    for j in range(space.dim):
-        x = Element.basis((j,))
-        if _mult_elems(f, unit, x) != x or _mult_elems(f, x, unit) != x:
-            return False
-    return True
+    def validate(self):
+        """Associativity, the shared unit and the Def 2.1 YB algebra rows of
+        both products: entries named like "star associativity", "star unit"
+        or "dot product-row-1"."""
+        sp, u = self.space, _point(self.unit)
+        report = Report()
+        for name, f in (("star", self.star), ("dot", self.dot)):
+            _leg_rows(report, [sp] * 3, [(name + " associativity",
+                                          [(f, 0), (f, 0)], [(f, 1), (f, 0)])])
+            report.check(name + " unit", _on_basis(
+                [sp], ([(u, 0), (f, 0)], []),
+                ([(u, 1), (f, 0)], [])))
+            for e in check_yb_algebra(sp, f, self.unit, self.braiding).entries:
+                report.record("%s %s" % (name, e["identity"]), e["ok"],
+                              e["witness"])
+        return report
 
 
 def _fold_dot(a, x):
     """Left fold of the dot product over the letters of each term."""
     out = Element()
-    for (letters, _), c in x.terms.items():
-        acc = Element.basis(letters[:1], (), c)
-        for t in range(1, len(letters)):
-            acc = _mult_elems(a.dot, acc, Element.basis(letters[t:t + 1]))
-        out = out + acc
+    for n in x.degrees():
+        out = out + _legs(x.component(n), *[(a.dot, 0)] * (n - 1))
     return out
 
 
@@ -441,7 +416,8 @@ def _peeled_column(a, M, z, p):
     for k in range(2, len(z) + 1):
         d = delta_beta_iter(a.braiding, pair, k - 1, reduced=True)
         shorter = shorter + _apply_m_blocks(M, d)
-    return _mult_elems(a.star, left, right) - _fold_dot(a, shorter)
+    return (apply_at(a.star, 2, 0, tensor_elements(left, right))
+            - _fold_dot(a, shorter))
 
 
 # -- antipode --------------------------------------------------------------

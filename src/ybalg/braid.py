@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linear import Element, LinMap, apply_at, map_invert_exact
+from .linear import (Element, LinMap, Report, _on_basis, apply_at,
+                     map_invert_exact)
 
 
 class UnvalidatedBraiding(ValueError):
@@ -144,15 +145,22 @@ class Braiding:
         self.space = space
         self.fwd = fwd
         self.inv = inv if inv is not None else map_invert_exact(fwd, space, 2)
-        ident = LinMap.identity(space, 2)
-        if not self.fwd.compose(self.inv).equals(ident, space, 2):
-            raise ValueError("supplied inverse is not a right inverse")
-        if not self.inv.compose(self.fwd).equals(ident, space, 2):
-            raise ValueError("supplied inverse is not a left inverse")
+        # f(g(w)) = w on each basis word, from the columns of g
+        inverse = Report()
+        for name, f, g in (("right", self.fwd, self.inv),
+                           ("left", self.inv, self.fwd)):
+            inverse.check(name + " inverse", (
+                (w, apply_at(f, 2, 0, g.column(w)), Element.basis(w))
+                for w in space.words(2)))
+        bad = inverse.failures()
+        if bad:
+            raise ValueError("supplied inverse is not a %s"
+                             % bad[0]["identity"])
         if validate:
-            ok, witness = check_yang_baxter(self.fwd, space)
-            if not ok:
-                raise ValueError("Yang-Baxter equation fails at %r" % (witness,))
+            report = check_yang_baxter(self.fwd, space)
+            if not report.ok:
+                raise ValueError("Yang-Baxter equation fails at %r"
+                                 % (report.entries[0]["witness"],))
             self.validated = True
         else:
             self.validated = False
@@ -169,15 +177,11 @@ class Braiding:
             self._inv_braiding = b
         return self._inv_braiding
 
-    def sigma_i(self, i, n):
-        """id^{i-1} (x) sigma (x) id^{n-i-1} applied to an Element."""
-        return lambda x: apply_at(self.fwd, 2, i - 1, x)
-
 
 def braid_lift_word(braiding, word, x):
     """Apply sigma_{i_1} o ... o sigma_{i_l} for an explicit generator word."""
     for i in reversed(word):
-        x = braiding.sigma_i(i, None)(x)
+        x = apply_at(braiding.fwd, 2, i - 1, x)
     return x
 
 
@@ -224,16 +228,11 @@ def apply_beta_letters(braiding, i, j, letters):
 
 
 def check_yang_baxter(sigma, space):
-    """Exact YBE check on V^{(x)3}; returns (ok, witness).
-
-    On failure the witness is (word, lhs_image, rhs_image).
-    """
-    for word in space.words(3):
-        lhs = rhs = Element.basis(word)
-        for pos in (0, 1, 0):
-            lhs = apply_at(sigma, 2, pos, lhs)
-        for pos in (1, 0, 1):
-            rhs = apply_at(sigma, 2, pos, rhs)
-        if lhs != rhs:
-            return False, (word, lhs, rhs)
-    return True, None
+    """Exact YBE check on V^{(x)3}: sigma_1 sigma_2 sigma_1 = sigma_2
+    sigma_1 sigma_2, a Report with one entry "yang-baxter" whose witness is
+    (word, lhs_image, rhs_image)."""
+    report = Report()
+    report.check("yang-baxter", _on_basis([space] * 3, (
+        [(sigma, 0), (sigma, 1), (sigma, 0)],
+        [(sigma, 1), (sigma, 0), (sigma, 1)])))
+    return report

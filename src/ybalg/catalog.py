@@ -9,12 +9,13 @@ over the symbolic parameter q and validated at construction.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import chain, combinations, product
 
 from .braid import Braiding
 from .hopf import HopfPresentation
-from .linear import (Element, LinMap, Report, Space, apply_at,
-                     column_echelon_basis, in_span, map_kernel_basis)
+from .linear import (Element, LinMap, Report, Space, _legs, _on_basis,
+                     _point, apply_at, column_echelon_basis, in_span,
+                     map_kernel_basis)
 from .scalars import Scalar, parse_scalar
 from .tensoralg import symmetrizer_image
 
@@ -68,10 +69,14 @@ def exterior_braiding(N):
                                 + Element.basis((i, j), coeff=extra))
     fwd = LinMap(2, cols)
     b = Braiding(space, fwd)
-    ident = LinMap.identity(space, 2)
-    quad = fwd.add(ident.scale(-Scalar.one())).compose(
-        fwd.add(ident.scale(Scalar.q_power(-2))))
-    if not quad.equals(LinMap(2), space, 2):
+    # sigma^2 = (1 - q^{-2}) sigma + q^{-2} id, from the columns of sigma
+    report = Report()
+    report.check("quadratic relation", (
+        (w, apply_at(fwd, 2, 0, fwd.column(w)),
+         fwd.column(w).scale(extra)
+         + Element.basis(w, (), Scalar.q_power(-2)))
+        for w in space.words(2)))
+    if not report.ok:
         raise ValueError("quadratic relation fails for the deformed flip")
     return b
 
@@ -220,65 +225,32 @@ def qflip_compat_check(wa):
     both product rows, both coproduct rows, and the unit/counit rows.
     """
     sig, wedge, delta = wa.braiding.fwd, wa.wedge, wa.coproduct
+    u = _point(wa.unit)
     report = Report()
-    subs = wa.subsets
 
-    def wedge_left():
-        for a, I in enumerate(subs):
-            for b, J in enumerate(subs):
-                for c, K in enumerate(subs):
-                    if set(I) & (set(J) | set(K)):
-                        continue
-                    x = Element.basis((a, b, c))
-                    yield ((I, J, K),
-                           apply_at(wedge, 2, 0, apply_at(
-                               sig, 2, 1, apply_at(sig, 2, 0, x))),
-                           apply_at(sig, 2, 0, apply_at(wedge, 2, 1, x)))
+    def check(identity, degree, bystander, lhs, rhs):
+        # a case is named by the index sets of its letters
+        def cases():
+            for letters, sets in zip(wa.space.words(degree),
+                                     product(wa.subsets, repeat=degree)):
+                rest = sets[:bystander] + sets[bystander + 1:]
+                if set(sets[bystander]).isdisjoint(chain(*rest)):
+                    x = Element.basis(letters)
+                    yield sets, _legs(x, *lhs), _legs(x, *rhs)
+        report.check(identity, cases())
 
-    def wedge_right():
-        for a, I in enumerate(subs):
-            for b, J in enumerate(subs):
-                for c, K in enumerate(subs):
-                    if set(K) & (set(I) | set(J)):
-                        continue
-                    x = Element.basis((a, b, c))
-                    yield ((I, J, K),
-                           apply_at(wedge, 2, 1, apply_at(
-                               sig, 2, 0, apply_at(sig, 2, 1, x))),
-                           apply_at(sig, 2, 0, apply_at(wedge, 2, 0, x)))
-
-    def coproduct_left():
-        for a, I in enumerate(subs):
-            for b, J in enumerate(subs):
-                if set(I) & set(J):
-                    continue
-                x = Element.basis((a, b))
-                yield ((I, J),
-                       apply_at(sig, 2, 1, apply_at(
-                           sig, 2, 0, apply_at(delta, 1, 1, x))),
-                       apply_at(delta, 1, 0, apply_at(sig, 2, 0, x)))
-
-    def coproduct_right():
-        for a, I in enumerate(subs):
-            for b, J in enumerate(subs):
-                if set(I) & set(J):
-                    continue
-                x = Element.basis((a, b))
-                yield ((I, J),
-                       apply_at(sig, 2, 0, apply_at(
-                           sig, 2, 1, apply_at(delta, 1, 0, x))),
-                       apply_at(delta, 1, 1, apply_at(sig, 2, 0, x)))
-
-    report.check("wedge-left", wedge_left())
-    report.check("wedge-right", wedge_right())
-    report.check("coproduct-left", coproduct_left())
-    report.check("coproduct-right", coproduct_right())
-
-    unit_idx = wa.index[()]
-    ok = all(sig.apply_word((a, unit_idx)) == Element.basis((unit_idx, a))
-             and sig.apply_word((unit_idx, a)) == Element.basis((a, unit_idx))
-             for a in range(len(subs)))
-    report.record("unit-flip", ok)
+    check("wedge-left", 3, 0, [(sig, 0), (sig, 1), (wedge, 0)],
+          [(wedge, 1), (sig, 0)])
+    check("wedge-right", 3, 2, [(sig, 1), (sig, 0), (wedge, 1)],
+          [(wedge, 0), (sig, 0)])
+    check("coproduct-left", 2, 0, [(delta, 1), (sig, 0), (sig, 1)],
+          [(sig, 0), (delta, 0)])
+    check("coproduct-right", 2, 0, [(delta, 0), (sig, 1), (sig, 0)],
+          [(sig, 0), (delta, 1)])
+    # sigma(x (x) 1) = 1 (x) x and sigma(1 (x) x) = x (x) 1
+    report.check("unit-flip", _on_basis(
+        [wa.space], ([(u, 1), (sig, 0)], [(u, 0)]),
+        ([(u, 0), (sig, 0)], [(u, 1)])))
     return report
 
 

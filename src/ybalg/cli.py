@@ -18,7 +18,7 @@ from . import binfty, catalog, hopf, tensoralg
 from .braid import Braiding, beta_component, check_yang_baxter
 from .linear import (Element, Report, Space, element_to_obj,
                      linmap_from_obj)
-from .scalars import Scalar, ScalarParseError, parse_scalar
+from .scalars import ScalarParseError, parse_scalar
 
 
 class ParseError(ValueError):
@@ -191,7 +191,12 @@ def _build_object(decl, session):
                                   bad["witness"])
         return h
     if kind == "yd":
-        m = hopf.yd_from_obj(_field(decl, "data", _YD))
+        data = _field(decl, "data", _YD)
+        for keys in (("mult", "unit"), ("comult", "counit")):
+            if (keys[0] in data) != (keys[1] in data):
+                raise ParseError("data of %r must give %s and %s together"
+                                 % ((decl["name"],) + keys))
+        m = hopf.yd_from_obj(data)
         report = hopf.yd_validate(m)
         if not report.ok:
             bad = report.failures()[0]
@@ -249,9 +254,7 @@ def _suite_entries(session, target, suite, bound):
         if suite not in ("yb-algebra", "yb-coalgebra", "all"):
             raise SuiteMismatch("suite %r does not apply to the signed flip"
                                 % (suite,))
-        report = Report()
-        report.record("yang-baxter",
-                      *check_yang_baxter(obj.braiding.fwd, obj.space))
+        report = check_yang_baxter(obj.braiding.fwd, obj.space)
         report.entries += catalog.qflip_compat_check(obj).entries
     else:
         raise SuiteMismatch("no suite applies to objects of type %s"
@@ -270,19 +273,26 @@ def _braiding_report(b, suite, bound):
                for j in range(1, bound + 1) for k in range(1, bound + 1)
                if i + j + k <= bound]
     report = Report()
+
+    def record(identity, rows):
+        # one entry per triple; the witness is (row, case, lhs, rhs) of the
+        # failure a case-by-case scan of the rows meets first
+        bad = rows.first_failure()
+        report.record(identity, bad is None, None if bad is None
+                      else (bad["identity"],) + bad["witness"])
+
     if suite in ("yb-algebra", "all"):
-        report.record("yang-baxter", *check_yang_baxter(b.fwd, b.space))
+        report.entries += check_yang_baxter(b.fwd, b.space).entries
         for i, j, k in triples:
-            fails = tensoralg.check_tensor_yb_product(
-                lambda x, y: tensoralg.qshuffle_product(x, y, b), b, i, j, k)
-            report.record("shuffle-product %d,%d,%d" % (i, j, k),
-                          not fails, fails[0] if fails else None)
+            record("shuffle-product %d,%d,%d" % (i, j, k),
+                   tensoralg.check_tensor_yb_product(
+                       lambda x, y: tensoralg.qshuffle_product(x, y, b),
+                       b, i, j, k))
     if suite in ("yb-coalgebra", "all"):
-        report.record("yang-baxter", *check_yang_baxter(b.fwd, b.space))
+        report.entries += check_yang_baxter(b.fwd, b.space).entries
         for p, q, r in triples:
-            fails = tensoralg.check_tensor_yb_coproduct(b, p, q, r)
-            report.record("unshuffle-coproduct %d,%d,%d" % (p, q, r),
-                          not fails, fails[0] if fails else None)
+            record("unshuffle-coproduct %d,%d,%d" % (p, q, r),
+                   tensoralg.check_tensor_yb_coproduct(b, p, q, r))
     return report
 
 

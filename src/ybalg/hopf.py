@@ -4,7 +4,7 @@ A Hopf algebra is presented by structure constants: sparse linear maps for
 multiplication, comultiplication, counit, and antipode on a named basis.
 Every Sweedler sum is a leg program: a chain of structure maps applied at
 given legs of a multi-leg element (linear.apply_at) and leg permutations
-(linear.permute_legs), run by `_legs`; nothing is symbolic.
+(linear.permute_legs), run by `linear._legs`; nothing is symbolic.
 
 On top of this sit Yetter-Drinfel'd modules with their natural braiding
 sigma_V, the four conjugation-style braidings on H itself, quasi-triangular
@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 
 from .braid import Braiding
-from .linear import (Element, LinMap, Report, Singular, Space, apply_at,
-                     element_from_obj, element_to_obj, linmap_from_obj,
-                     linmap_to_obj, map_invert_exact, permute_legs,
-                     tensor_elements)
+from .linear import (Element, LinMap, Report, Singular, Space, _leg_rows,
+                     _legs, _on_basis, _point, apply_at, element_from_obj,
+                     element_to_obj, linmap_from_obj, linmap_to_obj,
+                     map_invert_exact, permute_legs, tensor_elements)
 
 
 class InvalidYD(ValueError):
@@ -68,44 +68,10 @@ class HopfPresentation:
         return self.antipode_inv
 
 
-def _point(x):
-    """The arity-0 map inserting the element x as new legs."""
-    return LinMap(0, {(): x})
-
-
-def _legs(x, *steps):
-    """Run a leg program on x, left to right.
-
-    A step (f, pos) applies the map f at legs pos..pos+arity of every term;
-    a list [i_0, i_1, ...] permutes the legs, new leg t being old leg i_t.
-    """
-    for step in steps:
-        if isinstance(step, list):
-            x = permute_legs(x, step)
-        else:
-            f, pos = step
-            x = apply_at(f, f.in_degree, pos, x)
-    return x
-
-
-def _side(*steps):
-    """The leg program as a function of one element."""
-    return lambda x: _legs(x, *steps)
-
-
 def _program_map(space, degree, *steps):
     """The leg program as a LinMap on the basis words of one degree."""
     return LinMap.tabulate(space, degree,
                            lambda w: _legs(Element.basis(w), *steps))
-
-
-def _on_basis(spaces, *sides):
-    """(word, lhs(x), rhs(x)) cases over the basis words x of the tensor
-    product of `spaces`; each word runs every (lhs, rhs) pair in turn."""
-    for w in itertools.product(*(range(sp.dim) for sp in spaces)):
-        x = Element.basis(w)
-        for lhs, rhs in sides:
-            yield w, lhs(x), rhs(x)
 
 
 def hopf_validate(h):
@@ -121,8 +87,7 @@ def hopf_validate(h):
     report = Report()
 
     def check(name, degree, lhs, rhs):
-        report.check(name, _on_basis([sp] * degree, (_side(*lhs),
-                                                      _side(*rhs))))
+        _leg_rows(report, [sp] * degree, [(name, lhs, rhs)])
 
     check("assoc", 3, [(m, 0), (m, 0)], [(m, 1), (m, 0)])
     check("unit", 1, [(u, 0), (m, 0)], [])
@@ -171,16 +136,16 @@ def yd_validate(m):
     # g.(h.v) = (gh).v and 1.v = v
     report.check("module", itertools.chain(
         _on_basis([hs, hs, sp],
-                  (_side((a, 1), (a, 0)), _side((mu, 0), (a, 0)))),
-        _on_basis([sp], (_side((u, 0), (a, 0)), _side()))))
+                  ([(a, 1), (a, 0)], [(mu, 0), (a, 0)])),
+        _on_basis([sp], ([(u, 0), (a, 0)], []))))
     # (Delta (x) id) rho = (id (x) rho) rho and (eps (x) id) rho = id
     report.check("comodule", _on_basis(
-        [sp], (_side((co, 0), (d, 0)), _side((co, 0), (co, 1))),
-        (_side((co, 0), (e, 0)), _side())))
+        [sp], ([(co, 0), (d, 0)], [(co, 0), (co, 1)]),
+        ([(co, 0), (e, 0)], [])))
     # h_(1) v_(-1) (x) h_(2).v_(0) = (h_(1).v)_(-1) h_(2) (x) (h_(1).v)_(0)
     report.check("yd-compat", _on_basis([hs, sp], (
-        _side((d, 0), (co, 2), [0, 2, 1, 3], (mu, 0), (a, 1)),
-        _side((d, 0), [0, 2, 1], (a, 0), (co, 0), [0, 2, 1], (mu, 0)))))
+        [(d, 0), (co, 2), [0, 2, 1, 3], (mu, 0), (a, 1)],
+        [(d, 0), [0, 2, 1], (a, 0), (co, 0), [0, 2, 1], (mu, 0)])))
 
     if m.algebra_on_V is not None:
         mult_v, unit_v = m.algebra_on_V
@@ -189,32 +154,32 @@ def yd_validate(m):
         # algebra map into H (x) V
         report.check("module-algebra", itertools.chain(
             _on_basis([hs, sp, sp], (
-                _side((mult_v, 1), (a, 0)),
-                _side((d, 0), [0, 2, 1, 3], (a, 0), (a, 1), (mult_v, 0)))),
-            _on_basis([hs], (_side((uv, 1), (a, 0)), _side((e, 0), (uv, 0))))))
+                [(mult_v, 1), (a, 0)],
+                [(d, 0), [0, 2, 1, 3], (a, 0), (a, 1), (mult_v, 0)])),
+            _on_basis([hs], ([(uv, 1), (a, 0)], [(e, 0), (uv, 0)]))))
         report.check("comodule-algebra", itertools.chain(
             _on_basis([sp, sp], (
-                _side((mult_v, 0), (co, 0)),
-                _side((co, 0), (co, 2), [0, 2, 1, 3], (mu, 0), (mult_v, 1)))),
-            _on_basis([], (_side((uv, 0), (co, 0)),
-                           _side((uv, 0), (u, 0))))))
+                [(mult_v, 0), (co, 0)],
+                [(co, 0), (co, 2), [0, 2, 1, 3], (mu, 0), (mult_v, 1)])),
+            _on_basis([], ([(uv, 0), (co, 0)],
+                           [(uv, 0), (u, 0)]))))
 
     if m.coalgebra_on_V is not None:
         comult_v, counit_v = m.coalgebra_on_V
         # Delta(h.v) = h_(1).v_(1) (x) h_(2).v_(2) and eps(h.v) = eps(h)eps(v)
         report.check("module-coalgebra", _on_basis(
             [hs, sp],
-            (_side((a, 0), (comult_v, 0)),
-             _side((d, 0), (comult_v, 2), [0, 2, 1, 3], (a, 0), (a, 1))),
-            (_side((a, 0), (counit_v, 0)), _side((e, 0), (counit_v, 0)))))
+            ([(a, 0), (comult_v, 0)],
+             [(d, 0), (comult_v, 2), [0, 2, 1, 3], (a, 0), (a, 1)]),
+            ([(a, 0), (counit_v, 0)], [(e, 0), (counit_v, 0)])))
         # v_(-1) (x) Delta(v_(0)) = v_(1)(-1) v_(2)(-1) (x) v_(1)(0) (x)
         # v_(2)(0), the product in H in display order; and
         # v_(-1) eps(v_(0)) = eps(v) 1
         report.check("comodule-coalgebra", _on_basis(
             [sp],
-            (_side((co, 0), (comult_v, 1)),
-             _side((comult_v, 0), (co, 0), (co, 2), [0, 2, 1, 3], (mu, 0))),
-            (_side((co, 0), (counit_v, 1)), _side((counit_v, 0), (u, 0)))))
+            ([(co, 0), (comult_v, 1)],
+             [(comult_v, 0), (co, 0), (co, 2), [0, 2, 1, 3], (mu, 0)]),
+            ([(co, 0), (counit_v, 1)], [(counit_v, 0), (u, 0)])))
 
     return report
 

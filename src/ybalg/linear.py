@@ -6,11 +6,20 @@ and a LinMap is a sparse column map defined on words of one fixed degree.
 
 Elements may carry "cuts": a tuple of split positions marking how the word is
 distributed over tensor factors of T(V) (one cut for T(V) x T(V), more for
-iterated coproducts).  All map machinery works on the plain letters; cut
-bookkeeping is handled by the callers in tensoralg.
+iterated coproducts).  The map machinery here works on the plain letters:
+`apply_at` applies a map at given letters ("legs") and keeps each term's
+cuts, and `_legs` runs a leg program, a chain of such steps and leg
+permutations.  Maps on whole tensor slots, which move the cuts, are the
+slot programs of tensoralg.
+
+Every two-sided identity is checked by one kernel, `Report.check`: it takes
+(case, lhs, rhs) triples, typically two programs run on the basis elements
+that `_on_basis` enumerates, and records the first case whose sides differ.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .scalars import Scalar
 
@@ -110,12 +119,6 @@ class Element:
             return Element.zero()
         return Element({k: c * s for k, c in self.terms.items()})
 
-    def drop_cuts(self):
-        out = Element()
-        for (letters, _cuts), c in self.terms.items():
-            out.add_term((letters, ()), c)
-        return out
-
     def degrees(self):
         return sorted({len(k[0]) for k in self.terms})
 
@@ -171,6 +174,44 @@ def permute_legs(x, order):
     return out
 
 
+def _point(x):
+    """The arity-0 map inserting the element x as new legs."""
+    return LinMap(0, {(): x})
+
+
+def _legs(x, *steps):
+    """Run a leg program on x, left to right.
+
+    A step (f, pos) applies the map f at legs pos..pos+arity of every term;
+    a list [i_0, i_1, ...] permutes the legs, new leg t being old leg i_t.
+    """
+    for step in steps:
+        if isinstance(step, list):
+            x = permute_legs(x, step)
+        else:
+            f, pos = step
+            x = apply_at(f, f.in_degree, pos, x)
+    return x
+
+
+def _on_basis(spaces, *sides):
+    """(word, lhs(x), rhs(x)) cases over the basis words x of the tensor
+    product of `spaces`, for (lhs, rhs) pairs of leg programs given as
+    lists of steps; each word runs every pair in turn."""
+    for w in itertools.product(*(range(sp.dim) for sp in spaces)):
+        x = Element.basis(w)
+        for lhs, rhs in sides:
+            yield w, _legs(x, *lhs), _legs(x, *rhs)
+
+
+def _leg_rows(report, spaces, rows):
+    """Check (identity, lhs, rhs) pairs of leg programs, each a list of
+    steps, on the basis words of the tensor product of `spaces`."""
+    for identity, lhs, rhs in rows:
+        report.check(identity, _on_basis(spaces, (lhs, rhs)))
+    return report
+
+
 class Report:
     """Outcome of an identity check: one entry per identity.
 
@@ -186,7 +227,7 @@ class Report:
                              "witness": witness})
 
     def check(self, identity, cases):
-        """Record `identity` from (word, lhs, rhs) cases, stopping at the
+        """Record `identity` from (case, lhs, rhs) triples, stopping at the
         first case whose sides differ."""
         for w, lhs, rhs in cases:
             if lhs != rhs:
@@ -200,6 +241,14 @@ class Report:
 
     def failures(self):
         return [e for e in self.entries if not e["ok"]]
+
+    def first_failure(self, prefix=""):
+        """Among the failed checks whose identity starts with `prefix`, the
+        one a scan running every identity on each case in turn meets first:
+        the earliest case, then the first identity by name; None if none."""
+        fails = [(e["witness"][0], e["identity"], e) for e in self.entries
+                 if not e["ok"] and e["identity"].startswith(prefix)]
+        return min(fails, key=lambda t: t[:2])[2] if fails else None
 
 
 class LinMap:

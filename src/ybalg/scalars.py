@@ -253,9 +253,6 @@ class Scalar:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_one(self):
-        return self.num == Poly.one() and self.den == Poly.one()
-
     # -- arithmetic --------------------------------------------------------
 
     # With both denominators 1 the result is canonical as it stands.  It
@@ -322,10 +319,6 @@ _ONE = Scalar(Poly.one(), Poly.one())
 def scalar_normalize(num, den):
     """Canonical representative of num/den; raises ZeroDenominator."""
     return Scalar(num, den)
-
-
-def scalar_invert(s):
-    return s.invert()
 
 
 # -- parsing ---------------------------------------------------------------

@@ -4,36 +4,25 @@ Elements of T(V) are plain words; elements of tensor powers of T(V) carry
 "cuts" (split positions).  An element of T(V)^{(x) m} has m-1 cuts; the
 braided coproduct of the pair algebra produces elements whose cut count
 doubles with each iteration.
+
+Maps on whole tensor slots run as slot programs: chains of `apply_slots`
+steps, the graded-slot analogue of linear.apply_at.  The Def 2.1 rows on
+V and on T(V) are pairs of leg or slot programs checked by Report.check.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .braid import (Perm, apply_beta_letters, braid_lift_apply,
                     enumerate_shuffles, w_block)
-from .linear import Element, LinMap, apply_at, tensor_elements
+from .linear import (Element, LinMap, Report, _leg_rows, _point,
+                     tensor_elements)
 from .scalars import Scalar
 
 
 class DegreeCapExceeded(ValueError):
     pass
-
-
-class GradedAlg:
-    """T(V) with a validated braiding, truncated above degree_cap."""
-
-    def __init__(self, braiding, degree_cap):
-        if degree_cap < 1:
-            raise ValueError("degree_cap must be at least 1")
-        if not braiding.validated:
-            raise ValueError("braiding must be validated")
-        self.space = braiding.space
-        self.braiding = braiding
-        self.degree_cap = degree_cap
-
-    def check_cap(self, degree):
-        if degree > self.degree_cap:
-            raise DegreeCapExceeded(
-                "degree %d exceeds cap %d" % (degree, self.degree_cap))
 
 
 # -- products and coproducts ----------------------------------------------
@@ -141,49 +130,89 @@ def quantum_coproduct(x, braiding):
     return out
 
 
-# -- block braids on cut elements -----------------------------------------
+# -- slot programs on tensor powers of T(V) -------------------------------
 
 def slot_bounds(letters, cuts):
     """Boundaries 0 = b_0 <= b_1 <= ... <= b_m = len of the tensor slots."""
     return (0,) + tuple(cuts) + (len(letters),)
 
 
-def apply_slot_transposition(braiding, x, i):
-    """Braid tensor slots i and i+1 (1-indexed) of each term of x."""
+def apply_slots(f, arity, pos, x):
+    """Apply the slot map f to the `arity` tensor slots at `pos` (0-indexed)
+    of every term of x.
+
+    f takes the (letters, cuts) key of one basis element of T(V)^{(x) arity},
+    its cuts relative to it, and returns an Element with any number of
+    slots; the other slots keep their letters, and the cuts after the
+    replaced slots shift with their new length.
+    """
     out = Element()
     for (letters, cuts), c in x.terms.items():
         b = slot_bounds(letters, cuts)
-        lo, mid, hi = b[i - 1], b[i], b[i + 1]
-        a_deg, b_deg = mid - lo, hi - mid
-        img = apply_beta_letters(braiding, a_deg, b_deg, letters[lo:hi])
-        new_cuts = list(cuts)
-        new_cuts[i - 1] = lo + b_deg
-        for (pw, _), s in img.terms.items():
-            out.add_term((letters[:lo] + pw + letters[hi:],
-                          tuple(new_cuts)), s * c)
+        lo, hi = b[pos], b[pos + arity]
+        inner = tuple(p - lo for p in cuts[pos:pos + arity - 1])
+        head, tail = cuts[:pos], cuts[pos + arity - 1:]
+        for (mid, mc), a in f((letters[lo:hi], inner)).terms.items():
+            shift = len(mid) - (hi - lo)
+            out.add_term((letters[:lo] + mid + letters[hi:],
+                          head + tuple(lo + p for p in mc)
+                          + tuple(p + shift for p in tail)), a * c)
     return out
+
+
+def beta_slots(braiding):
+    """beta as a slot map on two slots: u | v -> beta_{ij}(u v), cut after
+    the j = len(v) letters that come first."""
+    def beta(key):
+        letters, (i,) = key
+        j = len(letters) - i
+        img = apply_beta_letters(braiding, i, j, letters)
+        return Element({(w, (j,)): c for (w, _), c in img.terms.items()})
+    return beta
+
+
+def _memo(f):
+    """The slot map f with each result kept, keyed on the input sub-tensor,
+    for as long as the returned function lives."""
+    cache = {}
+
+    def memoised(key):
+        res = cache.get(key)
+        if res is None:
+            res = cache[key] = f(key)
+        return res
+    return memoised
+
+
+def _slot_rows(report, space, degrees, label, rows):
+    """Check (identity, lhs, rhs) pairs of slot programs, each a list of
+    (f, arity, pos) steps of apply_slots, on the basis elements of
+    V^{(x) d_1} (x) ... (x) V^{(x) d_m} inside T(V)^{(x) m}; label maps the
+    slot words of a case to its name in a witness."""
+    cuts = tuple(itertools.accumulate(degrees))[:-1]
+
+    def run(x, steps):
+        for f, arity, pos in steps:
+            x = apply_slots(f, arity, pos, x)
+        return x
+
+    def cases(lhs, rhs):
+        for ws in itertools.product(*(space.words(d) for d in degrees)):
+            x = Element.basis(sum(ws, ()), cuts)
+            yield label(ws), run(x, lhs), run(x, rhs)
+
+    for identity, lhs, rhs in rows:
+        report.check(identity, cases(lhs, rhs))
+    return report
 
 
 def apply_block_lift(braiding, w, x):
     """T^beta_w for w permuting the tensor slots of x (slot count = w.n)."""
     from .braid import perm_reduced_word
+    beta = beta_slots(braiding)
     for i in reversed(perm_reduced_word(w)):
-        x = apply_slot_transposition(braiding, x, i)
+        x = apply_slots(beta, 2, i - 1, x)
     return x
-
-
-def apply_beta_pair(braiding, x):
-    """beta on T(V) (x) T(V): braid across the single cut of each term."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        if len(cuts) != 1:
-            raise ValueError("apply_beta_pair expects one cut")
-        i = cuts[0]
-        j = len(letters) - i
-        img = apply_beta_letters(braiding, i, j, letters)
-        for (pw, _), s in img.terms.items():
-            out.add_term((pw, (j,)), s * c)
-    return out
 
 
 # -- braided coproduct on the pair coalgebra ------------------------------
@@ -263,36 +292,10 @@ def delta_beta_via_w(braiding, x, n):
     return apply_block_lift(braiding, w_block(n + 1), out)
 
 
-def delta_n_coproduct(braiding, x, n):
-    """Prop 2.2 power coproduct Delta_{beta,n} = T^beta_{w_n^{-1}} delta^{xn}.
-
-    Input: element of T(V)^{(x) n} (n-1 cuts).  Output: 2n-1 cuts.
-    """
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        bounds = slot_bounds(letters, cuts)
-        pieces = [Element.basis(letters[bounds[t]:bounds[t + 1]])
-                  for t in range(n)]
-        acc = [((), (), c)]
-        for piece in pieces:
-            dp = deconcatenate(piece)
-            nxt = []
-            for (wl, wc, s) in acc:
-                for (pl, pc), b in dp.terms.items():
-                    nxt.append((wl + pl,
-                                wc + (len(wl) + pc[0], len(wl) + len(pl)),
-                                s * b))
-            acc = nxt
-        for (wl, wc, s) in acc:
-            out.add_term((wl, wc[:-1]), s)
-    return apply_block_lift(braiding, w_block(n).inverse(), out)
-
-
 # -- symmetrizers ----------------------------------------------------------
 
 def symmetrizer_image(k, braiding, sign=1):
     """Operator sum of (sign)^{l(w)} T_w over S_k, as a LinMap."""
-    from .braid import braid_lift
     space = braiding.space
     perms = _all_perms(k)
 
@@ -367,73 +370,40 @@ def apply_letter_lift(braiding, w, x):
 # -- Def 2.1 checks --------------------------------------------------------
 
 def check_yb_product_rows(space, mult, braiding):
-    """The two product rows of the Def 2.1 YB algebra diagram on V^{(x)3}.
-
-    Returns failures as (row, word, lhs, rhs).
-    """
+    """The two product rows of the Def 2.1 YB algebra diagram on V^{(x)3}:
+    Report entries "product-row-1" and "product-row-2"."""
     sig = braiding.fwd
-    failures = []
-    for word in space.words(3):
-        x = Element.basis(word)
+    return _leg_rows(Report(), [space] * 3, [
         # sigma(m (x) id) = (id (x) m) sigma_1 sigma_2
-        lhs = apply_at(sig, 2, 0, apply_at(mult, 2, 0, x))
-        rhs = apply_at(mult, 2, 1,
-                       apply_at(sig, 2, 0, apply_at(sig, 2, 1, x)))
-        if lhs != rhs:
-            failures.append(("product-row-1", word, lhs, rhs))
+        ("product-row-1", [(mult, 0), (sig, 0)],
+         [(sig, 1), (sig, 0), (mult, 1)]),
         # sigma(id (x) m) = (m (x) id) sigma_2 sigma_1
-        lhs = apply_at(sig, 2, 0, apply_at(mult, 2, 1, x))
-        rhs = apply_at(mult, 2, 0,
-                       apply_at(sig, 2, 1, apply_at(sig, 2, 0, x)))
-        if lhs != rhs:
-            failures.append(("product-row-2", word, lhs, rhs))
-    return failures
+        ("product-row-2", [(mult, 1), (sig, 0)],
+         [(sig, 0), (sig, 1), (mult, 0)])])
 
 
 def check_yb_algebra(space, mult, unit, braiding):
-    """Def 2.1 YB algebra diagram on a single space; list of failures."""
-    failures = check_yb_product_rows(space, mult, braiding)
-    sig = braiding.fwd
-    for j in range(space.dim):
-        x = Element.basis((j,))
-        left = apply_at(sig, 2, 0, tensor_elements(unit, x))
-        if left != tensor_elements(x, unit):
-            failures.append(("unit-row-1", (j,), left, None))
-        right = apply_at(sig, 2, 0, tensor_elements(x, unit))
-        if right != tensor_elements(unit, x):
-            failures.append(("unit-row-2", (j,), right, None))
-    return failures
+    """Def 2.1 YB algebra diagram on a single space: the product rows, then
+    "unit-row-1" and "unit-row-2" on V."""
+    sig, u = braiding.fwd, _point(unit)
+    return _leg_rows(check_yb_product_rows(space, mult, braiding), [space], [
+        # sigma(1 (x) x) = x (x) 1 and sigma(x (x) 1) = 1 (x) x
+        ("unit-row-1", [(u, 0), (sig, 0)], [(u, 1)]),
+        ("unit-row-2", [(u, 1), (sig, 0)], [(u, 0)])])
 
 
 def check_yb_coalgebra(space, comult, counit_map, braiding):
-    """Def 2.1 YB coalgebra diagram on a single space; list of failures."""
-    failures = []
-    sig = braiding.fwd
-    for word in space.words(2):
-        x = Element.basis(word)
-        y = apply_at(sig, 2, 0, x)
+    """Def 2.1 YB coalgebra diagram on a single space: Report entries
+    "coproduct-row-1/2" and "counit-row-1/2" on V^{(x)2}."""
+    sig, d, e = braiding.fwd, comult, counit_map
+    return _leg_rows(Report(), [space] * 2, [
         # sigma_1 sigma_2 (Delta (x) id) = (id (x) Delta) sigma
-        lhs = apply_at(sig, 2, 0,
-                       apply_at(sig, 2, 1, apply_at(comult, 1, 0, x)))
-        rhs = apply_at(comult, 1, 1, y)
-        if lhs != rhs:
-            failures.append(("coproduct-row-1", word, lhs, rhs))
+        ("coproduct-row-1", [(d, 0), (sig, 1), (sig, 0)], [(sig, 0), (d, 1)]),
         # sigma_2 sigma_1 (id (x) Delta) = (Delta (x) id) sigma
-        lhs = apply_at(sig, 2, 1,
-                       apply_at(sig, 2, 0, apply_at(comult, 1, 1, x)))
-        rhs = apply_at(comult, 1, 0, y)
-        if lhs != rhs:
-            failures.append(("coproduct-row-2", word, lhs, rhs))
-        # counit rows: (eps (x) id) sigma = id (x) eps and its mirror
-        left = apply_at(counit_map, 1, 0, y)
-        expect = apply_at(counit_map, 1, 1, x)
-        if left != expect:
-            failures.append(("counit-row-1", word, left, expect))
-        right = apply_at(counit_map, 1, 1, y)
-        expect = apply_at(counit_map, 1, 0, x)
-        if right != expect:
-            failures.append(("counit-row-2", word, right, expect))
-    return failures
+        ("coproduct-row-2", [(d, 1), (sig, 0), (sig, 1)], [(sig, 0), (d, 0)]),
+        # (eps (x) id) sigma = id (x) eps and its mirror
+        ("counit-row-1", [(sig, 0), (e, 0)], [(e, 1)]),
+        ("counit-row-2", [(sig, 0), (e, 1)], [(e, 0)])])
 
 
 # -- graded YB algebra check for products on T(V) --------------------------
@@ -441,82 +411,39 @@ def check_yb_coalgebra(space, comult, counit_map, braiding):
 def check_tensor_yb_product(product, braiding, i, j, k):
     """Def 2.1 product rows for a (possibly inhomogeneous) product on T(V).
 
-    `product` maps two plain Elements to a plain Element.  Returns failures
-    as (row, word, lhs, rhs) with results carrying one cut.
+    `product` maps two plain Elements to a plain Element.  The rows are
+    slot programs on u | v | w with deg (i, j, k), so both sides carry one
+    cut; Report entries "row-1" and "row-2", each case named (u, v, w).
     """
-    failures = []
-    space = braiding.space
-    for u in space.words(i):
-        for v in space.words(j):
-            for w in space.words(k):
-                # row 1: beta(prod (x) id) = (id (x) prod) beta_1 beta_2
-                p = product(Element.basis(u), Element.basis(v))
-                lhs = Element()
-                for (pw, _), c in p.terms.items():
-                    img = apply_beta_letters(braiding, len(pw), k, pw + w)
-                    for (zl, _), s in img.terms.items():
-                        lhs.add_term((zl, (k,)), s * c)
-                mid = Element.basis(u + v + w, (i, i + j))
-                mid = apply_slot_transposition(braiding, mid, 2)
-                mid = apply_slot_transposition(braiding, mid, 1)
-                rhs = Element()
-                for (zl, zc), c in mid.terms.items():
-                    left = zl[:zc[0]]
-                    p2 = product(Element.basis(zl[zc[0]:zc[1]]),
-                                 Element.basis(zl[zc[1]:]))
-                    for (pw, _), s in p2.terms.items():
-                        rhs.add_term((left + pw, (len(left),)), s * c)
-                if lhs != rhs:
-                    failures.append(("row-1", (u, v, w), lhs, rhs))
-                # row 2: beta(id (x) prod) = (prod (x) id) beta_2 beta_1
-                p = product(Element.basis(v), Element.basis(w))
-                lhs = Element()
-                for (pw, _), c in p.terms.items():
-                    img = apply_beta_letters(braiding, i, len(pw), u + pw)
-                    for (zl, _), s in img.terms.items():
-                        lhs.add_term((zl, (len(pw),)), s * c)
-                mid = Element.basis(u + v + w, (i, i + j))
-                mid = apply_slot_transposition(braiding, mid, 1)
-                mid = apply_slot_transposition(braiding, mid, 2)
-                rhs = Element()
-                for (zl, zc), c in mid.terms.items():
-                    tail = zl[zc[1]:]
-                    p2 = product(Element.basis(zl[:zc[0]]),
-                                 Element.basis(zl[zc[0]:zc[1]]))
-                    for (pw, _), s in p2.terms.items():
-                        rhs.add_term((pw + tail, (len(pw),)), s * c)
-                if lhs != rhs:
-                    failures.append(("row-2", (u, v, w), lhs, rhs))
-    return failures
+    def split_product(key):
+        letters, (c,) = key
+        return product(Element.basis(letters[:c]), Element.basis(letters[c:]))
+
+    beta = _memo(beta_slots(braiding))
+    prod = _memo(split_product)
+    return _slot_rows(Report(), braiding.space, (i, j, k), tuple, [
+        # beta(prod (x) id) = (id (x) prod) beta_1 beta_2
+        ("row-1", [(prod, 2, 0), (beta, 2, 0)],
+         [(beta, 2, 1), (beta, 2, 0), (prod, 2, 1)]),
+        # beta(id (x) prod) = (prod (x) id) beta_2 beta_1
+        ("row-2", [(prod, 2, 1), (beta, 2, 0)],
+         [(beta, 2, 0), (beta, 2, 1), (prod, 2, 0)])])
 
 
 def check_tensor_yb_coproduct(braiding, p, q, r):
-    """Def 2.1 coalgebra rows for the quantum coproduct on T(V).
+    """Def 2.1 coalgebra row for the quantum coproduct on T(V).
 
-    Checks the (p, q | r) and mirror components of Remark 3.2's coalgebra.
+    Checks its (p, q) component against beta on x | y with deg (p+q, r): a
+    Report entry "corow-1", each case named (x, y, p).
     """
-    failures = []
-    space = braiding.space
-    for x in space.words(p + q):
-        for y in space.words(r):
-            # row 1: sigma_1 sigma_2 (Delta (x) id) = (id (x) Delta) beta
-            cop = quantum_coproduct(Element.basis(x), braiding)
-            cop = Element({k: c for k, c in cop.terms.items()
-                           if k[1] == (p,)})
-            lhs = Element()
-            for (cl, cc), c in cop.terms.items():
-                e = Element.basis(cl + y, (p, p + q), c)
-                e = apply_slot_transposition(braiding, e, 2)
-                e = apply_slot_transposition(braiding, e, 1)
-                lhs = lhs + e
-            flip = apply_beta_letters(braiding, p + q, r, x + y)
-            rhs = Element()
-            for (fl, _), c in flip.terms.items():
-                cop2 = quantum_coproduct(Element.basis(fl[r:], (), c),
-                                         braiding)
-                for (cl, cc), s in cop2.terms.items():
-                    if cc == (p,):
-                        rhs.add_term((fl[:r] + cl, (r, r + p)), s)
-            if lhs != rhs:
-                failures.append(("corow-1", (x, y, p), lhs, rhs))
-    return failures
+    def unshuffle(key):
+        d = quantum_coproduct(Element.basis(key[0]), braiding)
+        return Element({t: c for t, c in d.terms.items() if t[1] == (p,)})
+
+    beta = _memo(beta_slots(braiding))
+    cop = _memo(unshuffle)
+    return _slot_rows(Report(), braiding.space, (p + q, r),
+                      lambda ws: ws + (p,), [
+        # sigma_1 sigma_2 (Delta (x) id) = (id (x) Delta) beta
+        ("corow-1", [(cop, 1, 0), (beta, 2, 1), (beta, 2, 0)],
+         [(beta, 2, 0), (cop, 1, 1)])])

@@ -48,9 +48,9 @@ def test_criterion_01_braidings_satisfy_ybe(capsys):
     failures = []
 
     def check(name, b):
-        ok, wit = check_yang_baxter(b.fwd, b.space)
-        if not ok:
-            failures.append((name, wit))
+        rep = check_yang_baxter(b.fwd, b.space)
+        if not rep.ok:
+            failures.append((name, rep.failures()[0]))
 
     check("flip", flip_braiding(2))
     for n in (2, 3):
@@ -82,13 +82,14 @@ def test_criterion_02_shuffle_algebra_rows(capsys):
         for i, j, k in iproduct(range(1, 4), repeat=3):
             if i + j + k > 5:
                 continue
-            fails = check_tensor_yb_product(prod, b, i, j, k)
-            if fails:
-                failures.append((name, "product rows", (i, j, k), fails[0]))
-            fails = check_tensor_yb_coproduct(b, i, j, k)
-            if fails:
+            rep = check_tensor_yb_product(prod, b, i, j, k)
+            if not rep.ok:
+                failures.append((name, "product rows", (i, j, k),
+                                 rep.failures()[0]))
+            rep = check_tensor_yb_coproduct(b, i, j, k)
+            if not rep.ok:
                 failures.append((name, "coproduct rows", (i, j, k),
-                                 fails[0]))
+                                 rep.failures()[0]))
         for du in range(1, 5):
             for dv in range(1, 6 - du):
                 dw = 6 - du - dv
@@ -338,18 +339,18 @@ def test_criterion_08_hopf_and_yd_constructions(capsys):
     m = yd_adjoint(h)
     if not yd_validate(m).ok:
         failures.append(("adjoint module axioms", None))
-    fails = check_yb_algebra(h.space, h.mult, h.unit, yd_braiding(m))
-    if fails:
+    rep = check_yb_algebra(h.space, h.mult, h.unit, yd_braiding(m))
+    if not rep.ok:
         failures.append(("product compatible with the module braiding",
-                         fails[0]))
+                         rep.failures()[0]))
 
     m = yd_regular(h)
     if not yd_validate(m).ok:
         failures.append(("regular module axioms", None))
-    fails = check_yb_coalgebra(h.space, h.comult, h.counit, yd_braiding(m))
-    if fails:
+    rep = check_yb_coalgebra(h.space, h.comult, h.counit, yd_braiding(m))
+    if not rep.ok:
         failures.append(("coproduct compatible with the module braiding",
-                         fails[0]))
+                         rep.failures()[0]))
 
     s = smash_structures(yd_adjoint(h), yd_adjoint(h))
     for w in s.space.words(3):
@@ -361,9 +362,10 @@ def test_criterion_08_hopf_and_yd_constructions(capsys):
             right = right + s.product.apply_word(w[:1] + mw).scale(c)
         if left != right:
             failures.append(("tensor-product algebra associativity", w))
-    fails = check_yb_algebra(s.space, s.product, s.unit, s.braiding)
-    if fails:
-        failures.append(("tensor-product algebra compatibility", fails[0]))
+    rep = check_yb_algebra(s.space, s.product, s.unit, s.braiding)
+    if not rep.ok:
+        failures.append(("tensor-product algebra compatibility",
+                         rep.failures()[0]))
 
     h2, R = z2_rmatrix()
     r = RMatrix.from_element(h2, R)
@@ -373,10 +375,10 @@ def test_criterion_08_hopf_and_yd_constructions(capsys):
     if not rep.ok:
         failures.append(("universal-matrix module axioms",
                          rep.failures()[0]))
-    fails = check_yb_algebra(h2.space, h2.mult, h2.unit, yd_braiding(m))
-    if fails:
+    rep = check_yb_algebra(h2.space, h2.mult, h2.unit, yd_braiding(m))
+    if not rep.ok:
         failures.append(("universal-matrix braiding compatibility",
-                         fails[0]))
+                         rep.failures()[0]))
     report(capsys, 8,
            "Hopf-algebra constructions: axioms, module braidings, products",
            failures)

@@ -16,7 +16,7 @@ from ybalg.cli import (ParseError, SuiteMismatch, UnknownTarget,
                        ValidationError, cmd_compute, cmd_verify,
                        compute_expression, format_element, load_session,
                        main, _parse_element)
-from ybalg.hopf import yd_adjoint, yd_to_obj
+from ybalg.hopf import yd_adjoint, yd_regular, yd_to_obj
 from ybalg.linear import Element, LinMap, element_from_obj, linmap_to_obj
 from ybalg.scalars import Scalar, parse_scalar
 
@@ -248,6 +248,14 @@ def test_main_subprocess(tmp_path):
 SIGMA = {"name": "sigma", "kind": "catalog", "address": "exterior:N=2"}
 
 
+def yd_without(maker, key):
+    """A yd declaration of maker(K[Z/2]) with one structure key left out."""
+    data = yd_to_obj(maker(group_algebra_hopf(2)))
+    del data[key]
+    return {"version": 1, "objects": [{"name": "d", "kind": "yd",
+                                       "data": data}]}
+
+
 @pytest.mark.parametrize("data", [
     [{"version": 1}],
     {"version": 1, "objects": "x"},
@@ -286,6 +294,10 @@ SIGMA = {"name": "sigma", "kind": "catalog", "address": "exterior:N=2"}
                                 "address": 3}]},
     {"version": 1, "objects": [{"name": ["a"], "kind": "catalog",
                                 "address": "exterior:N=2"}]},
+    yd_without(yd_adjoint, "unit"),
+    yd_without(yd_adjoint, "mult"),
+    yd_without(yd_regular, "counit"),
+    yd_without(yd_regular, "comult"),
 ], ids=["top-level-list", "objects-not-a-list", "matrix-not-strings",
         "cap-not-an-integer", "matrix-divides-by-zero",
         "catalog-file-missing", "quasishuffle-base-is-a-braiding",
@@ -293,13 +305,21 @@ SIGMA = {"name": "sigma", "kind": "catalog", "address": "exterior:N=2"}
         "hopf-data-not-an-object", "yd-data-not-an-object",
         "qb-data-empty-list", "yb-base-mult-not-a-map", "qb-cap-a-string",
         "quasishuffle-cap-a-string", "catalog-address-not-a-string",
-        "name-not-a-string"])
+        "name-not-a-string", "yd-mult-without-unit", "yd-unit-without-mult",
+        "yd-comult-without-counit", "yd-counit-without-comult"])
 def test_main_malformed_session_exits_2(tmp_path, capsys, data):
     path = write_session(tmp_path, data)
     with pytest.raises(ParseError):
         load_session(path)
     assert main(["verify", path, "d"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_yd_structure_keys_named_together(tmp_path, capsys):
+    path = write_session(tmp_path, yd_without(yd_adjoint, "unit"))
+    assert main(["verify", path, "d"]) == 2
+    err = capsys.readouterr().err
+    assert "mult" in err and "unit" in err
 
 
 @pytest.mark.parametrize("expr", ["shuffle(1/0 e1, e2)",

@@ -1,18 +1,23 @@
 """Tensor-algebra operations: shuffles, braided coproducts, Def 2.1 checks."""
 
-import pytest
+from functools import reduce
 
-from conftest import flip_braiding, symbolic_diagonal
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import flip_braiding, graded_base, symbolic_diagonal
+from ybalg.binfty import quasi_shuffle
 from ybalg.braid import check_yang_baxter
 from ybalg.catalog import exterior_braiding
-from ybalg.linear import Element, LinMap, Space
+from ybalg.linear import Element, LinMap, Space, tensor_elements
 from ybalg.scalars import Scalar, parse_scalar
-from ybalg.tensoralg import (DegreeCapExceeded, concat_product, counit,
-                             deconcatenate, delta_beta, delta_beta_iter,
-                             delta_beta_via_w, delta_component, delta_iter,
-                             power_coproduct, power_product,
-                             qshuffle_product, quantum_coproduct,
-                             check_tensor_yb_coproduct,
+from ybalg.tensoralg import (DegreeCapExceeded, apply_slots, beta_slots,
+                             concat_product, counit, deconcatenate,
+                             delta_beta, delta_beta_iter, delta_beta_via_w,
+                             delta_component, delta_iter, power_coproduct,
+                             power_product, qshuffle_product,
+                             quantum_coproduct, check_tensor_yb_coproduct,
                              check_tensor_yb_product, slot_bounds,
                              symmetrizer_image)
 
@@ -46,6 +51,50 @@ def test_delta_iter_weak_cuts():
 
 def test_slot_bounds():
     assert slot_bounds((0, 1, 0), (1, 1)) == (0, 1, 1, 3)
+
+
+def _join(x, y):
+    """x | y: concatenation with a cut at the seam."""
+    return tensor_elements(tensor_elements(x, Element.basis((), (0,))), y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_apply_slots_matches_sliced_reference(data):
+    # reference: slice each term into one Element per slot, apply the slot
+    # map to the joined slots pos..pos+arity-1, and rejoin every slot; the
+    # quasi-shuffle and the base product shorten words, so later cuts move
+    base = graded_base()
+    b = base.braiding
+    arity, f = data.draw(st.sampled_from([
+        # 1 -> 2: the quantum coproduct
+        (1, lambda key: quantum_coproduct(Element.basis(key[0]), b)),
+        # 2 -> 1: the quasi-shuffle product, inhomogeneous in degree
+        (2, lambda key: quasi_shuffle(Element.basis(key[0][:key[1][0]]),
+                                      Element.basis(key[0][key[1][0]:]),
+                                      base)),
+        # 2 -> 2: braiding the two slots
+        (2, beta_slots(b)),
+        # 1 -> 1: the base product on a two-letter slot
+        (1, lambda key: base.mult.apply_word(key[0]))]))
+    m = data.draw(st.integers(arity, arity + 2))
+    pos = data.draw(st.integers(0, m - arity))
+    x = Element()
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = [tuple(data.draw(st.lists(st.integers(0, 1), max_size=2)))
+                 for _ in range(m)]
+        c = Scalar.from_int(data.draw(st.integers(-2, 2))) \
+            * Scalar.q_power(data.draw(st.integers(-2, 2)))
+        x = x + reduce(_join, [Element.basis(w) for w in slots]).scale(c)
+    ref = Element()
+    for (letters, cuts), c in x.terms.items():
+        bounds = slot_bounds(letters, cuts)
+        slots = [Element.basis(letters[bounds[t]:bounds[t + 1]])
+                 for t in range(m)]
+        (key,) = reduce(_join, slots[pos:pos + arity]).terms
+        ref = ref + reduce(_join, slots[:pos] + [f(key)]
+                           + slots[pos + arity:]).scale(c)
+    assert apply_slots(f, arity, pos, x) == ref
 
 
 def test_shuffle_degree_two():
@@ -145,11 +194,11 @@ def test_symmetrizer_rank_flip():
 
 def test_tensor_product_rows_shuffle():
     b = exterior_braiding(2)
-    fails = check_tensor_yb_product(
+    rep = check_tensor_yb_product(
         lambda x, y: qshuffle_product(x, y, b), b, 1, 2, 1)
-    assert not fails
+    assert rep.ok
 
 
 def test_tensor_coproduct_rows():
     b = exterior_braiding(2)
-    assert not check_tensor_yb_coproduct(b, 1, 1, 2)
+    assert check_tensor_yb_coproduct(b, 1, 1, 2).ok
