@@ -206,6 +206,7 @@ def _build_object(decl, session):
     if kind == "yb-base":
         braiding = _ref(decl, "braiding", session, Braiding)
         mult = linmap_from_obj(_field(decl, "mult", _LINMAP), 2)
+        _on_space(decl, "mult", [mult], braiding.space)
         return binfty.YBBase(braiding.space, mult, braiding)
     if kind == "quasishuffle":
         base = _ref(decl, "base", session, binfty.YBBase)
@@ -213,8 +214,27 @@ def _build_object(decl, session):
             _field(decl, "degree_cap", int, session.degree_cap))
     if kind == "qb":
         braiding = _ref(decl, "braiding", session, Braiding)
-        return binfty.qb_from_obj(_field(decl, "data", _QB), braiding)
+        M = binfty.qb_from_obj(_field(decl, "data", _QB), braiding)
+        _on_space(decl, "data", M.components.values(), braiding.space)
+        return M
     raise ParseError("unknown object kind %r" % (kind,))
+
+
+def _on_space(decl, key, maps, space):
+    """Refuse a map with an in-word not of its in-degree, or with a letter
+    that is not a basis index of `space`."""
+    for f in maps:
+        for w, col in f.columns.items():
+            if len(w) != f.in_degree:
+                raise ParseError("%s of %r has the in-word %r, not of "
+                                 "degree %d" % (key, decl["name"], list(w),
+                                                f.in_degree))
+            for x in [w] + [out for out, _ in col.terms]:
+                if not all(0 <= a < space.dim for a in x):
+                    raise ParseError("%s of %r has the word %r, with a letter "
+                                     "outside the basis 0..%d" % (
+                                         key, decl["name"], list(x),
+                                         space.dim - 1))
 
 
 # -- verify ----------------------------------------------------------------
@@ -298,6 +318,9 @@ def _braiding_report(b, suite, bound):
 
 def cmd_verify(session, target, suite, bound):
     """Run one suite; returns (exit_code, report dict)."""
+    if bound < 3:
+        raise ParseError("--bound %d checks nothing: the smallest degree "
+                         "i+j+k of a checked identity is 3" % bound)
     entries = _suite_entries(session, target, suite, bound)
     ok = all(e["ok"] for e in entries)
     report = {"target": target, "suite": suite, "bound": bound,

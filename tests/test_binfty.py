@@ -4,13 +4,16 @@ import pytest
 
 from conftest import (dual_numbers_twoyb, flip_braiding, graded_base,
                       symbolic_diagonal, zero_base)
-from ybalg.binfty import (QBStructure, TwoYB, YBBase, antipode, from_2yb,
-                          qb_from_obj, qb_to_obj, qb_validate, quasi_shuffle,
-                          star_power, star_product)
+from ybalg import binfty, tensoralg
+from ybalg.binfty import (QBStructure, TwoYB, YBBase, _apply_m_blocks,
+                          _m_iterates, antipode, from_2yb, qb_from_obj,
+                          qb_to_obj, qb_validate, quasi_shuffle, star_power,
+                          star_product)
 from ybalg.linear import Element, LinMap, Space, tensor_elements
 from ybalg.scalars import Scalar
-from ybalg.tensoralg import (DegreeCapExceeded, InvalidBase, counit,
-                             deconcatenate, qshuffle_product)
+from ybalg.tensoralg import (DegreeCapExceeded, InvalidBase,
+                             _first_factor_delta_beta, counit, deconcatenate,
+                             delta_beta_iter, qshuffle_product)
 
 
 def words_upto(space, bound):
@@ -221,6 +224,10 @@ def test_boundary_components_rejected():
         QBStructure(b, {(0, 1): LinMap.identity(b.space, 1)})
     with pytest.raises(ValueError):
         QBStructure(b, {(3, 3): LinMap(6)}, degree_cap=4)
+    # components must land in V
+    for out in ((1, 1), ()):
+        with pytest.raises(ValueError, match="outside V"):
+            QBStructure(b, {(1, 1): LinMap(2, {(0, 1): Element.basis(out)})})
     M = zero_base(b).qb_structure(degree_cap=3)
     with pytest.raises(ValueError):
         qb_validate(M, 5)
@@ -240,3 +247,84 @@ def test_twoyb_rejects_nonassociative():
     mult = LinMap(2, cols)
     with pytest.raises(InvalidBase):
         TwoYB(b.space, b, mult, mult, Element.basis((0,)))
+
+
+# -- the iterate stream and the star-form associativity row -----------------
+
+def _towers():
+    """The conftest towers and a planted false one: the plain flip makes
+    every component compatible, so only the non-associative M_11 and the
+    arbitrary M_12, M_21 break the tower."""
+    b = flip_braiding(2)
+    e = Element.basis
+    planted = QBStructure(b, {
+        (1, 1): LinMap(2, {(1, 1): e((0,)), (0, 1): e((0,))}),
+        (1, 2): LinMap(3, {(0, 1, 1): e((1,)), (1, 0, 0): e((0,))}),
+        (2, 1): LinMap(3, {(1, 1, 0): e((1,), (), Scalar.from_int(2))}),
+    }, degree_cap=4)
+    return [zero_base(symbolic_diagonal(2)).qb_structure(degree_cap=4),
+            graded_base().qb_structure(degree_cap=4),
+            from_2yb(dual_numbers_twoyb(), 4), planted]
+
+
+def test_iterate_stream_matches_from_scratch_iterates():
+    for M in _towers():
+        for letters in words_upto(M.space, 4):
+            for cut in range(len(letters) + 1):
+                z = Element.basis(letters, (cut,))
+                images = list(_m_iterates(M, letters, cut))
+                assert len(images) == len(letters)
+                for n, image in enumerate(images, 1):
+                    d = delta_beta_iter(M.braiding, z, n - 1, reduced=True)
+                    assert image == _apply_m_blocks(M, d)
+
+
+def _reference_eq5_side(M, letters, i, j, k, left):
+    """The associativity side with the degree-r part of the inner product
+    rebuilt from a from-scratch reduced iterate for each r."""
+    if left:
+        z, tail, inner, outer = Element.basis(letters[:i + j], (i,)), \
+            letters[i + j:], i + j, k
+    else:
+        z, tail, inner, outer = Element.basis(letters[i:], (j,)), \
+            letters[:i], j + k, i
+    out = Element()
+    for r in range(1, inner + 1):
+        d = delta_beta_iter(M.braiding, z, r - 1, reduced=True)
+        f = M.component(r, outer) if left else M.component(outer, r)
+        if f is None:
+            continue
+        for (w, _), c in _apply_m_blocks(M, d).terms.items():
+            out = out + f.apply_word(w + tail if left else tail + w).scale(c)
+    return out
+
+
+def test_assoc_rows_match_reference():
+    failed = 0
+    for M in _towers():
+        entries = {e["identity"]: e for e in qb_validate(M, 4).entries}
+        for i, j, k in ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)):
+            witness = next((z for z in M.space.words(i + j + k)
+                            if _reference_eq5_side(M, z, i, j, k, True)
+                            != _reference_eq5_side(M, z, i, j, k, False)),
+                           None)
+            got = entries["assoc %d,%d,%d" % (i, j, k)]
+            assert (got["ok"], got["witness"]) == (witness is None, witness)
+            failed += witness is not None
+    assert failed  # the planted tower fails somewhere
+
+
+def test_unreduced_iterate_fails_assoc_vanishing(monkeypatch):
+    M = graded_base().qb_structure(degree_cap=4)
+    assert qb_validate(M, 4).ok
+
+    def unreduced(braiding, x, reduced):
+        return _first_factor_delta_beta(braiding, x, False)
+
+    monkeypatch.setattr(tensoralg, "_first_factor_delta_beta", unreduced)
+    monkeypatch.setattr(binfty, "_first_factor_delta_beta", unreduced)
+    M = graded_base().qb_structure(degree_cap=4)
+    vanishing = [e for e in qb_validate(M, 4).entries
+                 if e["identity"].startswith("assoc-vanishing")]
+    assert vanishing and not any(e["ok"] for e in vanishing)
+

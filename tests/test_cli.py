@@ -248,6 +248,18 @@ def test_main_subprocess(tmp_path):
 SIGMA = {"name": "sigma", "kind": "catalog", "address": "exterior:N=2"}
 
 
+def qb_map(in_word, out_word, kind="qb"):
+    """A qb (or yb-base) declaration over exterior:N=2 whose one map sends
+    in_word to out_word."""
+    lin = [{"in": in_word, "out": [{"word": out_word, "coeff": "1"}]}]
+    decl = {"name": "d", "kind": kind, "braiding": "sigma"}
+    if kind == "qb":
+        decl["data"] = {"M": [{"p": 1, "q": 1, "map": lin}], "degree_cap": 4}
+    else:
+        decl["mult"] = lin
+    return {"version": 1, "objects": [SIGMA, decl]}
+
+
 def yd_without(maker, key):
     """A yd declaration of maker(K[Z/2]) with one structure key left out."""
     data = yd_to_obj(maker(group_algebra_hopf(2)))
@@ -298,6 +310,11 @@ def yd_without(maker, key):
     yd_without(yd_adjoint, "mult"),
     yd_without(yd_regular, "counit"),
     yd_without(yd_regular, "comult"),
+    qb_map([0, 1], [7]),
+    qb_map([0, 1, 1], [0]),
+    qb_map([0, -1], [0]),
+    qb_map([0], [1], "yb-base"),
+    qb_map([0, 1], [2], "yb-base"),
 ], ids=["top-level-list", "objects-not-a-list", "matrix-not-strings",
         "cap-not-an-integer", "matrix-divides-by-zero",
         "catalog-file-missing", "quasishuffle-base-is-a-braiding",
@@ -306,13 +323,34 @@ def yd_without(maker, key):
         "qb-data-empty-list", "yb-base-mult-not-a-map", "qb-cap-a-string",
         "quasishuffle-cap-a-string", "catalog-address-not-a-string",
         "name-not-a-string", "yd-mult-without-unit", "yd-unit-without-mult",
-        "yd-comult-without-counit", "yd-counit-without-comult"])
+        "yd-comult-without-counit", "yd-counit-without-comult",
+        "qb-out-letter-past-dim", "qb-in-word-wrong-degree",
+        "qb-negative-letter", "yb-base-in-word-wrong-degree",
+        "yb-base-out-letter-past-dim"])
 def test_main_malformed_session_exits_2(tmp_path, capsys, data):
     path = write_session(tmp_path, data)
     with pytest.raises(ParseError):
         load_session(path)
     assert main(["verify", path, "d"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_qb_component_leaving_v_exits_2(tmp_path, capsys):
+    path = write_session(tmp_path, qb_map([0, 1], [1, 1]))
+    with pytest.raises(ValidationError):
+        load_session(path)
+    assert main(["verify", path, "d"]) == 2
+    assert "outside V" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", [0, 2])
+def test_main_verify_bound_checking_nothing_exits_2(tmp_path, capsys, bound):
+    path = basic_session(tmp_path)
+    for target, suite in (("M", "qb-infinity"), ("sigma", "all")):
+        assert main(["verify", path, target, "--suite", suite,
+                     "--bound", str(bound)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--bound" in err
 
 
 def test_yd_structure_keys_named_together(tmp_path, capsys):
