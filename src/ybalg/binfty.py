@@ -7,8 +7,9 @@ u|v, all drawn from one stream that expands the first pair factor once per
 n.  Validation checks the compatibility with the braiding and, degree by
 degree, the associativity condition in star form,
 sum_r M_{r,k}((u*v)_r (x) w) = sum_r M_{i,r}(u (x) (v*w)_r), together
-with the vanishing of the reduced iterate one past the summation limit;
-that vanishing is structural but still computed.
+with the vanishing of the reduced iterate one past the summation limit:
+structural, but still computed, as one reduced step past the star stream's
+last iterate, once per distinct head.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .scalars import Scalar
 from .tensoralg import (DegreeCapExceeded, InvalidBase,
                         _first_factor_delta_beta, _memo, _slot_rows,
                         beta_slots, check_yb_algebra, check_yb_product_rows,
-                        counit, delta_beta_iter, delta_beta_via_w,
-                        slot_bounds)
+                        counit, delta_beta_via_w, slot_bounds)
 
 
 class QBStructure:
@@ -91,34 +91,36 @@ def _apply_m_blocks(M, x):
 
 
 def _m_iterates(M, letters, cut):
-    """M^{(x)n} on the reduced iterate Delta_beta^{(n-1)} of the pair word
-    letters[:cut] | letters[cut:], for n = 1, ..., len(letters): each n
-    expands the first pair factor of the previous iterate once."""
+    """The reduced iterates Delta_beta^{(n-1)}, n = 1, ..., len(letters), of
+    the pair word letters[:cut] | letters[cut:], on which M^{(x)n} acts:
+    each expands the first pair factor of the one before once."""
     d = Element.basis(letters, (cut,))
-    for n in range(1, len(letters) + 1):
-        if n > 1:
+    for n in range(len(letters)):
+        if n:
             d = _first_factor_delta_beta(M.braiding, d, True)
-        yield _apply_m_blocks(M, d)
+        yield d
 
 
 def _star_pair_word(M, letters, cut, form):
+    """The star product of the pair word letters[:cut] | letters[cut:], kept
+    in M._star_cache beside the last reduced iterate its stream summed."""
     key = (letters, cut, form)
     cached = M._star_cache.get(key)
     if cached is not None:
-        return cached
+        return cached[0]
     total = len(letters)
     if total > M.degree_cap:
         raise DegreeCapExceeded(
             "degree %d exceeds cap %d" % (total, M.degree_cap))
-    if total == 0:
-        res = Element.unit()
-    elif form == "reduced":
-        res = sum(_m_iterates(M, letters, cut), Element())
+    if form == "reduced":
+        stream = _m_iterates(M, letters, cut)
     else:
         z = Element.basis(letters, (cut,))
-        res = sum((_apply_m_blocks(M, delta_beta_via_w(M.braiding, z, n))
-                   for n in range(total)), Element())
-    M._star_cache[key] = res
+        stream = (delta_beta_via_w(M.braiding, z, n) for n in range(total))
+    res, d = (Element() if total else Element.unit()), None
+    for d in stream:
+        res = res + _apply_m_blocks(M, d)
+    M._star_cache[key] = res, (d if form == "reduced" else None)
     return res
 
 
@@ -192,9 +194,10 @@ def qb_validate(M, degree_bound=None):
     the memoised star product.  "assoc-vanishing" checks that the reduced
     iterate one past the summation limit is zero on every head u|v and
     v|w: structural (no word splits into more nonempty pair factors than
-    it has letters), but still computed.  Entries are named like
-    "assoc 1,2,1", ordered by identity and then triple; a failure's
-    witness is its first failing word.
+    it has letters), but still computed, as one reduced step past the last
+    iterate of the head's star stream, once per distinct head and call.
+    Entries are named like "assoc 1,2,1", ordered by identity and then
+    triple; a failure's witness is its first failing word.
     """
     bound = degree_bound if degree_bound is not None else M.degree_cap
     if bound > M.degree_cap:
@@ -202,6 +205,13 @@ def qb_validate(M, degree_bound=None):
                                 % (bound, M.degree_cap))
     space = M.space
     beta = _memo(beta_slots(M.braiding))
+
+    def step_past(key):
+        if key not in M._star_cache:
+            _star_pair_word(M, *key)
+        return _first_factor_delta_beta(M.braiding, M._star_cache[key][1],
+                                        True)
+    vanish = _memo(step_past)
     rows = Report()
     triples = sorted((i, j, k)
                      for i in range(1, bound + 1)
@@ -227,8 +237,7 @@ def qb_validate(M, degree_bound=None):
              _eq5_side(M, z, i, j, k, False))
             for z in space.words(i + j + k)))
         rows.check(("assoc-vanishing", (i, j, k)), (
-            (head, delta_beta_iter(M.braiding, Element.basis(head, (a,)),
-                                   a + b, reduced=True), Element())
+            (head, vanish((head, a, "reduced")), Element())
             for a, b in ((i, j), (j, k)) for head in space.words(a + b)))
     report = Report()
     for e in sorted(rows.entries, key=lambda e: e["identity"]):
@@ -406,7 +415,8 @@ def _peeled_column(a, M, z, p):
     right = _fold_dot(a, Element.basis(z[p:]))
     # the one-block term is zero, as M_pq is not in M yet; this bypasses
     # _star_pair_word, whose memo would keep products of an incomplete M
-    shorter = sum(_m_iterates(M, z, p), Element())
+    shorter = sum((_apply_m_blocks(M, d) for d in _m_iterates(M, z, p)),
+                  Element())
     return (apply_at(a.star, 2, 0, tensor_elements(left, right))
             - _fold_dot(a, shorter))
 
@@ -458,7 +468,8 @@ def qb_to_obj(M):
 
 def qb_from_obj(obj, braiding):
     from .linear import linmap_from_obj
-    comps = {}
-    for e in obj["M"]:
-        comps[(e["p"], e["q"])] = linmap_from_obj(e["map"], e["p"] + e["q"])
+    comps = {(e["p"], e["q"]): linmap_from_obj(e["map"], e["p"] + e["q"])
+             for e in obj["M"]}
+    if len(comps) < len(obj["M"]):
+        raise ValueError("a component M_pq is given twice")
     return QBStructure(braiding, comps, obj["degree_cap"])

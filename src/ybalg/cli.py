@@ -183,7 +183,9 @@ def _build_object(decl, session):
                   for row in _field(decl, "matrix", [[str]])]
         return catalog.diagonal_braiding(matrix)
     if kind == "hopf":
-        h = hopf.hopf_from_obj(_field(decl, "data", _HOPF))
+        data = _field(decl, "data", _HOPF)
+        _fields_on(decl, "data", data, _hopf_legs(Space(data["basis"])))
+        h = hopf.hopf_from_obj(data)
         report = hopf.hopf_validate(h)
         if not report.ok:
             bad = report.failures()[0]
@@ -196,6 +198,12 @@ def _build_object(decl, session):
             if (keys[0] in data) != (keys[1] in data):
                 raise ParseError("data of %r must give %s and %s together"
                                  % ((decl["name"],) + keys))
+        H, V = Space(data["hopf"]["basis"]), Space(data["basis"])
+        _fields_on(decl, "data.hopf", data["hopf"], _hopf_legs(H))
+        legs = _hopf_legs(V)
+        del legs["antipode"]
+        legs.update(action=([H, V], [V]), coaction=([V], [H, V]))
+        _fields_on(decl, "data", data, legs)
         m = hopf.yd_from_obj(data)
         report = hopf.yd_validate(m)
         if not report.ok:
@@ -205,36 +213,78 @@ def _build_object(decl, session):
         return m
     if kind == "yb-base":
         braiding = _ref(decl, "braiding", session, Braiding)
-        mult = linmap_from_obj(_field(decl, "mult", _LINMAP), 2)
-        _on_space(decl, "mult", [mult], braiding.space)
-        return binfty.YBBase(braiding.space, mult, braiding)
+        V = braiding.space
+        mult = _field(decl, "mult", _LINMAP)
+        _on_space(decl, "mult", mult, [V, V], V)
+        return binfty.YBBase(V, linmap_from_obj(mult, 2), braiding)
     if kind == "quasishuffle":
         base = _ref(decl, "base", session, binfty.YBBase)
         return base.qb_structure(
             _field(decl, "degree_cap", int, session.degree_cap))
     if kind == "qb":
         braiding = _ref(decl, "braiding", session, Braiding)
-        M = binfty.qb_from_obj(_field(decl, "data", _QB), braiding)
-        _on_space(decl, "data", M.components.values(), braiding.space)
-        return M
+        data, V = _field(decl, "data", _QB), braiding.space
+        blocks = [(e["p"], e["q"]) for e in data["M"]]
+        for e, pq in zip(data["M"], blocks):
+            if blocks.count(pq) > 1:
+                raise ParseError("data of %r declares M_%d,%d twice"
+                                 % ((decl["name"],) + pq))
+            _on_space(decl, "data", e["map"], [V] * sum(pq), V)
+        return binfty.qb_from_obj(data, braiding)
     raise ParseError("unknown object kind %r" % (kind,))
 
 
-def _on_space(decl, key, maps, space):
-    """Refuse a map with an in-word not of its in-degree, or with a letter
-    that is not a basis index of `space`."""
-    for f in maps:
-        for w, col in f.columns.items():
-            if len(w) != f.in_degree:
-                raise ParseError("%s of %r has the in-word %r, not of "
-                                 "degree %d" % (key, decl["name"], list(w),
-                                                f.in_degree))
-            for x in [w] + [out for out, _ in col.terms]:
-                if not all(0 <= a < space.dim for a in x):
-                    raise ParseError("%s of %r has the word %r, with a letter "
-                                     "outside the basis 0..%d" % (
-                                         key, decl["name"], list(x),
-                                         space.dim - 1))
+def _hopf_legs(space):
+    """The leg spaces of the maps and the unit of a Hopf algebra on `space`,
+    in the form _fields_on takes."""
+    return {"mult": ([space] * 2, [space]), "unit": [space],
+            "comult": ([space], [space] * 2), "counit": ([space], []),
+            "antipode": ([space], [space])}
+
+
+def _fields_on(decl, key, data, legs):
+    """_on_space on each map field of data that `legs` gives as (ins, outs),
+    and each word of each element field it gives as a list of spaces."""
+    for field, spaces in legs.items():
+        if field not in data:
+            continue
+        name = "%s.%s" % (key, field)
+        if isinstance(spaces, tuple):
+            _on_space(decl, name, data[field], *spaces)
+        else:
+            for t in data[field]:
+                _on_legs(decl, name, "word", t["word"], spaces)
+
+
+def _on_space(decl, key, columns, ins, outs):
+    """Refuse a JSON map (its {"in", "out"} columns) that repeats an in-word
+    or has a word off its legs: an in-word needs one letter of each space of
+    `ins`, an out-word one of each space of `outs`, or any number of
+    letters of `outs` when that is a single space."""
+    seen = set()
+    for col in columns:
+        if tuple(col["in"]) in seen:
+            raise ParseError("%s of %r repeats the in-word %r"
+                             % (key, decl["name"], col["in"]))
+        seen.add(tuple(col["in"]))
+        _on_legs(decl, key, "in-word", col["in"], ins)
+        for t in col["out"]:
+            _on_legs(decl, key, "out-word", t["word"],
+                     outs if isinstance(outs, list) else
+                     [outs] * len(t["word"]))
+
+
+def _on_legs(decl, key, what, word, spaces):
+    """Refuse a word that has not one letter, a basis index, of each space
+    of `spaces`."""
+    if len(word) != len(spaces):
+        raise ParseError("%s of %r has the %s %r, not of degree %d"
+                         % (key, decl["name"], what, word, len(spaces)))
+    for a, space in zip(word, spaces):
+        if not 0 <= a < space.dim:
+            raise ParseError("%s of %r has the word %r, with a letter "
+                             "outside the basis 0..%d"
+                             % (key, decl["name"], word, space.dim - 1))
 
 
 # -- verify ----------------------------------------------------------------

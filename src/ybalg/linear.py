@@ -530,5 +530,7 @@ def linmap_from_obj(obj, in_degree):
         col = Element()
         for t in entry["out"]:
             col.add_term((tuple(t["word"]), ()), parse_scalar(t["coeff"]))
+        if tuple(entry["in"]) in cols:
+            raise ValueError("repeated in-word %r" % (entry["in"],))
         cols[tuple(entry["in"])] = col
     return LinMap(in_degree, cols)

@@ -222,41 +222,31 @@ def delta_beta(braiding, x):
 
     Input terms have one cut; output terms have three.
     """
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        if len(cuts) != 1:
-            raise ValueError("delta_beta expects one cut")
-        cut = cuts[0]
-        u, v = letters[:cut], letters[cut:]
-        for a in range(len(u) + 1):
-            u1, u2 = u[:a], u[a:]
-            for bpos in range(len(v) + 1):
-                v1, v2 = v[:bpos], v[bpos:]
-                img = apply_beta_letters(braiding, len(u2), len(v1), u2 + v1)
-                for (mw, _), s in img.terms.items():
-                    word = u1 + mw + v2
-                    ncuts = (len(u1), len(u1) + len(v1),
-                             len(u1) + len(v1) + len(u2))
-                    out.add_term((word, ncuts), s * c)
-    return out
+    if any(len(cuts) != 1 for _, cuts in x.terms):
+        raise ValueError("delta_beta expects one cut")
+    return _first_factor_delta_beta(braiding, x, False)
 
 
 def _first_factor_delta_beta(braiding, x, reduced):
-    """Apply Delta_beta (or its reduced form) to the first pair factor."""
+    """Apply Delta_beta (or its reduced form) to the first pair factor u|v
+    of each term, the later factors kept: u1 | beta(u2 v1) | v2 over every
+    split u = u1 u2 and v = v1 v2.  The reduced form then subtracts the
+    splits 1_C (x) u|v and u|v (x) 1_C."""
     out = Element()
     for (letters, cuts), c in x.terms.items():
-        prefix_len = cuts[1] if len(cuts) >= 2 else len(letters)
-        first = Element.basis(letters[:prefix_len], (cuts[0],), c)
-        rest_letters = letters[prefix_len:]
-        rest_cuts = cuts[1:]
-        expanded = delta_beta(braiding, first)
+        cut, rest = cuts[0], cuts[1:]
+        end = rest[0] if rest else len(letters)
+        for a in range(cut + 1):
+            for b in range(cut, end + 1):
+                img = apply_beta_letters(braiding, cut - a, b - cut,
+                                         letters[a:b])
+                ncuts = (a, a + b - cut, b) + rest
+                for (mw, _), s in img.terms.items():
+                    out.add_term((letters[:a] + mw + letters[b:], ncuts),
+                                 s * c)
         if reduced:
-            for (fl, fc), s in first.terms.items():
-                # subtract 1_C (x) x and x (x) 1_C
-                expanded.add_term((fl, (0, 0, fc[0])), -s)
-                expanded.add_term((fl, (fc[0], len(fl), len(fl))), -s)
-        for (fl, fc), s in expanded.terms.items():
-            out.add_term((fl + rest_letters, fc + rest_cuts), s)
+            out.add_term((letters, (0, 0, cut) + rest), -c)
+            out.add_term((letters, (cut, end, end) + rest), -c)
     return out
 
 
@@ -265,12 +255,9 @@ def delta_beta_iter(braiding, x, n, reduced=False):
 
     Input terms have one cut; output terms have 2n+1 cuts.
     """
-    if n == 0:
-        return x
-    cur = x
     for _ in range(n):
-        cur = _first_factor_delta_beta(braiding, cur, reduced)
-    return cur
+        x = _first_factor_delta_beta(braiding, x, reduced)
+    return x
 
 
 def delta_beta_via_w(braiding, x, n):

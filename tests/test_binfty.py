@@ -216,6 +216,10 @@ def test_qb_serialization_roundtrip():
     assert set(M2.components) == set(M.components)
     for key, f in M.components.items():
         assert M2.components[key].equals(f, base.space, key[0] + key[1])
+    obj = qb_to_obj(M)
+    obj["M"].append(dict(obj["M"][0], map=[]))
+    with pytest.raises(ValueError):
+        qb_from_obj(obj, base.braiding)
 
 
 def test_boundary_components_rejected():
@@ -268,15 +272,25 @@ def _towers():
 
 
 def test_iterate_stream_matches_from_scratch_iterates():
+    # the stream, the last iterate the star memo holds for the
+    # assoc-vanishing row, and the one reduced step past it, against
+    # from-scratch iterates on every head of every tower
     for M in _towers():
         for letters in words_upto(M.space, 4):
             for cut in range(len(letters) + 1):
                 z = Element.basis(letters, (cut,))
-                images = list(_m_iterates(M, letters, cut))
-                assert len(images) == len(letters)
-                for n, image in enumerate(images, 1):
-                    d = delta_beta_iter(M.braiding, z, n - 1, reduced=True)
-                    assert image == _apply_m_blocks(M, d)
+                assert list(_m_iterates(M, letters, cut)) == [
+                    delta_beta_iter(M.braiding, z, n, reduced=True)
+                    for n in range(len(letters))]
+                if not letters:
+                    continue
+                star_product(M, Element.basis(letters[:cut]),
+                             Element.basis(letters[cut:]))
+                held = M._star_cache[(letters, cut, "reduced")][1]
+                assert held == delta_beta_iter(M.braiding, z,
+                                               len(letters) - 1, reduced=True)
+                assert _first_factor_delta_beta(M.braiding, held, True) == \
+                    delta_beta_iter(M.braiding, z, len(letters), reduced=True)
 
 
 def _reference_eq5_side(M, letters, i, j, k, left):
@@ -312,6 +326,25 @@ def test_assoc_rows_match_reference():
             assert (got["ok"], got["witness"]) == (witness is None, witness)
             failed += witness is not None
     assert failed  # the planted tower fails somewhere
+
+
+def test_qb_validate_first_factor_step_count(monkeypatch):
+    # the star streams of the distinct heads plus one step past each for
+    # assoc-vanishing; a from-scratch re-expansion per triple (164 and 804
+    # steps) would raise the counts
+    calls = []
+
+    def counting(braiding, x, reduced):
+        calls.append(reduced)
+        return _first_factor_delta_beta(braiding, x, reduced)
+
+    monkeypatch.setattr(tensoralg, "_first_factor_delta_beta", counting)
+    monkeypatch.setattr(binfty, "_first_factor_delta_beta", counting)
+    for bound, steps in ((4, 56), (5, 248)):
+        calls.clear()
+        assert qb_validate(graded_base().qb_structure(degree_cap=5),
+                           bound).ok
+        assert len(calls) == steps and all(calls)
 
 
 def test_unreduced_iterate_fails_assoc_vanishing(monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ybalg
+from ybalg import hopf
 from ybalg.binfty import QBStructure, YBBase, qb_to_obj
 from ybalg.braid import Braiding
 from ybalg.catalog import exterior_braiding, group_algebra_hopf
@@ -16,7 +17,7 @@ from ybalg.cli import (ParseError, SuiteMismatch, UnknownTarget,
                        ValidationError, cmd_compute, cmd_verify,
                        compute_expression, format_element, load_session,
                        main, _parse_element)
-from ybalg.hopf import yd_adjoint, yd_regular, yd_to_obj
+from ybalg.hopf import hopf_to_obj, yd_adjoint, yd_regular, yd_to_obj
 from ybalg.linear import Element, LinMap, element_from_obj, linmap_to_obj
 from ybalg.scalars import Scalar, parse_scalar
 
@@ -268,6 +269,97 @@ def yd_without(maker, key):
                                        "data": data}]}
 
 
+def edited(data, edit):
+    """data after edit(data), which changes it in place."""
+    edit(data)
+    return data
+
+
+def hopf_edited(edit):
+    """A hopf declaration of K[Z/2] with edit applied to its data."""
+    return {"version": 1, "objects": [{"name": "d", "kind": "hopf", "data":
+                                       edited(hopf_to_obj(
+                                           group_algebra_hopf(2)), edit)}]}
+
+
+def trivial_yd(edit=lambda data: None):
+    """A yd declaration of the trivial module over K[Z/2], one-dimensional
+    unlike H (h.v = eps(h) v, v -> 1 (x) v), with edit applied to its data."""
+    one = [{"word": [0], "coeff": "1"}]
+    data = {"hopf": hopf_to_obj(group_algebra_hopf(2)), "basis": ["v"],
+            "action": [{"in": [h, 0], "out": one} for h in (0, 1)],
+            "coaction": [{"in": [0], "out": [{"word": [0, 0],
+                                              "coeff": "1"}]}]}
+    return {"version": 1, "objects": [{"name": "d", "kind": "yd",
+                                       "data": edited(data, edit)}]}
+
+
+def graded_qb(*maps):
+    """A qb declaration on the diagonal braiding of weights (1, 2) with one
+    M_11 entry per map, each a list of (in-word, out-words) columns; the
+    map [E1E1] alone (e1 e1 = e2) is a valid tower."""
+    graded = {"name": "graded", "kind": "diagonal",
+              "matrix": [["q", "q^2"], ["q^2", "q^4"]]}
+    return {"version": 1, "objects": [graded, {
+        "name": "d", "kind": "qb", "braiding": "graded", "data": {
+            "M": [{"p": 1, "q": 1, "map": [
+                {"in": w, "out": [{"word": o, "coeff": "1"} for o in outs]}
+                for w, outs in m]} for m in maps], "degree_cap": 4}}]}
+
+
+E1E1 = ([0, 0], [[1]])
+
+# (id, session, field named in the error) for declarations that are
+# malformed only in a word or in a repeated entry
+MALFORMED_FIELDS = [
+    ("hopf-antipode-out-letter-past-dim", hopf_edited(
+        lambda h: h["antipode"][0]["out"][0].update(word=[7])),
+     "data.antipode"),
+    ("hopf-mult-in-word-wrong-degree", hopf_edited(
+        lambda h: h["mult"][0].update({"in": [0, 0, 1]})), "data.mult"),
+    ("hopf-counit-out-word-wrong-degree", hopf_edited(
+        lambda h: h["counit"][0]["out"][0].update(word=[0])),
+     "data.counit"),
+    ("hopf-unit-letter-past-dim", hopf_edited(
+        lambda h: h["unit"][0].update(word=[2])), "data.unit"),
+    ("hopf-comult-in-word-repeated", hopf_edited(
+        lambda h: h["comult"].append(h["comult"][0])), "data.comult"),
+    ("yd-action-v-letter-past-v", trivial_yd(
+        lambda d: d["action"].append({"in": [0, 1], "out": []})),
+     "data.action"),
+    ("yd-coaction-h-letter-past-h", trivial_yd(
+        lambda d: d["coaction"][0]["out"][0].update(word=[2, 0])),
+     "data.coaction"),
+    ("yd-coaction-v-letter-past-v", trivial_yd(
+        lambda d: d["coaction"][0]["out"][0].update(word=[1, 1])),
+     "data.coaction"),
+    ("yd-hopf-antipode-out-letter-past-dim", trivial_yd(
+        lambda d: d["hopf"]["antipode"][1]["out"][0].update(word=[7])),
+     "data.hopf.antipode"),
+    ("qb-block-repeated", graded_qb([E1E1], []), "data"),
+    ("qb-in-word-repeated", graded_qb([E1E1, ([0, 0], [])]), "data"),
+    ("yb-base-in-word-repeated", edited(
+        qb_map([0, 0], [1], "yb-base"),
+        lambda s: s["objects"][1]["mult"].append(
+            {"in": [0, 0], "out": []})), "mult"),
+]
+
+
+def test_well_formed_fixtures_load(tmp_path):
+    session = load_session(write_session(tmp_path, trivial_yd()))
+    assert hopf.yd_validate(session.get("d")).ok
+    path = write_session(tmp_path, graded_qb([E1E1]))
+    assert main(["verify", path, "d", "--suite", "qb-infinity"]) == 0
+
+
+@pytest.mark.parametrize("data, field",
+                         [case[1:] for case in MALFORMED_FIELDS],
+                         ids=[case[0] for case in MALFORMED_FIELDS])
+def test_malformed_declaration_names_field(tmp_path, capsys, data, field):
+    assert main(["verify", write_session(tmp_path, data), "d"]) == 2
+    assert capsys.readouterr().err.startswith("error: %s of 'd' " % field)
+
+
 @pytest.mark.parametrize("data", [
     [{"version": 1}],
     {"version": 1, "objects": "x"},
@@ -315,7 +407,8 @@ def yd_without(maker, key):
     qb_map([0, -1], [0]),
     qb_map([0], [1], "yb-base"),
     qb_map([0, 1], [2], "yb-base"),
-], ids=["top-level-list", "objects-not-a-list", "matrix-not-strings",
+] + [case[1] for case in MALFORMED_FIELDS], ids=[
+        "top-level-list", "objects-not-a-list", "matrix-not-strings",
         "cap-not-an-integer", "matrix-divides-by-zero",
         "catalog-file-missing", "quasishuffle-base-is-a-braiding",
         "yb-base-braiding-is-a-hopf-algebra", "qb-braiding-is-qflip",
@@ -326,7 +419,8 @@ def yd_without(maker, key):
         "yd-comult-without-counit", "yd-counit-without-comult",
         "qb-out-letter-past-dim", "qb-in-word-wrong-degree",
         "qb-negative-letter", "yb-base-in-word-wrong-degree",
-        "yb-base-out-letter-past-dim"])
+        "yb-base-out-letter-past-dim"]
+    + [case[0] for case in MALFORMED_FIELDS])
 def test_main_malformed_session_exits_2(tmp_path, capsys, data):
     path = write_session(tmp_path, data)
     with pytest.raises(ParseError):

@@ -111,6 +111,8 @@ def test_linmap_roundtrip():
     f = LinMap(2, {(0, 1): Element.basis((1, 0), coeff=parse_scalar("1-q"))})
     g = linmap_from_obj(linmap_to_obj(f), 2)
     assert g.equals(f)
+    with pytest.raises(ValueError):
+        linmap_from_obj(linmap_to_obj(f) * 2, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Tensor-algebra operations: shuffles, braided coproducts, Def 2.1 checks."""
 
+import inspect
 from functools import reduce
 
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flip_braiding, graded_base, symbolic_diagonal
+from ybalg import tensoralg
 from ybalg.binfty import quasi_shuffle
-from ybalg.braid import check_yang_baxter
+from ybalg.braid import apply_beta_letters, check_yang_baxter
 from ybalg.catalog import exterior_braiding
 from ybalg.linear import Element, LinMap, Space, tensor_elements
 from ybalg.scalars import Scalar, parse_scalar
-from ybalg.tensoralg import (DegreeCapExceeded, apply_slots, beta_slots,
+from ybalg.tensoralg import (DegreeCapExceeded, _first_factor_delta_beta,
+                             apply_slots, beta_slots,
                              concat_product, counit, deconcatenate,
                              delta_beta, delta_beta_iter, delta_beta_via_w,
                              delta_component, delta_iter, power_coproduct,
@@ -139,6 +142,95 @@ def test_delta_beta_matches_w_form():
             x = Element.basis(letters, cuts=(cut,))
             for n in (1, 2):
                 assert delta_beta_iter(b, x, n) == delta_beta_via_w(b, x, n)
+
+
+def _reference_delta_beta(braiding, x):
+    """(id (x) beta (x) id)(delta (x) delta) on one-cut terms, written out
+    split by split."""
+    out = Element()
+    for (letters, (cut,)), c in x.terms.items():
+        u, v = letters[:cut], letters[cut:]
+        for a in range(len(u) + 1):
+            u1, u2 = u[:a], u[a:]
+            for bpos in range(len(v) + 1):
+                v1, v2 = v[:bpos], v[bpos:]
+                img = apply_beta_letters(braiding, len(u2), len(v1), u2 + v1)
+                for (mw, _), s in img.terms.items():
+                    ncuts = (len(u1), len(u1) + len(v1),
+                             len(u1) + len(v1) + len(u2))
+                    out.add_term((u1 + mw + v2, ncuts), s * c)
+    return out
+
+
+def _reference_first_factor(braiding, x, reduced):
+    """Delta_beta on the first pair factor in compositional form: split the
+    first pair off each term, apply Delta_beta to it, subtract the two
+    trivial terms 1_C (x) x and x (x) 1_C if reduced, and rejoin."""
+    out = Element()
+    for (letters, cuts), c in x.terms.items():
+        prefix_len = cuts[1] if len(cuts) >= 2 else len(letters)
+        first = Element.basis(letters[:prefix_len], (cuts[0],), c)
+        expanded = _reference_delta_beta(braiding, first)
+        if reduced:
+            for (fl, fc), s in first.terms.items():
+                expanded.add_term((fl, (0, 0, fc[0])), -s)
+                expanded.add_term((fl, (fc[0], len(fl), len(fl))), -s)
+        for (fl, fc), s in expanded.terms.items():
+            out.add_term((fl + letters[prefix_len:], fc + cuts[1:]), s)
+    return out
+
+
+def _differential(kernel, braiding, ncuts, reduced):
+    """Run kernel against the compositional form on generated elements
+    whose terms have ncuts cuts; hypothesis re-raises a mismatch."""
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        x = Element()
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = [tuple(data.draw(st.lists(st.integers(0, 1),
+                                              max_size=2)))
+                     for _ in range(ncuts + 1)]
+            c = Scalar.from_int(data.draw(st.integers(-2, 2))) \
+                * Scalar.q_power(data.draw(st.integers(-2, 2)))
+            x = x + reduce(_join, [Element.basis(w) for w in slots]).scale(c)
+        assert kernel(braiding, x, reduced) == \
+            _reference_first_factor(braiding, x, reduced)
+    check()
+
+
+DIFFERENTIAL_BRAIDINGS = {"exterior": lambda: exterior_braiding(2),
+                          "symbolic-diagonal": lambda: symbolic_diagonal(2)}
+
+
+@pytest.mark.parametrize("ncuts", [1, 3, 5])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_BRAIDINGS))
+def test_first_factor_delta_beta_matches_compositional_form(name, ncuts):
+    b = DIFFERENTIAL_BRAIDINGS[name]()
+    for reduced in (False, True):
+        _differential(_first_factor_delta_beta, b, ncuts, reduced)
+    if ncuts == 1:
+        _differential(lambda b, x, reduced: delta_beta(b, x), b, 1, False)
+
+
+def _mutant_kernel(old, new):
+    """_first_factor_delta_beta with one line of its source replaced."""
+    src = inspect.getsource(_first_factor_delta_beta)
+    assert src.count(old) == 1
+    namespace = dict(vars(tensoralg))
+    exec(src.replace(old, new), namespace)
+    return namespace["_first_factor_delta_beta"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("out.add_term((letters, (cut, end, end) + rest), -c)", "pass"),
+    ("ncuts = (a, a + b - cut, b) + rest",
+     "ncuts = (a, a + b - cut, b) + tuple(p + 1 for p in rest)"),
+], ids=["subtraction-dropped", "rest-cut-shifted"])
+def test_first_factor_differential_catches_planted_fault(old, new):
+    mutant = _mutant_kernel(old, new)
+    with pytest.raises(AssertionError):
+        _differential(mutant, exterior_braiding(2), 3, True)
 
 
 def test_reduced_delta_beta_drops_unit_terms():
