@@ -16,13 +16,20 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linear import (Element, LinMap, Report, _leg_rows, _legs, _on_basis,
-                     _point, apply_at, tensor_elements)
+from .linear import (Element, FormatError, LinMap, Report, _checked,
+                     _leg_rows, _legs, _on_basis, _point, apply_at,
+                     linmap_from_obj, linmap_to_obj, tensor_elements)
 from .scalars import Scalar
 from .tensoralg import (DegreeCapExceeded, InvalidBase,
                         _first_factor_delta_beta, _memo, _slot_rows,
                         beta_slots, check_yb_algebra, check_yb_product_rows,
                         counit, delta_beta_via_w, slot_bounds)
+
+
+def _lands_in_v(f, what):
+    """Refuse a map with an output word that is not a single letter."""
+    if any(len(w) != 1 for col in f.columns.values() for w, _ in col.terms):
+        raise ValueError("%s has an output word outside V" % what)
 
 
 class QBStructure:
@@ -31,8 +38,6 @@ class QBStructure:
     M_00 = 0, M_10 = M_01 = id, and M_n0 = M_0n = 0 for n >= 2.  Supplied
     components must have min(p, q) >= 1.
     """
-
-    _next_id = 0
 
     def __init__(self, braiding, components=None, degree_cap=6):
         if not braiding.validated:
@@ -53,14 +58,9 @@ class QBStructure:
                 if f.in_degree != p + q:
                     raise ValueError("component (%d, %d) has wrong in-degree"
                                      % (p, q))
-                if any(len(w) != 1 for col in f.columns.values()
-                       for w, _ in col.terms):
-                    raise ValueError("component (%d, %d) has an output word "
-                                     "outside V" % (p, q))
+                _lands_in_v(f, "component (%d, %d)" % (p, q))
                 self.components[(p, q)] = f
         self._id_v = LinMap.identity(self.space, 1)
-        self.uid = QBStructure._next_id
-        QBStructure._next_id += 1
         self._star_cache = {}
 
     def component(self, p, q):
@@ -253,11 +253,10 @@ class YBBase:
     """A product on V compatible with the braiding (rows of the product
     compatibility diagram; no unit is required)."""
 
-    _next_id = 0
-
     def __init__(self, space, mult, braiding, validate=True):
         if mult.in_degree != 2:
             raise InvalidBase("base product must have in-degree 2")
+        _lands_in_v(mult, "base product")
         self.space = space
         self.mult = mult
         self.braiding = braiding
@@ -266,8 +265,6 @@ class YBBase:
             if bad is not None:
                 raise InvalidBase("base fails compatibility at %r"
                                   % ((bad["identity"], bad["witness"][0]),))
-        self.uid = YBBase._next_id
-        YBBase._next_id += 1
         self._memo = {}
 
     def qb_structure(self, degree_cap=6):
@@ -460,16 +457,22 @@ def antipode(x, M):
 # -- serialization ---------------------------------------------------------
 
 def qb_to_obj(M):
-    from .linear import linmap_to_obj
     entries = [{"p": p, "q": q, "map": linmap_to_obj(f)}
                for (p, q), f in sorted(M.components.items())]
     return {"M": entries, "degree_cap": M.degree_cap}
 
 
 def qb_from_obj(obj, braiding):
-    from .linear import linmap_from_obj
-    comps = {(e["p"], e["q"]): linmap_from_obj(e["map"], e["p"] + e["q"])
-             for e in obj["M"]}
-    if len(comps) < len(obj["M"]):
-        raise ValueError("a component M_pq is given twice")
+    """The QBStructure of qb_to_obj's JSON form on `braiding`.  M_pq reads
+    as a map from words of p + q letters of V to words in V's letters, whose
+    length the construction checks; a malformed value, a word off its legs,
+    or a repeated in-word or block raises linear.FormatError."""
+    V = braiding.space
+    comps = {}
+    for e in _checked(obj, {"M": [{"p": int, "q": int, "map": list}],
+                            "degree_cap": int})["M"]:
+        pq = (e["p"], e["q"])
+        if pq in comps:
+            raise FormatError("", "declares M_%d,%d twice" % pq)
+        comps[pq] = linmap_from_obj(e["map"], [V] * sum(pq), V)
     return QBStructure(braiding, comps, obj["degree_cap"])

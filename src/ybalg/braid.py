@@ -139,8 +139,6 @@ class Braiding:
     YBE is checked unless `validate=False`.
     """
 
-    _next_id = 0
-
     def __init__(self, space, fwd, inv=None, validate=True):
         self.space = space
         self.fwd = fwd
@@ -164,8 +162,6 @@ class Braiding:
             self.validated = True
         else:
             self.validated = False
-        self.uid = Braiding._next_id
-        Braiding._next_id += 1
         self._lift_cache = {}
         self._inv_braiding = None
 

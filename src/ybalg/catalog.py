@@ -13,9 +13,9 @@ from itertools import chain, combinations, product
 
 from .braid import Braiding
 from .hopf import HopfPresentation
-from .linear import (Element, LinMap, Report, Space, _legs, _on_basis,
-                     _point, apply_at, column_echelon_basis, in_span,
-                     map_kernel_basis)
+from .linear import (Element, FormatError, LinMap, Report, Space, _legs,
+                     _on_basis, _point, apply_at, column_echelon_basis,
+                     in_span, map_kernel_basis)
 from .scalars import Scalar, parse_scalar
 from .tensoralg import symmetrizer_image
 
@@ -291,7 +291,8 @@ def resolve_catalog(address):
     Supported kinds: exterior (Braiding), qflip (WedgeAlgebra), diagonal
     (Braiding from a JSON file of scalar strings), groupalgebra
     (HopfPresentation), cartan (matrix of Scalars from a JSON file with
-    "A" and "d").
+    "A" and "d").  An unknown kind or a missing or malformed parameter
+    raises linear.FormatError.
     """
     kind, _, rest = address.partition(":")
     params = {}
@@ -299,21 +300,30 @@ def resolve_catalog(address):
         for piece in rest.split(","):
             key, _, value = piece.partition("=")
             if not _:
-                raise ValueError("malformed catalog parameter %r" % piece)
+                raise FormatError("", "%r has the malformed parameter %r"
+                                  % (address, piece))
             params[key.strip()] = value.strip()
+
+    def param(key, read):
+        try:
+            return read(params[key])
+        except (KeyError, ValueError):
+            raise FormatError("", "%r needs %s=<%s>"
+                              % (address, key, read.__name__)) from None
+
     if kind == "exterior":
-        return exterior_braiding(int(params["N"]))
+        return exterior_braiding(param("N", int))
     if kind == "qflip":
-        return WedgeAlgebra(int(params["N"]))
+        return WedgeAlgebra(param("N", int))
     if kind == "diagonal":
-        with open(params["file"]) as fh:
+        with open(param("file", str)) as fh:
             rows = json.load(fh)
         return diagonal_braiding([[parse_scalar(entry) for entry in row]
                                   for row in rows])
     if kind == "groupalgebra":
-        return group_algebra_hopf(int(params["n"]))
+        return group_algebra_hopf(param("n", int))
     if kind == "cartan":
-        with open(params["file"]) as fh:
+        with open(param("file", str)) as fh:
             data = json.load(fh)
         return cartan_qmatrix(data["A"], data["d"])
-    raise ValueError("unknown catalog kind %r" % kind)
+    raise FormatError("", "%r names no catalog kind" % (address,))

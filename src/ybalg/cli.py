@@ -5,6 +5,13 @@ Yetter-Drinfel'd modules, tower structures, base algebras).  `verify` runs
 an exhaustive identity suite against one object and reports each identity
 with a deterministic JSON document; `compute` evaluates a small expression
 language over the session and prints the exact result.
+
+The format of each declaration's maps and elements belongs to the library
+readers (`hopf.hopf_from_obj`, `hopf.yd_from_obj`, `binfty.qb_from_obj`,
+`linear.linmap_from_obj`): they check its shape and legs and raise
+`linear.FormatError` with the field's path, which `load_session` reports as
+a ParseError naming the declaration.  A library caller gets the same
+refusals as the CLI.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ import sys
 
 from . import binfty, catalog, hopf, tensoralg
 from .braid import Braiding, beta_component, check_yang_baxter
-from .linear import (Element, Report, Space, element_to_obj,
-                     linmap_from_obj)
+from .linear import (Element, FormatError, Report, Space, _fits,
+                     element_to_obj, linmap_from_obj, read_field)
 from .scalars import ScalarParseError, parse_scalar
 
 
@@ -111,6 +118,8 @@ def load_session(path):
             session.objects[name] = _build_object(decl, session)
         except ScalarParseError as e:
             raise ParseError(str(e))
+        except FormatError as e:
+            raise ParseError("%s of %r %s" % (e.path, name, e.problem))
         except OSError as e:
             raise ParseError("object %r: %s" % (name, e))
         except (ParseError, ValidationError):
@@ -120,48 +129,11 @@ def load_session(path):
     return session
 
 
-# JSON forms of declaration fields: a type, [form] for a list of that form,
-# {key: form} for an object ("key?" marks an optional key), or a tuple of
-# alternative forms
-_WORD = [int]
-_LINMAP = [{"in": _WORD, "out": [{"word": _WORD, "coeff": str}]}]
-_ELEMENT = [{"word": _WORD, "coeff": str, "split?": (int, _WORD)}]
-_HOPF = {"basis": [str], "mult": _LINMAP, "unit": _ELEMENT,
-         "comult": _LINMAP, "counit": _LINMAP, "antipode": _LINMAP}
-_YD = {"hopf": _HOPF, "basis": [str], "action": _LINMAP,
-       "coaction": _LINMAP, "mult?": _LINMAP, "unit?": _ELEMENT,
-       "comult?": _LINMAP, "counit?": _LINMAP}
-_QB = {"M": [{"p": int, "q": int, "map": _LINMAP}], "degree_cap": int}
-
-
-def _fits(value, form):
-    """Whether a parsed JSON value has the given form."""
-    if isinstance(form, tuple):
-        return any(_fits(value, f) for f in form)
-    if isinstance(form, list):
-        return isinstance(value, list) and all(_fits(v, form[0])
-                                               for v in value)
-    if isinstance(form, dict):
-        if not isinstance(value, dict):
-            return False
-        for key, f in form.items():
-            name = key.rstrip("?")
-            if name in value:
-                if not _fits(value[name], f):
-                    return False
-            elif not key.endswith("?"):
-                return False
-        return True
-    # bool is an int subclass that JSON keeps apart
-    return type(value) is form
-
-
 def _field(decl, key, form, default=None):
     """decl[key] (or the default when absent), checked against a JSON form."""
     value = decl.get(key, default)
     if not _fits(value, form):
-        raise ParseError("%s of %r is missing or malformed"
-                         % (key, decl["name"]))
+        raise FormatError(key, "is missing or malformed")
     return value
 
 
@@ -169,122 +141,45 @@ def _ref(decl, key, session, kind):
     """The session object that decl[key] names, which must be a `kind`."""
     obj = session.get(_field(decl, key, str))
     if not isinstance(obj, kind):
-        raise ParseError("%s of %r names %r, which is not a %s"
-                         % (key, decl["name"], decl[key], kind.__name__))
+        raise FormatError(key, "names %r, which is not a %s"
+                          % (decl[key], kind.__name__))
     return obj
 
 
 def _build_object(decl, session):
+    """The object one declaration builds, by its kind; its fields are read
+    by the library readers."""
     kind = decl.get("kind")
     if kind == "catalog":
-        return catalog.resolve_catalog(_field(decl, "address", str))
+        _field(decl, "address", str)
+        return read_field(decl, "address", catalog.resolve_catalog)
     if kind == "diagonal":
-        matrix = [[parse_scalar(entry) for entry in row]
-                  for row in _field(decl, "matrix", [[str]])]
-        return catalog.diagonal_braiding(matrix)
-    if kind == "hopf":
-        data = _field(decl, "data", _HOPF)
-        _fields_on(decl, "data", data, _hopf_legs(Space(data["basis"])))
-        h = hopf.hopf_from_obj(data)
-        report = hopf.hopf_validate(h)
-        if not report.ok:
-            bad = report.failures()[0]
-            raise ValidationError(decl["name"], bad["identity"],
-                                  bad["witness"])
-        return h
-    if kind == "yd":
-        data = _field(decl, "data", _YD)
-        for keys in (("mult", "unit"), ("comult", "counit")):
-            if (keys[0] in data) != (keys[1] in data):
-                raise ParseError("data of %r must give %s and %s together"
-                                 % ((decl["name"],) + keys))
-        H, V = Space(data["hopf"]["basis"]), Space(data["basis"])
-        _fields_on(decl, "data.hopf", data["hopf"], _hopf_legs(H))
-        legs = _hopf_legs(V)
-        del legs["antipode"]
-        legs.update(action=([H, V], [V]), coaction=([V], [H, V]))
-        _fields_on(decl, "data", data, legs)
-        m = hopf.yd_from_obj(data)
-        report = hopf.yd_validate(m)
-        if not report.ok:
-            bad = report.failures()[0]
-            raise ValidationError(decl["name"], bad["identity"],
-                                  bad["witness"])
-        return m
+        return catalog.diagonal_braiding(
+            [[parse_scalar(entry) for entry in row]
+             for row in _field(decl, "matrix", [[str]])])
+    if kind in ("hopf", "yd"):
+        read, validate = ((hopf.hopf_from_obj, hopf.hopf_validate)
+                          if kind == "hopf" else
+                          (hopf.yd_from_obj, hopf.yd_validate))
+        obj = read_field(decl, "data", read)
+        bad = validate(obj).failures()
+        if bad:
+            raise ValidationError(decl["name"], bad[0]["identity"],
+                                  bad[0]["witness"])
+        return obj
     if kind == "yb-base":
         braiding = _ref(decl, "braiding", session, Braiding)
         V = braiding.space
-        mult = _field(decl, "mult", _LINMAP)
-        _on_space(decl, "mult", mult, [V, V], V)
-        return binfty.YBBase(V, linmap_from_obj(mult, 2), braiding)
+        return binfty.YBBase(
+            V, read_field(decl, "mult", linmap_from_obj, [V, V], V), braiding)
     if kind == "quasishuffle":
         base = _ref(decl, "base", session, binfty.YBBase)
         return base.qb_structure(
             _field(decl, "degree_cap", int, session.degree_cap))
     if kind == "qb":
-        braiding = _ref(decl, "braiding", session, Braiding)
-        data, V = _field(decl, "data", _QB), braiding.space
-        blocks = [(e["p"], e["q"]) for e in data["M"]]
-        for e, pq in zip(data["M"], blocks):
-            if blocks.count(pq) > 1:
-                raise ParseError("data of %r declares M_%d,%d twice"
-                                 % ((decl["name"],) + pq))
-            _on_space(decl, "data", e["map"], [V] * sum(pq), V)
-        return binfty.qb_from_obj(data, braiding)
+        return read_field(decl, "data", binfty.qb_from_obj,
+                          _ref(decl, "braiding", session, Braiding))
     raise ParseError("unknown object kind %r" % (kind,))
-
-
-def _hopf_legs(space):
-    """The leg spaces of the maps and the unit of a Hopf algebra on `space`,
-    in the form _fields_on takes."""
-    return {"mult": ([space] * 2, [space]), "unit": [space],
-            "comult": ([space], [space] * 2), "counit": ([space], []),
-            "antipode": ([space], [space])}
-
-
-def _fields_on(decl, key, data, legs):
-    """_on_space on each map field of data that `legs` gives as (ins, outs),
-    and each word of each element field it gives as a list of spaces."""
-    for field, spaces in legs.items():
-        if field not in data:
-            continue
-        name = "%s.%s" % (key, field)
-        if isinstance(spaces, tuple):
-            _on_space(decl, name, data[field], *spaces)
-        else:
-            for t in data[field]:
-                _on_legs(decl, name, "word", t["word"], spaces)
-
-
-def _on_space(decl, key, columns, ins, outs):
-    """Refuse a JSON map (its {"in", "out"} columns) that repeats an in-word
-    or has a word off its legs: an in-word needs one letter of each space of
-    `ins`, an out-word one of each space of `outs`, or any number of
-    letters of `outs` when that is a single space."""
-    seen = set()
-    for col in columns:
-        if tuple(col["in"]) in seen:
-            raise ParseError("%s of %r repeats the in-word %r"
-                             % (key, decl["name"], col["in"]))
-        seen.add(tuple(col["in"]))
-        _on_legs(decl, key, "in-word", col["in"], ins)
-        for t in col["out"]:
-            _on_legs(decl, key, "out-word", t["word"],
-                     outs if isinstance(outs, list) else
-                     [outs] * len(t["word"]))
-
-
-def _on_legs(decl, key, what, word, spaces):
-    """Refuse a word that has not one letter, a basis index, of each space
-    of `spaces`."""
-    if len(word) != len(spaces):
-        raise ParseError("%s of %r has the %s %r, not of degree %d"
-                         % (key, decl["name"], what, word, len(spaces)))
-    for a, space in zip(word, spaces):
-        if not 0 <= a < space.dim:
-            raise ParseError("%s of %r has the word %r, with a letter "
-                             "outside the basis 0..%d"
-                             % (key, decl["name"], word, space.dim - 1))
 
 
 # -- verify ----------------------------------------------------------------
@@ -303,42 +198,22 @@ def _witness_obj(w):
 
 def _suite_entries(session, target, suite, bound):
     obj = session.get(target)
-    if isinstance(obj, Braiding):
-        report = _braiding_report(obj, suite, bound)
-    elif isinstance(obj, binfty.QBStructure):
-        if suite not in ("qb-infinity", "all"):
-            raise SuiteMismatch("suite %r does not apply to a tower"
-                                % (suite,))
-        report = binfty.qb_validate(obj, bound)
-    elif isinstance(obj, hopf.HopfPresentation):
-        if suite not in ("hopf", "all"):
-            raise SuiteMismatch("suite %r does not apply to a Hopf algebra"
-                                % (suite,))
-        report = hopf.hopf_validate(obj)
-    elif isinstance(obj, hopf.YDModule):
-        if suite not in ("yd", "all"):
-            raise SuiteMismatch("suite %r does not apply to a YD module"
-                                % (suite,))
-        report = hopf.yd_validate(obj)
-    elif isinstance(obj, catalog.WedgeAlgebra):
-        if suite not in ("yb-algebra", "yb-coalgebra", "all"):
-            raise SuiteMismatch("suite %r does not apply to the signed flip"
-                                % (suite,))
-        report = check_yang_baxter(obj.braiding.fwd, obj.space)
-        report.entries += catalog.qflip_compat_check(obj).entries
+    for kind, (what, suites, run) in _SUITES.items():
+        if isinstance(obj, kind):
+            break
     else:
         raise SuiteMismatch("no suite applies to objects of type %s"
                             % type(obj).__name__)
+    if suite not in suites:
+        raise SuiteMismatch("suite %r does not apply to %s" % (suite, what))
     return [{"identity": e["identity"], "ok": bool(e["ok"]),
-             "witness": _witness_obj(e["witness"])} for e in report.entries]
+             "witness": _witness_obj(e["witness"])}
+            for e in run(obj, suite, bound).entries]
 
 
 def _braiding_report(b, suite, bound):
     """The shuffle-product and unshuffle-coproduct rows up to the bound,
     each suite opening with its own Yang-Baxter entry."""
-    if suite not in ("yb-algebra", "yb-coalgebra", "all"):
-        raise SuiteMismatch("suite %r does not apply to a braiding"
-                            % (suite,))
     triples = [(i, j, k) for i in range(1, bound + 1)
                for j in range(1, bound + 1) for k in range(1, bound + 1)
                if i + j + k <= bound]
@@ -364,6 +239,27 @@ def _braiding_report(b, suite, bound):
             record("unshuffle-coproduct %d,%d,%d" % (p, q, r),
                    tensoralg.check_tensor_yb_coproduct(b, p, q, r))
     return report
+
+
+def _qflip_report(w, suite, bound):
+    report = check_yang_baxter(w.braiding.fwd, w.space)
+    report.entries += catalog.qflip_compat_check(w).entries
+    return report
+
+
+# object type -> (what it is called, the suites that apply, its report)
+_BRAIDING_SUITES = ("yb-algebra", "yb-coalgebra", "all")
+_SUITES = {
+    Braiding: ("a braiding", _BRAIDING_SUITES, _braiding_report),
+    binfty.QBStructure: ("a tower", ("qb-infinity", "all"),
+                         lambda M, suite, bound: binfty.qb_validate(M, bound)),
+    hopf.HopfPresentation: ("a Hopf algebra", ("hopf", "all"),
+                            lambda h, suite, bound: hopf.hopf_validate(h)),
+    hopf.YDModule: ("a YD module", ("yd", "all"),
+                    lambda m, suite, bound: hopf.yd_validate(m)),
+    catalog.WedgeAlgebra: ("the signed flip", _BRAIDING_SUITES,
+                           _qflip_report),
+}
 
 
 def cmd_verify(session, target, suite, bound):
@@ -469,29 +365,15 @@ def _split_args(text):
     return args
 
 
-def _space_of(obj):
-    if isinstance(obj, Braiding):
-        return obj.space
-    if isinstance(obj, binfty.QBStructure):
-        return obj.braiding.space
-    if isinstance(obj, binfty.YBBase):
-        return obj.space
-    raise SuiteMismatch("object has no underlying braided space")
+# the objects with an underlying braided space, held as their `.space`
+_BRAIDED = (Braiding, binfty.QBStructure, binfty.YBBase)
 
 
-def _session_space(session):
-    """The single space underlying the session's objects, if unambiguous."""
-    spaces = []
-    for obj in session.objects.values():
-        try:
-            spaces.append(_space_of(obj))
-        except SuiteMismatch:
-            continue
-    named = {tuple(sp.basis_names) for sp in spaces}
-    if len(named) != 1:
-        raise UnknownTarget(
-            "expected a single underlying space, found %d" % len(named))
-    return spaces[0]
+def _braided_spaces(session):
+    """The spaces under the session's braided objects, in declaration
+    order."""
+    return [obj.space for obj in session.objects.values()
+            if isinstance(obj, _BRAIDED)]
 
 
 def compute_expression(session, text, cap=None):
@@ -516,9 +398,16 @@ def compute_expression(session, text, cap=None):
                 "result degree %d exceeds cap %d" % (max(degs), cap))
         return x
 
+    def named(i, kinds, mismatch):
+        """The session object args[i] names, which must be of `kinds`."""
+        obj = session.get(args[i])
+        if not isinstance(obj, kinds):
+            raise SuiteMismatch(mismatch)
+        return obj
+
     if op == "shuffle":
         if len(args) == 3:
-            b = session.get(args[2])
+            b = named(2, Braiding, "shuffle expects a braiding third")
         else:
             want(2)
             b = session.unique((Braiding,))
@@ -528,7 +417,7 @@ def compute_expression(session, text, cap=None):
         return check_cap(tensoralg.qshuffle_product(x, y, b))
     if op == "quasishuffle":
         if len(args) == 3:
-            base = session.get(args[2])
+            base = named(2, binfty.YBBase, "quasishuffle expects a base third")
         else:
             want(2)
             base = session.unique((binfty.YBBase,))
@@ -538,33 +427,35 @@ def compute_expression(session, text, cap=None):
         return check_cap(binfty.quasi_shuffle(x, y, base))
     if op == "star":
         want(3)
-        M = session.get(args[0])
-        if not isinstance(M, binfty.QBStructure):
-            raise SuiteMismatch("star expects a tower structure first")
-        sp = M.braiding.space
+        M = named(0, binfty.QBStructure,
+                  "star expects a tower structure first")
+        sp = M.space
         x = _parse_element(args[1], sp)
         y = _parse_element(args[2], sp)
         return check_cap(binfty.star_product(M, x, y))
     if op == "coproduct":
         if len(args) == 2:
-            sp = _space_of(session.get(args[1]))
+            sp = named(1, _BRAIDED,
+                       "object has no underlying braided space").space
         else:
             want(1)
-            sp = _session_space(session)
+            spaces = {tuple(sp.basis_names): sp
+                      for sp in _braided_spaces(session)}
+            if len(spaces) != 1:
+                raise UnknownTarget("expected a single underlying space, "
+                                    "found %d" % len(spaces))
+            sp, = spaces.values()
         x = _parse_element(args[0], sp)
         return tensoralg.deconcatenate(x)
     if op == "antipode":
         want(2)
-        M = session.get(args[0])
-        if not isinstance(M, binfty.QBStructure):
-            raise SuiteMismatch("antipode expects a tower structure first")
-        x = _parse_element(args[1], M.braiding.space)
+        M = named(0, binfty.QBStructure,
+                  "antipode expects a tower structure first")
+        x = _parse_element(args[1], M.space)
         return check_cap(binfty.antipode(x, M))
     if op == "braid":
         want(4)
-        b = session.get(args[0])
-        if not isinstance(b, Braiding):
-            raise SuiteMismatch("braid expects a braiding first")
+        b = named(0, Braiding, "braid expects a braiding first")
         try:
             i, j = int(args[1]), int(args[2])
         except ValueError:
@@ -617,19 +508,11 @@ def cmd_compute(session, expression, fmt="text", cap=None):
     x = compute_expression(session, expression, cap)
     if fmt == "json":
         return 0, json.dumps(element_to_obj(x), sort_keys=True)
-    # find a space to name the letters: any object sharing the session
-    space = None
-    for obj in session.objects.values():
-        try:
-            space = _space_of(obj)
-            break
-        except SuiteMismatch:
-            continue
-    if space is None:
-        space = Space(["e%d" % (i + 1)
-                       for i in range(1 + max((max(k[0]) for k in x.terms
-                                               if k[0]), default=0))])
-    return 0, format_element(x, space)
+    # name the letters after the first braided space of the session
+    spaces = _braided_spaces(session) or [Space(
+        ["e%d" % (i + 1) for i in range(1 + max(
+            (max(k[0]) for k in x.terms if k[0]), default=0))])]
+    return 0, format_element(x, spaces[0])
 
 
 def main(argv=None):

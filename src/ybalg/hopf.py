@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 
 from .braid import Braiding
-from .linear import (Element, LinMap, Report, Singular, Space, _leg_rows,
-                     _legs, _on_basis, _point, apply_at, element_from_obj,
-                     element_to_obj, linmap_from_obj, linmap_to_obj,
-                     map_invert_exact, permute_legs, tensor_elements)
+from .linear import (Element, FormatError, LinMap, Report, Singular, Space,
+                     _checked, _leg_rows, _legs, _on_basis, _point, apply_at,
+                     element_from_obj, element_to_obj, linmap_from_obj,
+                     linmap_to_obj, map_invert_exact, permute_legs,
+                     read_field, tensor_elements)
 
 
 class InvalidYD(ValueError):
@@ -429,14 +430,25 @@ def hopf_to_obj(h):
             "antipode": linmap_to_obj(h.antipode)}
 
 
+def _algebra_from_obj(obj, space):
+    """(mult, unit) on `space`, read from the fields of obj."""
+    return (read_field(obj, "mult", linmap_from_obj, [space] * 2, [space]),
+            read_field(obj, "unit", element_from_obj, [space]))
+
+
+def _coalgebra_from_obj(obj, space):
+    """(comult, counit) on `space`, read from the fields of obj."""
+    return (read_field(obj, "comult", linmap_from_obj, [space], [space] * 2),
+            read_field(obj, "counit", linmap_from_obj, [space], []))
+
+
 def hopf_from_obj(obj):
-    space = Space(obj["basis"])
-    return HopfPresentation(space,
-                            linmap_from_obj(obj["mult"], 2),
-                            element_from_obj(obj["unit"]),
-                            linmap_from_obj(obj["comult"], 1),
-                            linmap_from_obj(obj["counit"], 1),
-                            linmap_from_obj(obj["antipode"], 1))
+    """The HopfPresentation of hopf_to_obj's JSON form; a malformed field
+    raises linear.FormatError naming it."""
+    H = Space(read_field(_checked(obj, dict), "basis", _checked, [str]))
+    return HopfPresentation(
+        H, *_algebra_from_obj(obj, H), *_coalgebra_from_obj(obj, H),
+        read_field(obj, "antipode", linmap_from_obj, [H], [H]))
 
 
 def yd_to_obj(m):
@@ -454,17 +466,18 @@ def yd_to_obj(m):
 
 
 def yd_from_obj(obj):
-    hopf = hopf_from_obj(obj["hopf"])
-    space = Space(obj["basis"])
-    algebra = None
-    if "mult" in obj:
-        algebra = (linmap_from_obj(obj["mult"], 2),
-                   element_from_obj(obj["unit"]))
-    coalgebra = None
-    if "comult" in obj:
-        coalgebra = (linmap_from_obj(obj["comult"], 1),
-                     linmap_from_obj(obj["counit"], 1))
-    return YDModule(hopf, space,
-                    linmap_from_obj(obj["action"], 2),
-                    linmap_from_obj(obj["coaction"], 1),
-                    algebra_on_V=algebra, coalgebra_on_V=coalgebra)
+    """The YDModule of yd_to_obj's JSON form, where an algebra or coalgebra
+    on V needs both its maps; a malformed field raises linear.FormatError."""
+    V = Space(read_field(_checked(obj, dict), "basis", _checked, [str]))
+    structures = []
+    for keys, read in ((("mult", "unit"), _algebra_from_obj),
+                       (("comult", "counit"), _coalgebra_from_obj)):
+        if (keys[0] in obj) != (keys[1] in obj):
+            raise FormatError("", "must give %s and %s together" % keys)
+        structures.append(read(obj, V) if keys[0] in obj else None)
+    hopf = read_field(obj, "hopf", hopf_from_obj)
+    H = hopf.space
+    return YDModule(hopf, V,
+                    read_field(obj, "action", linmap_from_obj, [H, V], [V]),
+                    read_field(obj, "coaction", linmap_from_obj, [V], [H, V]),
+                    *structures)

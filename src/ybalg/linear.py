@@ -15,6 +15,12 @@ slot programs of tensoralg.
 Every two-sided identity is checked by one kernel, `Report.check`: it takes
 (case, lhs, rhs) triples, typically two programs run on the basis elements
 that `_on_basis` enumerates, and records the first case whose sides differ.
+
+The readers (`element_from_obj`, `linmap_from_obj`, and on them those of
+hopf and binfty) own the JSON session format: each checks the shape of what
+it reads, each word against its map's legs and each entry for repeats, and
+raises FormatError naming the field; a library caller gets the refusals
+the CLI prints.
 """
 
 from __future__ import annotations
@@ -257,15 +263,14 @@ class LinMap:
     Absent columns are zero.  Columns are plain Elements (no cuts).
     """
 
-    def __init__(self, in_degree, columns=None, name=None):
+    def __init__(self, in_degree, columns=None):
         self.in_degree = in_degree
         self.columns = dict(columns) if columns else {}
-        self.name = name
 
     @staticmethod
     def identity(space, degree):
         cols = {w: Element.basis(w) for w in space.words(degree)}
-        return LinMap(degree, cols, name="id")
+        return LinMap(degree, cols)
 
     @staticmethod
     def tabulate(space, degree, column):
@@ -482,6 +487,79 @@ def in_span(x, basis, space, degree):
 
 # -- serialization ---------------------------------------------------------
 
+# JSON forms of the session format: a type, [form] for a list of that form,
+# {key: form} for an object ("key?" marks an optional key), or a tuple of
+# alternative forms
+_ELEMENT = [{"word": [int], "coeff": str, "split?": (int, [int])}]
+_LINMAP = [{"in": [int], "out": [{"word": [int], "coeff": str}]}]
+
+
+class FormatError(ValueError):
+    """Malformed session-format data.  `path` names the field, dotted from
+    the value the outermost reader was given ("" for that value itself);
+    `problem` says what is wrong with it."""
+
+    def __init__(self, path, problem):
+        self.path = path
+        self.problem = problem
+        super().__init__("%s %s" % (path, problem) if path else problem)
+
+
+def _fits(value, form):
+    """Whether a parsed JSON value has the given form."""
+    if isinstance(form, tuple):
+        return any(_fits(value, f) for f in form)
+    if isinstance(form, list):
+        return isinstance(value, list) and all(_fits(v, form[0])
+                                               for v in value)
+    if isinstance(form, dict):
+        if not isinstance(value, dict):
+            return False
+        for key, f in form.items():
+            name = key.rstrip("?")
+            if name in value:
+                if not _fits(value[name], f):
+                    return False
+            elif not key.endswith("?"):
+                return False
+        return True
+    # bool is an int subclass that JSON keeps apart
+    return type(value) is form
+
+
+def _checked(value, form):
+    """value, refused unless it has the given JSON form."""
+    if not _fits(value, form):
+        raise FormatError("", "is missing or malformed")
+    return value
+
+
+def read_field(obj, key, read, *args):
+    """read(obj.get(key), *args), with `key` put in front of the path of a
+    FormatError it raises."""
+    try:
+        return read(obj.get(key), *args)
+    except FormatError as e:
+        raise FormatError("%s.%s" % (key, e.path) if e.path else key,
+                          e.problem) from None
+
+
+def _word(word, legs, what):
+    """The word as a tuple, refused unless it has one letter, a basis
+    index, of each space of `legs`, or letters of `legs` when that is one
+    Space."""
+    if isinstance(legs, Space):
+        legs = [legs] * len(word)
+    if len(word) != len(legs):
+        raise FormatError("", "has the %s %r, not of degree %d"
+                          % (what, word, len(legs)))
+    for a, space in zip(word, legs):
+        if not 0 <= a < space.dim:
+            raise FormatError("", "has the word %r, with a letter outside "
+                              "the basis 0..%d" % (word, space.dim - 1))
+    return tuple(word)
+
+
 def term_sort_key(key):
     """Canonical order: total degree, then letters, then split positions."""
     letters, cuts = key
@@ -501,15 +579,18 @@ def element_to_obj(x):
     return out
 
 
-def element_from_obj(obj):
+def element_from_obj(obj, legs=None):
+    """The Element of a JSON list of {"word", "coeff", "split"?} terms; with
+    `legs`, each word is checked against them as linmap_from_obj does."""
     from .scalars import parse_scalar
     x = Element()
-    for entry in obj:
+    for entry in _checked(obj, _ELEMENT):
         cuts = entry.get("split", ())
         if isinstance(cuts, int):
             cuts = (cuts,)
-        x.add_term((tuple(entry["word"]), tuple(cuts)),
-                   parse_scalar(entry["coeff"]))
+        word = entry["word"] if legs is None else _word(entry["word"], legs,
+                                                         "word")
+        x.add_term((tuple(word), tuple(cuts)), parse_scalar(entry["coeff"]))
     return x
 
 
@@ -523,14 +604,18 @@ def linmap_to_obj(f):
     return out
 
 
-def linmap_from_obj(obj, in_degree):
+def linmap_from_obj(obj, ins, outs):
+    """The LinMap of a JSON list of {"in", "out"} columns from the tensor
+    product of the spaces `ins` to that of `outs`, or to words of any length
+    in `outs` when that is one Space."""
     from .scalars import parse_scalar
     cols = {}
-    for entry in obj:
-        col = Element()
+    for entry in _checked(obj, _LINMAP):
+        w = _word(entry["in"], ins, "in-word")
+        if w in cols:
+            raise FormatError("", "repeats the in-word %r" % (entry["in"],))
+        col = cols[w] = Element()
         for t in entry["out"]:
-            col.add_term((tuple(t["word"]), ()), parse_scalar(t["coeff"]))
-        if tuple(entry["in"]) in cols:
-            raise ValueError("repeated in-word %r" % (entry["in"],))
-        cols[tuple(entry["in"])] = col
-    return LinMap(in_degree, cols)
+            col.add_term((_word(t["word"], outs, "out-word"), ()),
+                         parse_scalar(t["coeff"]))
+    return LinMap(len(ins), cols)

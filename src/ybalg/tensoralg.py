@@ -92,7 +92,7 @@ def _weak_cut_tuples(length, n):
     yield from rec(0, n)
 
 
-def qshuffle_product(x, y, braiding, cap=None):
+def qshuffle_product(x, y, braiding):
     """Quantum shuffle product: sum of braid lifts over (i,j)-shuffles."""
     out = Element()
     shuffle_cache = {}
@@ -101,9 +101,6 @@ def qshuffle_product(x, y, braiding, cap=None):
             if lc or rc:
                 raise ValueError("qshuffle_product expects uncut elements")
             i, j = len(lw), len(rw)
-            if cap is not None and i + j > cap:
-                raise DegreeCapExceeded(
-                    "degree %d exceeds cap %d" % (i + j, cap))
             if (i, j) not in shuffle_cache:
                 shuffle_cache[(i, j)] = enumerate_shuffles(i, j)
             coeff = a * b

@@ -244,6 +244,15 @@ def test_base_compatibility_enforced():
         YBBase(b.space, LinMap(2, {(0, 0): Element.basis((1,))}), b)
 
 
+def test_base_product_leaving_v_rejected():
+    # the plain flip on one letter passes the compatibility rows for any
+    # product, so only the landing check refuses e1 e1 = e1 (x) e1
+    b = flip_braiding(1)
+    for out in ((0, 0), ()):
+        with pytest.raises(ValueError, match="outside V"):
+            YBBase(b.space, LinMap(2, {(0, 0): Element.basis(out)}), b)
+
+
 def test_twoyb_rejects_nonassociative():
     b = flip_braiding(2)
     cols = {w: Element.basis((w[0],)) for w in b.space.words(2)}

@@ -10,15 +10,17 @@ import pytest
 
 import ybalg
 from ybalg import hopf
-from ybalg.binfty import QBStructure, YBBase, qb_to_obj
+from ybalg.binfty import QBStructure, YBBase, qb_from_obj, qb_to_obj
 from ybalg.braid import Braiding
-from ybalg.catalog import exterior_braiding, group_algebra_hopf
+from ybalg.catalog import (diagonal_braiding, exterior_braiding,
+                           group_algebra_hopf)
 from ybalg.cli import (ParseError, SuiteMismatch, UnknownTarget,
                        ValidationError, cmd_compute, cmd_verify,
                        compute_expression, format_element, load_session,
                        main, _parse_element)
 from ybalg.hopf import hopf_to_obj, yd_adjoint, yd_regular, yd_to_obj
-from ybalg.linear import Element, LinMap, element_from_obj, linmap_to_obj
+from ybalg.linear import (Element, FormatError, LinMap, Space,
+                          element_from_obj, linmap_from_obj, linmap_to_obj)
 from ybalg.scalars import Scalar, parse_scalar
 
 
@@ -206,6 +208,16 @@ def test_compute_parse_and_target_errors(tmp_path):
             compute_expression(session, expr)
 
 
+@pytest.mark.parametrize("expr", ["shuffle(e1, e2, base)",
+                                  "quasishuffle(e1, e2, sigma)"])
+def test_compute_object_of_other_kind_exits_2(tmp_path, capsys, expr):
+    path = basic_session(tmp_path)
+    with pytest.raises(SuiteMismatch):
+        compute_expression(load_session(path), expr)
+    assert main(["compute", path, expr]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_format_element_coefficient_rules():
     sp = exterior_braiding(2).space
     x = Element.basis((0,), coeff=Scalar.one() - Scalar.q_power(2)) \
@@ -309,8 +321,15 @@ def graded_qb(*maps):
 
 E1E1 = ([0, 0], [[1]])
 
+
+def catalog_address(address):
+    """A catalog declaration of the given address."""
+    return {"version": 1, "objects": [{"name": "d", "kind": "catalog",
+                                       "address": address}]}
+
+
 # (id, session, field named in the error) for declarations that are
-# malformed only in a word or in a repeated entry
+# malformed only in a word, a repeated entry or a catalog parameter
 MALFORMED_FIELDS = [
     ("hopf-antipode-out-letter-past-dim", hopf_edited(
         lambda h: h["antipode"][0]["out"][0].update(word=[7])),
@@ -342,7 +361,10 @@ MALFORMED_FIELDS = [
         qb_map([0, 0], [1], "yb-base"),
         lambda s: s["objects"][1]["mult"].append(
             {"in": [0, 0], "out": []})), "mult"),
-]
+] + [
+    ("catalog-" + address, catalog_address(address), "address")
+    for address in ("exterior", "qflip:n=2", "groupalgebra:N=2",
+                    "exterior:N=x", "cartan", "diagonal")]
 
 
 def test_well_formed_fixtures_load(tmp_path):
@@ -435,6 +457,59 @@ def test_qb_component_leaving_v_exits_2(tmp_path, capsys):
         load_session(path)
     assert main(["verify", path, "d"]) == 2
     assert "outside V" in capsys.readouterr().err
+
+
+def test_yb_base_product_leaving_v_exits_2(tmp_path, capsys):
+    # the plain flip on one letter passes the compatibility rows for any
+    # product, so only the landing check refuses e1 e1 = e1 (x) e1
+    data = {"version": 1, "objects": [
+        {"name": "s", "kind": "diagonal", "matrix": [["1"]]},
+        {"name": "d", "kind": "yb-base", "braiding": "s",
+         "mult": [{"in": [0, 0], "out": [{"word": [0, 0], "coeff": "1"}]}]}]}
+    path = write_session(tmp_path, data)
+    with pytest.raises(ValidationError):
+        load_session(path)
+    assert main(["compute", path, "quasishuffle(e1, e1)"]) == 2
+    assert "outside V" in capsys.readouterr().err
+
+
+def graded_braiding():
+    """The braiding of graded_qb's sessions."""
+    return diagonal_braiding([[parse_scalar(c) for c in row]
+                              for row in (["q", "q^2"], ["q^2", "q^4"])])
+
+
+V2 = Space(["e1", "e2"])
+
+# (id, a reader called on malformed data, the path of its FormatError)
+READER_REFUSALS = [
+    ("hopf-antipode-out-letter-past-dim", lambda: hopf.hopf_from_obj(
+        hopf_edited(lambda h: h["antipode"][0]["out"][0].update(word=[7]))
+        ["objects"][0]["data"]), "antipode"),
+    ("yd-hopf-antipode-out-letter-past-dim", lambda: hopf.yd_from_obj(
+        trivial_yd(lambda d: d["hopf"]["antipode"][1]["out"][0].update(
+            word=[7]))["objects"][0]["data"]), "hopf.antipode"),
+    ("yd-mult-without-unit", lambda: hopf.yd_from_obj(
+        yd_without(yd_adjoint, "unit")["objects"][0]["data"]), ""),
+    ("qb-block-repeated", lambda: qb_from_obj(
+        graded_qb([E1E1], [])["objects"][1]["data"], graded_braiding()), ""),
+    ("qb-in-word-repeated", lambda: qb_from_obj(
+        graded_qb([E1E1, ([0, 0], [])])["objects"][1]["data"],
+        graded_braiding()), ""),
+    ("linmap-in-word-off-legs", lambda: linmap_from_obj(
+        [{"in": [0, 2], "out": []}], [V2, V2], V2), ""),
+]
+
+
+@pytest.mark.parametrize("read, path",
+                         [case[1:] for case in READER_REFUSALS],
+                         ids=[case[0] for case in READER_REFUSALS])
+def test_reader_refuses_malformed_data(read, path):
+    with pytest.raises(FormatError) as exc:
+        read()
+    assert exc.value.path == path
+    assert str(exc.value) == " ".join(filter(None, (path,
+                                                    exc.value.problem)))
 
 
 @pytest.mark.parametrize("bound", [0, 2])

@@ -109,10 +109,11 @@ def test_element_roundtrip():
 
 def test_linmap_roundtrip():
     f = LinMap(2, {(0, 1): Element.basis((1, 0), coeff=parse_scalar("1-q"))})
-    g = linmap_from_obj(linmap_to_obj(f), 2)
+    sp = Space(["e1", "e2"])
+    g = linmap_from_obj(linmap_to_obj(f), [sp, sp], [sp, sp])
     assert g.equals(f)
     with pytest.raises(ValueError):
-        linmap_from_obj(linmap_to_obj(f) * 2, 2)
+        linmap_from_obj(linmap_to_obj(f) * 2, [sp, sp], [sp, sp])
 
 
 @settings(max_examples=40, deadline=None)
