@@ -136,7 +136,8 @@ class Braiding:
     """Invertible degree-2 map with a validated Yang-Baxter flag.
 
     The inverse is computed exactly at construction unless supplied, and the
-    YBE is checked unless `validate=False`.
+    YBE is checked unless `validate=False`; `ybe` keeps the Report of that
+    check (None when it was not made), so it is decided once per braiding.
     """
 
     def __init__(self, space, fwd, inv=None, validate=True):
@@ -154,14 +155,11 @@ class Braiding:
         if bad:
             raise ValueError("supplied inverse is not a %s"
                              % bad[0]["identity"])
-        if validate:
-            report = check_yang_baxter(self.fwd, space)
-            if not report.ok:
-                raise ValueError("Yang-Baxter equation fails at %r"
-                                 % (report.entries[0]["witness"],))
-            self.validated = True
-        else:
-            self.validated = False
+        self.ybe = check_yang_baxter(self.fwd, space) if validate else None
+        if validate and not self.ybe.ok:
+            raise ValueError("Yang-Baxter equation fails at %r"
+                             % (self.ybe.entries[0]["witness"],))
+        self.validated = validate
         self._lift_cache = {}
         self._inv_braiding = None
 

@@ -23,7 +23,7 @@ import sys
 
 from . import binfty, catalog, hopf, tensoralg
 from .braid import Braiding, beta_component, check_yang_baxter
-from .linear import (Element, FormatError, Report, Space, _fits,
+from .linear import (Element, FormatError, Report, _fits,
                      element_to_obj, linmap_from_obj, read_field)
 from .scalars import ScalarParseError, parse_scalar
 
@@ -211,9 +211,17 @@ def _suite_entries(session, target, suite, bound):
             for e in run(obj, suite, bound).entries]
 
 
+def _ybe_entries(b):
+    """Copies of the Yang-Baxter entries of the braiding b: those of its
+    construction-time check, or of a check made now when it has none."""
+    ybe = b.ybe if b.ybe is not None else check_yang_baxter(b.fwd, b.space)
+    return [dict(e) for e in ybe.entries]
+
+
 def _braiding_report(b, suite, bound):
     """The shuffle-product and unshuffle-coproduct rows up to the bound,
-    each suite opening with its own Yang-Baxter entry."""
+    each suite opening with its own Yang-Baxter entry, which the braiding's
+    construction-time check decided."""
     triples = [(i, j, k) for i in range(1, bound + 1)
                for j in range(1, bound + 1) for k in range(1, bound + 1)
                if i + j + k <= bound]
@@ -226,15 +234,16 @@ def _braiding_report(b, suite, bound):
         report.record(identity, bad is None, None if bad is None
                       else (bad["identity"],) + bad["witness"])
 
+    ybe = _ybe_entries(b)
     if suite in ("yb-algebra", "all"):
-        report.entries += check_yang_baxter(b.fwd, b.space).entries
+        report.entries += ybe
         for i, j, k in triples:
             record("shuffle-product %d,%d,%d" % (i, j, k),
                    tensoralg.check_tensor_yb_product(
                        lambda x, y: tensoralg.qshuffle_product(x, y, b),
                        b, i, j, k))
     if suite in ("yb-coalgebra", "all"):
-        report.entries += check_yang_baxter(b.fwd, b.space).entries
+        report.entries += [dict(e) for e in ybe]
         for p, q, r in triples:
             record("unshuffle-coproduct %d,%d,%d" % (p, q, r),
                    tensoralg.check_tensor_yb_coproduct(b, p, q, r))
@@ -242,8 +251,8 @@ def _braiding_report(b, suite, bound):
 
 
 def _qflip_report(w, suite, bound):
-    report = check_yang_baxter(w.braiding.fwd, w.space)
-    report.entries += catalog.qflip_compat_check(w).entries
+    report = catalog.qflip_compat_check(w)
+    report.entries[:0] = _ybe_entries(w.braiding)
     return report
 
 
@@ -369,15 +378,14 @@ def _split_args(text):
 _BRAIDED = (Braiding, binfty.QBStructure, binfty.YBBase)
 
 
-def _braided_spaces(session):
-    """The spaces under the session's braided objects, in declaration
-    order."""
-    return [obj.space for obj in session.objects.values()
-            if isinstance(obj, _BRAIDED)]
-
-
 def compute_expression(session, text, cap=None):
     """Evaluate one expression; returns an Element."""
+    return _evaluate(session, text, cap)[0]
+
+
+def _evaluate(session, text, cap):
+    """Evaluate one expression; returns the Element and the space whose
+    letters it is written in, which the operation looked up once."""
     text = text.strip()
     m = re.match(r"^(\w+)\((.*)\)$", text, re.S)
     if not m:
@@ -414,7 +422,7 @@ def compute_expression(session, text, cap=None):
         sp = b.space
         x = _parse_element(args[0], sp)
         y = _parse_element(args[1], sp)
-        return check_cap(tensoralg.qshuffle_product(x, y, b))
+        return check_cap(tensoralg.qshuffle_product(x, y, b)), sp
     if op == "quasishuffle":
         if len(args) == 3:
             base = named(2, binfty.YBBase, "quasishuffle expects a base third")
@@ -424,7 +432,7 @@ def compute_expression(session, text, cap=None):
         sp = base.space
         x = _parse_element(args[0], sp)
         y = _parse_element(args[1], sp)
-        return check_cap(binfty.quasi_shuffle(x, y, base))
+        return check_cap(binfty.quasi_shuffle(x, y, base)), sp
     if op == "star":
         want(3)
         M = named(0, binfty.QBStructure,
@@ -432,27 +440,29 @@ def compute_expression(session, text, cap=None):
         sp = M.space
         x = _parse_element(args[1], sp)
         y = _parse_element(args[2], sp)
-        return check_cap(binfty.star_product(M, x, y))
+        return check_cap(binfty.star_product(M, x, y)), sp
     if op == "coproduct":
         if len(args) == 2:
             sp = named(1, _BRAIDED,
                        "object has no underlying braided space").space
         else:
             want(1)
-            spaces = {tuple(sp.basis_names): sp
-                      for sp in _braided_spaces(session)}
+            spaces = {tuple(obj.space.basis_names): obj.space
+                      for obj in session.objects.values()
+                      if isinstance(obj, _BRAIDED)}
             if len(spaces) != 1:
                 raise UnknownTarget("expected a single underlying space, "
                                     "found %d" % len(spaces))
             sp, = spaces.values()
         x = _parse_element(args[0], sp)
-        return tensoralg.deconcatenate(x)
+        return tensoralg.deconcatenate(x), sp
     if op == "antipode":
         want(2)
         M = named(0, binfty.QBStructure,
                   "antipode expects a tower structure first")
-        x = _parse_element(args[1], M.space)
-        return check_cap(binfty.antipode(x, M))
+        sp = M.space
+        x = _parse_element(args[1], sp)
+        return check_cap(binfty.antipode(x, M)), sp
     if op == "braid":
         want(4)
         b = named(0, Braiding, "braid expects a braiding first")
@@ -463,11 +473,12 @@ def compute_expression(session, text, cap=None):
                              % (args[1], args[2]))
         if i < 0 or j < 0:
             raise ParseError("braid degrees must be non-negative")
-        x = _parse_element(args[3], b.space)
+        sp = b.space
+        x = _parse_element(args[3], sp)
         if x.degrees() not in ([], [i + j]):
             raise ParseError("braid(%d, %d) expects an element of degree %d"
                              % (i, j, i + j))
-        return beta_component(i, j, b).apply(x)
+        return beta_component(i, j, b).apply(x), sp
     raise ParseError("unknown operation %r" % op)
 
 
@@ -505,14 +516,10 @@ def format_element(x, space):
 
 def cmd_compute(session, expression, fmt="text", cap=None):
     """Evaluate and render; returns (exit_code, text)."""
-    x = compute_expression(session, expression, cap)
+    x, space = _evaluate(session, expression, cap)
     if fmt == "json":
         return 0, json.dumps(element_to_obj(x), sort_keys=True)
-    # name the letters after the first braided space of the session
-    spaces = _braided_spaces(session) or [Space(
-        ["e%d" % (i + 1) for i in range(1 + max(
-            (max(k[0]) for k in x.terms if k[0]), default=0))])]
-    return 0, format_element(x, spaces[0])
+    return 0, format_element(x, space)
 
 
 def main(argv=None):

@@ -357,7 +357,8 @@ class LinMap:
 
 
 def map_invert_exact(f, space, degree=None):
-    """Exact inverse on one degree component via Gaussian elimination.
+    """Exact inverse on one degree component by Gauss-Jordan elimination on
+    the sparse rows of [f | id], so no zero entry is ever multiplied.
 
     Raises Singular when the map is not invertible on that component.
     """
@@ -365,45 +366,36 @@ def map_invert_exact(f, space, degree=None):
     words = space.words(deg)
     index = {w: i for i, w in enumerate(words)}
     n = len(words)
-    zero, one = Scalar.zero(), Scalar.one()
-    # dense matrix: rows indexed by output word, columns by input word
-    mat = [[zero] * n for _ in range(n)]
+    # row i (output word i) as {column: nonzero entry}, with the identity
+    # block in columns n..2n-1
+    rows = [{n + i: Scalar.one()} for i in range(n)]
     for w, col in f.columns.items():
         j = index[w]
         for (letters, _), c in col.terms.items():
-            mat[index[letters]][j] = c
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+            rows[index[letters]][j] = c
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not mat[r][col].is_zero():
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if col in rows[r]), None)
         if pivot is None:
             raise Singular("map is singular on degree %d" % deg)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = mat[col][col].invert()
-        mat[col] = [v * p for v in mat[col]]
-        inv[col] = [v * p for v in inv[col]]
-        for r in range(n):
-            if r == col:
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col].pop(col).invert()
+        prow = rows[col] = {k: v * p for k, v in rows[col].items()}
+        for r, row in enumerate(rows):
+            if r == col or col not in row:
                 continue
-            factor = mat[r][col]
-            if factor.is_zero():
-                continue
-            mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-            inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    cols = {}
-    for j, w in enumerate(words):
-        e = Element()
-        for i in range(n):
-            if not inv[i][j].is_zero():
-                e.add_term((words[i], ()), inv[i][j])
-        if not e.is_zero():
-            cols[w] = e
-    return LinMap(deg, cols)
+            factor = row.pop(col)
+            for k, v in prow.items():
+                new = row[k] - factor * v if k in row else -(factor * v)
+                if new.is_zero():
+                    del row[k]
+                else:
+                    row[k] = new
+    # the left block is now the identity, left out of the rows
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for k, v in row.items():
+            cols[k - n][(words[i], ())] = v
+    return LinMap(deg, {w: Element(t) for w, t in zip(words, cols) if t})
 
 
 def column_echelon_basis(vectors, space, degree):

@@ -18,10 +18,11 @@ Every stock braiding has Laurent-polynomial entries, so almost all scalars
 have den = 1.  A Laurent polynomial over 1 is already canonical (nothing can
 cancel, the content across num and den is 1), and sums, differences and
 products of such scalars stay Laurent, so `+`, `-` and `*` on two den = 1
-operands skip normalisation; negation never renormalises.  Every other
-result is normalised by a primitive polynomial remainder sequence over the
-integers (pseudo-remainders divided by their content, Knuth TAOCP vol. 2
-4.6.1; Collins 1967), stopping as soon as a remainder is a nonzero constant,
+operands skip normalisation, and such a product by 1 is the other operand
+itself; negation never renormalises.  Every other result is normalised by
+a primitive polynomial remainder sequence over the integers
+(pseudo-remainders divided by their content, Knuth TAOCP vol. 2 4.6.1;
+Collins 1967), stopping as soon as a remainder is a nonzero constant,
 followed by exact integer division by the gcd.
 """
 
@@ -258,7 +259,8 @@ class Scalar:
     # With both denominators 1 the result is canonical as it stands.  It
     # still goes through __init__, so construction keeps one entry point;
     # the flag is passed positionally, where a call tracer's argument
-    # tuple shows it.
+    # tuple shows it.  A product of such operands where one is 1 is the
+    # other operand itself: every Scalar is canonical and immutable.
 
     def __add__(self, other):
         sd, od = self.den, other.den
@@ -278,6 +280,10 @@ class Scalar:
     def __mul__(self, other):
         sd, od = self.den, other.den
         if sd.coeffs == _UNIT and od.coeffs == _UNIT:
+            if self.num.coeffs == _UNIT:
+                return other
+            if other.num.coeffs == _UNIT:
+                return self
             return Scalar(self.num * other.num, sd, True)
         return Scalar(self.num * other.num, sd * od)
 

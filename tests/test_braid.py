@@ -119,6 +119,15 @@ def test_unvalidated_braiding_refuses_lifts():
         braid_lift(chi(1, 1), raw)
 
 
+def test_braiding_keeps_its_yang_baxter_report():
+    b = symbolic_diagonal(2)
+    assert [e["identity"] for e in b.ybe.entries] == ["yang-baxter"]
+    assert b.ybe.ok
+    raw = Braiding(b.space, b.fwd, b.inv, validate=False)
+    assert raw.ybe is None and not raw.validated
+    assert b.inverse_braiding().ybe is None
+
+
 def test_inverse_braiding():
     b = exterior_braiding(3)
     ib = b.inverse_braiding()

@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import ybalg
-from ybalg import hopf
+from ybalg import braid, cli, hopf
 from ybalg.binfty import QBStructure, YBBase, qb_from_obj, qb_to_obj
-from ybalg.braid import Braiding
-from ybalg.catalog import (diagonal_braiding, exterior_braiding,
-                           group_algebra_hopf)
+from ybalg.braid import Braiding, check_yang_baxter
+from ybalg.catalog import (WedgeAlgebra, diagonal_braiding,
+                           exterior_braiding, group_algebra_hopf)
 from ybalg.cli import (ParseError, SuiteMismatch, UnknownTarget,
                        ValidationError, cmd_compute, cmd_verify,
                        compute_expression, format_element, load_session,
@@ -112,6 +112,53 @@ def test_verify_suite_mismatch(tmp_path):
     session = load_session(basic_session(tmp_path))
     with pytest.raises(SuiteMismatch):
         cmd_verify(session, "sigma", "hopf", 4)
+
+
+@pytest.mark.parametrize("decl", [
+    {"name": "T", "kind": "diagonal", "matrix": [["q", "2"], ["-1", "1/q"]]},
+    {"name": "T", "kind": "catalog", "address": "qflip:N=2"},
+])
+def test_verify_decides_yang_baxter_once(tmp_path, capsys, monkeypatch,
+                                         decl):
+    calls = []
+
+    def counted(sigma, space):
+        calls.append(sigma)
+        return check_yang_baxter(sigma, space)
+
+    monkeypatch.setattr(braid, "check_yang_baxter", counted)
+    monkeypatch.setattr(cli, "check_yang_baxter", counted)
+    path = write_session(tmp_path, {"version": 1, "objects": [decl]})
+    assert main(["verify", path, "T", "--suite", "all", "--bound", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [e["identity"] for e in report["entries"]].count(
+        "yang-baxter") == (2 if decl["kind"] == "diagonal" else 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", ["diagonal", "qflip", "unchecked"])
+def test_verify_report_copies_the_stored_yang_baxter_report(case):
+    b = diagonal_braiding([[parse_scalar("q"), Scalar.one()],
+                           [Scalar.one(), parse_scalar("-q")]])
+    if case == "qflip":
+        w = WedgeAlgebra(2)
+        b, report = w.braiding, cli._qflip_report(w, "all", 3)
+    else:
+        if case == "unchecked":
+            # no stored report: the entry comes from a check made now
+            b = Braiding(b.space, b.fwd, b.inv, validate=False)
+            b.validated = True
+        report = cli._braiding_report(b, "all", 3)
+    ybe = [e for e in report.entries if e["identity"] == "yang-baxter"]
+    assert ybe and all(e["ok"] for e in ybe)
+    if b.ybe is None:
+        return
+    stored = [dict(e) for e in b.ybe.entries]
+    for e in report.entries:
+        e["ok"] = False
+        e["witness"] = "edited"
+    report.entries.clear()
+    assert b.ybe.entries == stored and b.ybe.ok
 
 
 def test_parse_element_literals():
@@ -216,6 +263,16 @@ def test_compute_object_of_other_kind_exits_2(tmp_path, capsys, expr):
         compute_expression(load_session(path), expr)
     assert main(["compute", path, expr]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_compute_names_letters_after_its_space(tmp_path, capsys):
+    # the first braided object has two letters, the braiding used three
+    path = write_session(tmp_path, {"version": 1, "objects": [
+        {"name": "sigma", "kind": "catalog", "address": "exterior:N=2"},
+        {"name": "b", "kind": "diagonal", "matrix": [
+            ["1", "1", "1"], ["1", "1", "1"], ["q", "1", "1"]]}]})
+    assert main(["compute", path, "shuffle(e3, e1, b)"]) == 0
+    assert capsys.readouterr().out.strip() == "q e1*e3 + e3*e1"
 
 
 def test_format_element_coefficient_rules():

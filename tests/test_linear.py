@@ -77,6 +77,120 @@ def test_invert_singular():
         map_invert_exact(f, sp, 1)
 
 
+# -- the sparse inverse against the dense Gauss-Jordan it replaced ---------
+
+def _dense_invert(f, space, degree):
+    """Gauss-Jordan on the dense matrix of f beside the identity, with the
+    same pivot rule: the first row at or below the column holding a
+    nonzero entry."""
+    words = space.words(degree)
+    index = {w: i for i, w in enumerate(words)}
+    n = len(words)
+    zero, one = Scalar.zero(), Scalar.one()
+    mat = [[zero] * n for _ in range(n)]
+    for w, col in f.columns.items():
+        for (letters, _), c in col.terms.items():
+            mat[index[letters]][index[w]] = c
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n)
+                      if not mat[r][col].is_zero()), None)
+        if pivot is None:
+            raise Singular("map is singular on degree %d" % degree)
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        p = mat[col][col].invert()
+        mat[col] = [v * p for v in mat[col]]
+        inv[col] = [v * p for v in inv[col]]
+        for r in range(n):
+            factor = mat[r][col]
+            if r == col or factor.is_zero():
+                continue
+            mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+            inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
+    cols = {}
+    for j, w in enumerate(words):
+        e = Element()
+        for i in range(n):
+            if not inv[i][j].is_zero():
+                e.add_term((words[i], ()), inv[i][j])
+        if not e.is_zero():
+            cols[w] = e
+    return LinMap(degree, cols)
+
+
+def laurent_entries():
+    pair = st.tuples(st.integers(-2, 2), st.integers(-3, 3))
+    return st.lists(pair, min_size=1, max_size=2).map(
+        lambda ps: sum((Scalar.q_power(e, c) for e, c in ps),
+                       Scalar.zero()))
+
+
+def rational_entries():
+    """Laurent numerators over a + b q with a, b nonzero."""
+    den = st.tuples(st.integers(-3, 3).filter(bool),
+                    st.integers(-3, 3).filter(bool)).map(
+        lambda t: Scalar.from_int(t[0]) + Scalar.q_power(1, t[1]))
+    return st.tuples(laurent_entries(), den).map(lambda t: t[0] / t[1])
+
+
+@st.composite
+def maps_to_invert(draw):
+    """(f, space, degree, kind): f = P L U on a space of dim 1-3 at degree
+    1-2, with L unit lower and U upper triangular with a nonzero diagonal
+    and a third of their other entries drawn, P a row permutation; a "repeated" or "zero" kind then makes one column
+    a copy of another, or zero."""
+    dim, degree = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    space = Space(["e%d" % i for i in range(dim)])
+    words = space.words(degree)
+    n = len(words)
+    entry = draw(st.sampled_from([laurent_entries(), rational_entries()]))
+    nonzero = entry.filter(lambda c: not c.is_zero())
+    lower, upper = {}, {}
+    for j, w in enumerate(words):
+        lower[w] = Element.basis(w)
+        upper[w] = Element.basis(w, coeff=draw(nonzero))
+        for i, v in enumerate(words):
+            if i != j and draw(st.integers(0, 2)) == 0:
+                part = lower if i > j else upper
+                part[w] = part[w] + Element.basis(v, coeff=draw(entry))
+    perm = draw(st.permutations(words))
+    f = LinMap(degree, {w: Element.basis(v) for w, v in zip(words, perm)}
+               ).compose(LinMap(degree, lower)).compose(
+                   LinMap(degree, upper))
+    kinds = ["invertible"] + (["repeated", "zero"] if n > 1 else ["zero"])
+    kind = draw(st.sampled_from(kinds))
+    if kind != "invertible":
+        j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True)) if n > 1 else (0, 0)
+        columns = dict(f.columns)
+        if kind == "repeated":
+            columns[words[j]] = f.column(words[k])
+        else:
+            columns.pop(words[j], None)
+        f = LinMap(degree, columns)
+    return f, space, degree, kind
+
+
+def _layout(g):
+    """Columns in order, each as its terms in order."""
+    return [(w, list(c.terms.items())) for w, c in g.columns.items()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(maps_to_invert())
+def test_sparse_inverse_matches_dense(case):
+    f, space, degree, kind = case
+    outcomes = []
+    for invert in (map_invert_exact, _dense_invert):
+        try:
+            outcomes.append(_layout(invert(f, space, degree)))
+        except Singular:
+            outcomes.append(Singular)
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is Singular) == (kind != "invertible")
+
+
 def test_kernel_basis():
     sp = Space(["a", "b"])
     f = LinMap(1, {(0,): Element.basis((0,)), (1,): Element.basis((0,))})

@@ -270,3 +270,33 @@ def test_evaluation_commutes_with_parsing(pair):
         d = eval_poly(den, t)
         if d != 0:
             assert eval_at(x, t) == eval_poly(num, t) / d
+
+
+# -- products by 1 against the general normalising construction ----------
+
+def factors():
+    """One, Laurent scalars and non-Laurent scalars, among them
+    reciprocals, whose numerator is often 1."""
+    return st.one_of(st.just(Scalar.one()),
+                     laurent_polys().map(lambda p: Scalar(p, Poly.one())),
+                     general_scalars(),
+                     ordinary_polys().map(lambda p: Scalar(Poly.one(), p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors(), factors())
+def test_product_matches_general_construction(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert canonical(x * y) == canonical(Scalar(x.num * y.num,
+                                                    x.den * y.den))
+
+
+@settings(max_examples=100, deadline=None)
+@given(general_scalars(), laurent_polys())
+def test_product_by_one(x, p):
+    one = Scalar.one()
+    # on a non-Laurent x these take the general path; a Laurent y is
+    # returned itself
+    assert x * one == x and one * x == x
+    y = Scalar(p, Poly.one())
+    assert y * one is y and one * y is y
