@@ -7,6 +7,7 @@ which is deterministic and linear in the inversion number.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .linear import (Element, LinMap, Report, _on_basis, apply_at,
@@ -106,17 +107,20 @@ def all_reduced_words(w):
     return out
 
 
+@cache
 def enumerate_shuffles(p, q):
-    """All (p,q)-shuffles in S_{p+q}, lexicographic on image sequences."""
+    """All (p,q)-shuffles in S_{p+q}, lexicographic on image sequences: one
+    tuple per (p, q), built on first use."""
     n = p + q
     out = []
     for first in combinations(range(1, n + 1), p):
         rest = [v for v in range(1, n + 1) if v not in first]
         out.append(Perm(list(first) + rest))
     out.sort(key=lambda w: w.images)
-    return out
+    return tuple(out)
 
 
+@cache
 def chi(i, j):
     """chi_{ij} in S_{i+j}: k -> k+j for k <= i, k -> k-i otherwise."""
     return Perm([k + j for k in range(1, i + 1)]

@@ -95,17 +95,13 @@ def _weak_cut_tuples(length, n):
 def qshuffle_product(x, y, braiding):
     """Quantum shuffle product: sum of braid lifts over (i,j)-shuffles."""
     out = Element()
-    shuffle_cache = {}
     for (lw, lc), a in x.terms.items():
         for (rw, rc), b in y.terms.items():
             if lc or rc:
                 raise ValueError("qshuffle_product expects uncut elements")
-            i, j = len(lw), len(rw)
-            if (i, j) not in shuffle_cache:
-                shuffle_cache[(i, j)] = enumerate_shuffles(i, j)
             coeff = a * b
             word = lw + rw
-            for w in shuffle_cache[(i, j)]:
+            for w in enumerate_shuffles(len(lw), len(rw)):
                 img = braid_lift_apply(braiding, w, word)
                 for key, s in img.terms.items():
                     out.add_term(key, s * coeff)
@@ -118,12 +114,21 @@ def quantum_coproduct(x, braiding):
     for (letters, cuts), c in x.terms.items():
         if cuts:
             raise ValueError("quantum_coproduct expects uncut elements")
-        n = len(letters)
-        for p in range(n + 1):
-            for w in enumerate_shuffles(p, n - p):
-                img = braid_lift_apply(braiding, w.inverse(), letters)
-                for (iw, _), s in img.terms.items():
-                    out.add_term((iw, (p,)), s * c)
+        for p in range(len(letters) + 1):
+            part = _unshuffle_component(braiding, letters, p)
+            for key, s in part.terms.items():
+                out.add_term(key, s * c)
+    return out
+
+
+def _unshuffle_component(braiding, letters, p):
+    """The (p, n-p) component of the quantum coproduct on one word: the sum
+    of T_{w^{-1}} over the (p, n-p)-shuffles w, cut after p letters."""
+    out = Element()
+    for w in enumerate_shuffles(p, len(letters) - p):
+        img = braid_lift_apply(braiding, w.inverse(), letters)
+        for (iw, _), s in img.terms.items():
+            out.add_term((iw, (p,)), s)
     return out
 
 
@@ -235,9 +240,13 @@ def _first_factor_delta_beta(braiding, x, reduced):
         end = rest[0] if rest else len(letters)
         for a in range(cut + 1):
             for b in range(cut, end + 1):
+                ncuts = (a, a + b - cut, b) + rest
+                if a == cut or b == cut:
+                    # beta with an empty block is the identity
+                    out.add_term((letters, ncuts), c)
+                    continue
                 img = apply_beta_letters(braiding, cut - a, b - cut,
                                          letters[a:b])
-                ncuts = (a, a + b - cut, b) + rest
                 for (mw, _), s in img.terms.items():
                     out.add_term((letters[:a] + mw + letters[b:], ncuts),
                                  s * c)
@@ -420,12 +429,8 @@ def check_tensor_yb_coproduct(braiding, p, q, r):
     Checks its (p, q) component against beta on x | y with deg (p+q, r): a
     Report entry "corow-1", each case named (x, y, p).
     """
-    def unshuffle(key):
-        d = quantum_coproduct(Element.basis(key[0]), braiding)
-        return Element({t: c for t, c in d.terms.items() if t[1] == (p,)})
-
     beta = _memo(beta_slots(braiding))
-    cop = _memo(unshuffle)
+    cop = _memo(lambda key: _unshuffle_component(braiding, key[0], p))
     return _slot_rows(Report(), braiding.space, (p + q, r),
                       lambda ws: ws + (p,), [
         # sigma_1 sigma_2 (Delta (x) id) = (id (x) Delta) beta

@@ -1,15 +1,17 @@
 """Induced products on the tensor algebra and the two-product peeling."""
 
+import inspect
+
 import pytest
 
 from conftest import (dual_numbers_twoyb, flip_braiding, graded_base,
                       symbolic_diagonal, zero_base)
 from ybalg import binfty, tensoralg
 from ybalg.binfty import (QBStructure, TwoYB, YBBase, _apply_m_blocks,
-                          _m_iterates, antipode, from_2yb, qb_from_obj,
+                          _fold_dot, antipode, from_2yb, qb_from_obj,
                           qb_to_obj, qb_validate, quasi_shuffle, star_power,
                           star_product)
-from ybalg.linear import Element, LinMap, Space, tensor_elements
+from ybalg.linear import Element, LinMap, Space, apply_at, tensor_elements
 from ybalg.scalars import Scalar
 from ybalg.tensoralg import (DegreeCapExceeded, InvalidBase,
                              _first_factor_delta_beta, counit, deconcatenate,
@@ -264,7 +266,7 @@ def test_twoyb_rejects_nonassociative():
 
 # -- the iterate stream and the star-form associativity row -----------------
 
-def _towers():
+def _towers(degree_cap=4):
     """The conftest towers and a planted false one: the plain flip makes
     every component compatible, so only the non-associative M_11 and the
     arbitrary M_12, M_21 break the tower."""
@@ -274,32 +276,106 @@ def _towers():
         (1, 1): LinMap(2, {(1, 1): e((0,)), (0, 1): e((0,))}),
         (1, 2): LinMap(3, {(0, 1, 1): e((1,)), (1, 0, 0): e((0,))}),
         (2, 1): LinMap(3, {(1, 1, 0): e((1,), (), Scalar.from_int(2))}),
-    }, degree_cap=4)
-    return [zero_base(symbolic_diagonal(2)).qb_structure(degree_cap=4),
-            graded_base().qb_structure(degree_cap=4),
-            from_2yb(dual_numbers_twoyb(), 4), planted]
+    }, degree_cap=degree_cap)
+    return [zero_base(symbolic_diagonal(2)).qb_structure(degree_cap),
+            graded_base().qb_structure(degree_cap),
+            from_2yb(dual_numbers_twoyb(), degree_cap), planted]
+
+
+def _m_iterates(M, letters, cut):
+    """The reference stream: the reduced iterates Delta_beta^{(n-1)},
+    n = 1, ..., len(letters), of the pair word letters[:cut] |
+    letters[cut:], on which M^{(x)n} acts; each expands the first pair
+    factor of the one before once."""
+    d = Element.basis(letters, (cut,))
+    for n in range(len(letters)):
+        if n:
+            d = _first_factor_delta_beta(M.braiding, d, True)
+        yield d
+
+
+def _stream_star(M, letters, cut):
+    """The star product of a pair word as the sum of M^{(x)n} over the
+    reference stream."""
+    if not letters:
+        return Element.unit()
+    return sum((_apply_m_blocks(M, d) for d in _m_iterates(M, letters, cut)),
+               Element())
 
 
 def test_iterate_stream_matches_from_scratch_iterates():
-    # the stream, the last iterate the star memo holds for the
-    # assoc-vanishing row, and the one reduced step past it, against
-    # from-scratch iterates on every head of every tower
+    # the reference stream, and one reduced step past its last iterate (the
+    # assoc-vanishing value), against from-scratch iterates on every head
+    # of every tower
     for M in _towers():
         for letters in words_upto(M.space, 4):
             for cut in range(len(letters) + 1):
                 z = Element.basis(letters, (cut,))
-                assert list(_m_iterates(M, letters, cut)) == [
+                stream = list(_m_iterates(M, letters, cut))
+                assert stream == [
                     delta_beta_iter(M.braiding, z, n, reduced=True)
                     for n in range(len(letters))]
-                if not letters:
-                    continue
-                star_product(M, Element.basis(letters[:cut]),
-                             Element.basis(letters[cut:]))
-                held = M._star_cache[(letters, cut, "reduced")][1]
-                assert held == delta_beta_iter(M.braiding, z,
-                                               len(letters) - 1, reduced=True)
-                assert _first_factor_delta_beta(M.braiding, held, True) == \
-                    delta_beta_iter(M.braiding, z, len(letters), reduced=True)
+                if stream:
+                    assert _first_factor_delta_beta(
+                        M.braiding, stream[-1], True) == delta_beta_iter(
+                        M.braiding, z, len(letters), reduced=True)
+
+
+def _star_agrees(M, bound, via_w_bound):
+    """The recursion (star_product's reduced form) against the reference
+    stream on every pair u | v with |u| + |v| <= bound, and against the
+    via_w form up to via_w_bound; the assertion names the first pair that
+    differs."""
+    for letters in words_upto(M.space, bound):
+        for cut in range(len(letters) + 1):
+            x = Element.basis(letters[:cut])
+            y = Element.basis(letters[cut:])
+            got = star_product(M, x, y)
+            assert got == _stream_star(M, letters, cut), (letters, cut)
+            if len(letters) <= via_w_bound:
+                assert got == star_product(M, x, y, "word"), (letters, cut)
+
+
+def test_star_recursion_matches_stream_and_via_w():
+    # via_w expands every weak cut tuple before braiding, about 7 s a tower
+    # at degree 5, so it is held to degree 4
+    for M in _towers(6):
+        _star_agrees(M, 6, 4)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("if f is None:", "if f is None or (s, t) == (1, 1):"),
+    ("ac = a * c", "ac = a"),
+], ids=["term-dropped", "braiding-scalar-dropped"])
+def test_star_differential_catches_planted_fault(monkeypatch, old, new):
+    src = inspect.getsource(binfty._cofree_terms)
+    assert src.count(old) == 1
+    namespace = dict(vars(binfty))
+    exec(src.replace(old, new), namespace)
+    monkeypatch.setattr(binfty, "_cofree_terms", namespace["_cofree_terms"])
+    with pytest.raises(AssertionError):
+        _star_agrees(graded_base().qb_structure(degree_cap=4), 4, 4)
+
+
+def test_from_2yb_matches_stream_peeling():
+    # the peeling with each M_pq's shorter factorizations summed over the
+    # reference stream of the incomplete M
+    a = dual_numbers_twoyb()
+    ref = QBStructure(a.braiding, degree_cap=5)
+    for total in range(2, 6):
+        for p in range(1, total):
+            def column(z):
+                prod = apply_at(a.star, 2, 0, tensor_elements(
+                    _fold_dot(a, Element.basis(z[:p])),
+                    _fold_dot(a, Element.basis(z[p:]))))
+                return prod - _fold_dot(a, _stream_star(ref, z, p))
+            f = LinMap.tabulate(a.space, total, column)
+            if f.columns:
+                ref.components[(p, total - p)] = f
+    M = from_2yb(a, 5)
+    assert set(M.components) == set(ref.components)
+    for (p, q), f in ref.components.items():
+        assert M.components[(p, q)].equals(f, a.space, p + q)
 
 
 def _reference_eq5_side(M, letters, i, j, k, left):

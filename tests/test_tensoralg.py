@@ -226,7 +226,10 @@ def _mutant_kernel(old, new):
     ("out.add_term((letters, (cut, end, end) + rest), -c)", "pass"),
     ("ncuts = (a, a + b - cut, b) + rest",
      "ncuts = (a, a + b - cut, b) + tuple(p + 1 for p in rest)"),
-], ids=["subtraction-dropped", "rest-cut-shifted"])
+    ("out.add_term((letters, ncuts), c)",
+     "out.add_term((letters, (a, a, b) + rest), c)"),
+], ids=["subtraction-dropped", "rest-cut-shifted",
+        "identity-split-middle-cut"])
 def test_first_factor_differential_catches_planted_fault(old, new):
     mutant = _mutant_kernel(old, new)
     with pytest.raises(AssertionError):
