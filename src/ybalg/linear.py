@@ -284,7 +284,10 @@ class LinMap:
         return LinMap(degree, cols)
 
     def column(self, word):
-        return self.columns.get(tuple(word), Element.zero())
+        """The stored column of word, which callers only read; an empty
+        Element, built only on a miss, for a zero column."""
+        col = self.columns.get(tuple(word))
+        return Element() if col is None else col
 
     def apply(self, x):
         """Linear extension to an Element (plain words only)."""
@@ -303,8 +306,7 @@ class LinMap:
                 out.add_term(key, a * c)
         return out
 
-    def apply_word(self, letters):
-        return self.columns.get(tuple(letters), Element.zero())
+    apply_word = column
 
     def compose(self, other):
         """self o other."""

@@ -18,12 +18,23 @@ Every stock braiding has Laurent-polynomial entries, so almost all scalars
 have den = 1.  A Laurent polynomial over 1 is already canonical (nothing can
 cancel, the content across num and den is 1), and sums, differences and
 products of such scalars stay Laurent, so `+`, `-` and `*` on two den = 1
-operands skip normalisation, and such a product by 1 is the other operand
-itself; negation never renormalises.  Every other result is normalised by
-a primitive polynomial remainder sequence over the integers
-(pseudo-remainders divided by their content, Knuth TAOCP vol. 2 4.6.1;
-Collins 1967), stopping as soon as a remainder is a nonzero constant,
-followed by exact integer division by the gcd.
+operands skip normalisation; negation never renormalises.
+
+No product runs the general normaliser.  A product by 1 is the other operand
+itself, whatever its denominator.  Any other product with a non-Laurent
+operand follows Henrici (Knuth TAOCP vol. 2 4.5.1): of n1/d1 * n2/d2, both
+canonical, only g1 = gcd(n1, d2) and g2 = gcd(n2, d1) can cancel, so
+(n1/g1)(n2/g2) over (d1/g2)(d2/g1) is coprime, and dividing out the integer
+content across the two leaves it canonical.  Each gcd is primitive with a
+positive leading coefficient, so the denominator keeps a positive leading
+coefficient, and q divides no denominator, so the Laurent shifts of the
+numerators add.
+
+Every other result (a sum with a non-Laurent operand, an inverse, a parsed
+or constructed scalar) is normalised by a primitive polynomial remainder
+sequence over the integers (pseudo-remainders divided by their content,
+Knuth TAOCP vol. 2 4.6.1; Collins 1967), stopping as soon as a remainder
+is a nonzero constant, followed by exact integer division by the gcd.
 """
 
 from __future__ import annotations
@@ -195,6 +206,44 @@ def _dense_divexact(a, b):
     return out
 
 
+def _dense_mul(a, b):
+    """Product of two ordinary integer polys (may return an operand)."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else [x * c for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, y in enumerate(b):
+        for j, x in enumerate(a, i):
+            out[j] += x * y
+    return out
+
+
+def _cancel(n, d):
+    """n and d with their primitive gcd divided out.  A constant on either
+    side shares only an integer with the other, which _content_free takes."""
+    if len(n) > 1 and len(d) > 1:
+        g = _dense_gcd(n, d)
+        if len(g) > 1:
+            return _dense_divexact(n, g), _dense_divexact(d, g)
+    return n, d
+
+
+def _content_free(n, d, shift):
+    """num, den Polys of q^shift n/d (ordinary n, d) with the integer
+    content across n and d divided out and den's leading coefficient
+    made positive."""
+    cg = gcd(*n, *d)
+    if d[-1] < 0:
+        cg = -cg
+    if cg != 1:
+        n = [c // cg for c in n]
+        d = [c // cg for c in d]
+    return (Poly({i + shift: c for i, c in enumerate(n)}),
+            Poly(dict(enumerate(d))))
+
+
 _UNIT = {0: 1}
 
 
@@ -216,19 +265,8 @@ class Scalar:
             return
         # clear Laurent shifts: den becomes ordinary with nonzero constant
         mn, md = num.min_exp(), den.min_exp()
-        n0, d0 = _to_dense(num, mn), _to_dense(den, md)
-        g = _dense_gcd(n0, d0)
-        if len(g) > 1:
-            n0, d0 = _dense_divexact(n0, g), _dense_divexact(d0, g)
-        cg = gcd(*n0, *d0)
-        if d0[-1] < 0:
-            cg = -cg
-        if cg != 1:
-            n0 = [c // cg for c in n0]
-            d0 = [c // cg for c in d0]
-        shift = mn - md
-        self.num = Poly({i + shift: c for i, c in enumerate(n0)})
-        self.den = Poly(dict(enumerate(d0)))
+        n0, d0 = _cancel(_to_dense(num, mn), _to_dense(den, md))
+        self.num, self.den = _content_free(n0, d0, mn - md)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -256,11 +294,12 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
 
-    # With both denominators 1 the result is canonical as it stands.  It
-    # still goes through __init__, so construction keeps one entry point;
-    # the flag is passed positionally, where a call tracer's argument
-    # tuple shows it.  A product of such operands where one is 1 is the
-    # other operand itself: every Scalar is canonical and immutable.
+    # With both denominators 1 a sum, difference or product is canonical as
+    # it stands, and every product is built canonical (module docstring).
+    # Such results still go through __init__, so construction keeps one
+    # entry point; the flag is passed positionally, where a call tracer's
+    # argument tuple shows it.  A product by 1 is the other operand itself:
+    # every Scalar is canonical and immutable.
 
     def __add__(self, other):
         sd, od = self.den, other.den
@@ -278,14 +317,26 @@ class Scalar:
         return Scalar(-self.num, self.den, True)
 
     def __mul__(self, other):
-        sd, od = self.den, other.den
-        if sd.coeffs == _UNIT and od.coeffs == _UNIT:
-            if self.num.coeffs == _UNIT:
+        # nested so that two Laurent operands other than 1 still cost four
+        # comparisons; past them, a Henrici product (module docstring)
+        sn, on = self.num, other.num
+        if self.den.coeffs == _UNIT:
+            if sn.coeffs == _UNIT:
                 return other
-            if other.num.coeffs == _UNIT:
-                return self
-            return Scalar(self.num * other.num, sd, True)
-        return Scalar(self.num * other.num, sd * od)
+            if other.den.coeffs == _UNIT:
+                if on.coeffs == _UNIT:
+                    return self
+                return Scalar(sn * on, self.den, True)
+        elif other.den.coeffs == _UNIT and on.coeffs == _UNIT:
+            return self
+        if not sn.coeffs or not on.coeffs:
+            return _ZERO
+        ms, mo = sn.min_exp(), on.min_exp()
+        n1, d2 = _cancel(_to_dense(sn, ms), _to_dense(other.den, 0))
+        n2, d1 = _cancel(_to_dense(on, mo), _to_dense(self.den, 0))
+        num, den = _content_free(_dense_mul(n1, n2), _dense_mul(d1, d2),
+                                 ms + mo)
+        return Scalar(num, den, True)
 
     def invert(self):
         if self.is_zero():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ybalg.scalars import (DivisionByZero, Poly, Scalar, ScalarParseError,
@@ -283,9 +283,27 @@ def factors():
                      ordinary_polys().map(lambda p: Scalar(Poly.one(), p)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(factors(), factors())
-def test_product_matches_general_construction(a, b):
+@st.composite
+def cross_cancelling_pairs(draw):
+    """x = a f / (k b) and y = k c / (d f): f and k can cancel only across
+    the operands, a and c carry Laurent shifts, and a constant k or f plants
+    an integer content."""
+    a, c = (draw(ordinary_polys()) * Poly.q(draw(st.integers(-2, 2)))
+            for _ in range(2))
+    f, k, b, d = (draw(ordinary_polys()) for _ in range(4))
+    return Scalar(a * f, k * b), Scalar(k * c, d * f)
+
+
+def factor_pairs():
+    return st.one_of(st.tuples(factors(), factors()),
+                     cross_cancelling_pairs())
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_pairs())
+@example((parse_scalar("1/(2q+2)"), parse_scalar("2/(q+3)")))
+def test_product_matches_general_construction(pair):
+    a, b = pair
     for x, y in ((a, b), (b, a)):
         assert canonical(x * y) == canonical(Scalar(x.num * y.num,
                                                     x.den * y.den))
@@ -295,11 +313,10 @@ def test_product_matches_general_construction(a, b):
 @given(general_scalars(), laurent_polys())
 def test_product_by_one(x, p):
     one = Scalar.one()
-    # on a non-Laurent x these take the general path; a Laurent y is
-    # returned itself, unless y is 1 too, when the product may return
-    # either operand
-    assert x * one == x and one * x == x
-    y = Scalar(p, Poly.one())
-    assert y * one == y and one * y == y
-    if p != Poly.one():
-        assert y * one is y and one * y is y
+    # a product by 1 is the other operand itself, whatever its
+    # denominator, unless that operand is 1 too, when the product may
+    # return either operand
+    for y in (x, Scalar(p, Poly.one())):
+        assert y * one == y and one * y == y
+        if y != one:
+            assert y * one is y and one * y is y
