@@ -232,7 +232,7 @@ def qb_validate(M, degree_bound=None):
         raise DegreeCapExceeded("bound %d exceeds the tower's degree cap %d"
                                 % (bound, M.degree_cap))
     space = M.space
-    beta = _memo(beta_slots(M.braiding))
+    beta = beta_slots(M.braiding)
     vanish = _memo(lambda key: delta_beta_iter(
         M.braiding, Element.basis(*key), len(key[0]), reduced=True))
     rows = Report()

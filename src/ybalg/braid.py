@@ -165,6 +165,7 @@ class Braiding:
                              % (self.ybe.entries[0]["witness"],))
         self.validated = validate
         self._lift_cache = {}
+        self._beta_slot_cache = {}  # tensoralg.beta_slots images
         self._inv_braiding = None
 
     def inverse_braiding(self):

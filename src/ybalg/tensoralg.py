@@ -6,8 +6,10 @@ braided coproduct of the pair algebra produces elements whose cut count
 doubles with each iteration.
 
 Maps on whole tensor slots run as slot programs: chains of `apply_slots`
-steps, the graded-slot analogue of linear.apply_at.  The Def 2.1 rows on
-V and on T(V) are pairs of leg or slot programs checked by Report.check.
+steps, the graded-slot analogue of linear.apply_at, each summing its image
+terms in place; a braiding keeps one beta slot map, shared by all of them.
+The Def 2.1 rows on V and on T(V) are pairs of leg or slot programs checked
+by Report.check.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .braid import (Perm, apply_beta_letters, braid_lift_apply,
-                    enumerate_shuffles, w_block)
+                    enumerate_shuffles, perm_reduced_word, w_block)
 from .linear import (Element, LinMap, Report, _leg_rows, _point,
                      tensor_elements)
 from .scalars import Scalar
@@ -79,9 +81,6 @@ def delta_iter(x, n):
 
 def _weak_cut_tuples(length, n):
     """All weakly increasing n-tuples of cut positions in [0, length]."""
-    if n == 0:
-        yield ()
-        return
     def rec(start, left):
         if left == 0:
             yield ()
@@ -146,37 +145,48 @@ def apply_slots(f, arity, pos, x):
     f takes the (letters, cuts) key of one basis element of T(V)^{(x) arity},
     its cuts relative to it, and returns an Element with any number of
     slots; the other slots keep their letters, and the cuts after the
-    replaced slots shift with their new length.
+    replaced slots shift with their new length.  Image terms are summed in
+    place into the result (no zero kept); f's results are only read.
     """
     out = Element()
+    acc, last = out.terms, pos + arity - 1
     for (letters, cuts), c in x.terms.items():
-        b = slot_bounds(letters, cuts)
-        lo, hi = b[pos], b[pos + arity]
-        inner = tuple(p - lo for p in cuts[pos:pos + arity - 1])
-        head, tail = cuts[:pos], cuts[pos + arity - 1:]
+        lo = cuts[pos - 1] if pos else 0
+        hi = cuts[last] if last < len(cuts) else len(letters)
+        inner = cuts[pos:last]
+        if lo:
+            inner = tuple([p - lo for p in inner])
+        head, tail, width = cuts[:pos], cuts[last:], hi - lo
         for (mid, mc), a in f((letters[lo:hi], inner)).terms.items():
-            shift = len(mid) - (hi - lo)
-            out.add_term((letters[:lo] + mid + letters[hi:],
-                          head + tuple(lo + p for p in mc)
-                          + tuple(p + shift for p in tail)), a * c)
+            shift = len(mid) - width
+            key = (letters[:lo] + mid + letters[hi:],
+                   head + (tuple([lo + p for p in mc]) if lo else mc)
+                   + (tuple([p + shift for p in tail]) if shift else tail))
+            cur = acc.get(key)
+            s = a * c if cur is None else cur + a * c
+            if cur is None or not s.is_zero():
+                acc[key] = s
+            else:
+                del acc[key]
     return out
 
 
 def beta_slots(braiding):
     """beta as a slot map on two slots: u | v -> beta_{ij}(u v), cut after
-    the j = len(v) letters that come first."""
+    the j = len(v) letters that come first.  Its images are kept on the
+    braiding, one map per braiding, shared by every slot program on it."""
     def beta(key):
         letters, (i,) = key
         j = len(letters) - i
         img = apply_beta_letters(braiding, i, j, letters)
         return Element({(w, (j,)): c for (w, _), c in img.terms.items()})
-    return beta
+    return _memo(beta, braiding._beta_slot_cache)
 
 
-def _memo(f):
+def _memo(f, cache=None):
     """The slot map f with each result kept, keyed on the input sub-tensor,
-    for as long as the returned function lives."""
-    cache = {}
+    in cache or else for as long as the returned function lives."""
+    cache = {} if cache is None else cache
 
     def memoised(key):
         res = cache.get(key)
@@ -210,7 +220,6 @@ def _slot_rows(report, space, degrees, label, rows):
 
 def apply_block_lift(braiding, w, x):
     """T^beta_w for w permuting the tensor slots of x (slot count = w.n)."""
-    from .braid import perm_reduced_word
     beta = beta_slots(braiding)
     for i in reversed(perm_reduced_word(w)):
         x = apply_slots(beta, 2, i - 1, x)
@@ -305,8 +314,7 @@ def symmetrizer_image(k, braiding, sign=1):
 
 
 def _all_perms(k):
-    from itertools import permutations
-    return [Perm(p) for p in permutations(range(1, k + 1))]
+    return [Perm(p) for p in itertools.permutations(range(1, k + 1))]
 
 
 # -- power structures (Prop 2.2) ------------------------------------------
@@ -339,14 +347,11 @@ def power_product(i, mult, braiding):
 def power_coproduct(i, comult, braiding):
     """Coproduct on A^{(x) i}: T_{w_i^{-1}} after componentwise comult."""
     def coprod(letters, coeff=None):
-        out = Element()
-        acc = Element.basis((), (), coeff if coeff is not None
-                            else Scalar.one())
+        acc = Element.basis((), (), coeff)
         for t in range(i):
             factor = comult.apply_word(letters[t:t + 1])
             acc = tensor_elements(acc, factor)
-        y = apply_letter_lift(braiding, w_block(i).inverse(), acc)
-        return y
+        return apply_letter_lift(braiding, w_block(i).inverse(), acc)
     return coprod
 
 
@@ -412,7 +417,7 @@ def check_tensor_yb_product(product, braiding, i, j, k):
         letters, (c,) = key
         return product(Element.basis(letters[:c]), Element.basis(letters[c:]))
 
-    beta = _memo(beta_slots(braiding))
+    beta = beta_slots(braiding)
     prod = _memo(split_product)
     return _slot_rows(Report(), braiding.space, (i, j, k), tuple, [
         # beta(prod (x) id) = (id (x) prod) beta_1 beta_2
@@ -429,7 +434,7 @@ def check_tensor_yb_coproduct(braiding, p, q, r):
     Checks its (p, q) component against beta on x | y with deg (p+q, r): a
     Report entry "corow-1", each case named (x, y, p).
     """
-    beta = _memo(beta_slots(braiding))
+    beta = beta_slots(braiding)
     cop = _memo(lambda key: _unshuffle_component(braiding, key[0], p))
     return _slot_rows(Report(), braiding.space, (p + q, r),
                       lambda ws: ws + (p,), [

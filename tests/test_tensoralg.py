@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import flip_braiding, graded_base, symbolic_diagonal
 from ybalg import tensoralg
-from ybalg.binfty import quasi_shuffle
-from ybalg.braid import apply_beta_letters, check_yang_baxter
+from ybalg.binfty import qb_validate, quasi_shuffle
+from ybalg.braid import Braiding, apply_beta_letters, check_yang_baxter
 from ybalg.catalog import exterior_braiding
 from ybalg.linear import Element, LinMap, Space, tensor_elements
 from ybalg.scalars import Scalar, parse_scalar
@@ -64,9 +64,8 @@ def _join(x, y):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_apply_slots_matches_sliced_reference(data):
-    # reference: slice each term into one Element per slot, apply the slot
-    # map to the joined slots pos..pos+arity-1, and rejoin every slot; the
-    # quasi-shuffle and the base product shorten words, so later cuts move
+    # against the sliced reference; the quasi-shuffle and the base product
+    # shorten words, so later cuts move
     base = graded_base()
     b = base.braiding
     arity, f = data.draw(st.sampled_from([
@@ -89,15 +88,102 @@ def test_apply_slots_matches_sliced_reference(data):
         c = Scalar.from_int(data.draw(st.integers(-2, 2))) \
             * Scalar.q_power(data.draw(st.integers(-2, 2)))
         x = x + reduce(_join, [Element.basis(w) for w in slots]).scale(c)
+    assert apply_slots(f, arity, pos, x) == _sliced_reference(f, arity,
+                                                              pos, x)
+
+
+def _sliced_reference(f, arity, pos, x):
+    """apply_slots by slicing each term into one Element per slot, applying
+    f to the joined slots pos..pos+arity-1 and rejoining every slot."""
     ref = Element()
     for (letters, cuts), c in x.terms.items():
         bounds = slot_bounds(letters, cuts)
         slots = [Element.basis(letters[bounds[t]:bounds[t + 1]])
-                 for t in range(m)]
+                 for t in range(len(bounds) - 1)]
         (key,) = reduce(_join, slots[pos:pos + arity]).terms
         ref = ref + reduce(_join, slots[:pos] + [f(key)]
                            + slots[pos + arity:]).scale(c)
-    assert apply_slots(f, arity, pos, x) == ref
+    return ref
+
+
+def _slots(*words, coeff=None):
+    """The basis element words[0] | words[1] | ..., scaled by coeff."""
+    x = reduce(_join, [Element.basis(w) for w in words])
+    return x.scale(coeff) if coeff is not None else x
+
+
+def test_apply_slots_edge_cases():
+    b = symbolic_diagonal(2)
+    q = Scalar.q_power(1)
+    # u -> its first letter: two terms meet on one image key and cancel
+    first = (lambda key: Element.basis(key[0][:1]))
+    # u -> u + u u_1: one image keeps the slot length, one grows it
+    grow = (lambda key: Element.basis(key[0])
+            + Element.basis(key[0] + key[0][:1]))
+    cop = (lambda key: quantum_coproduct(Element.basis(key[0]), b))
+    minus = Scalar.from_int(-1)
+    cancel = (_slots((0, 1), (1,)) + _slots((0, 0), (1,), coeff=minus)
+              + _slots((1, 0), (0,), coeff=q))
+    cases = [
+        (first, 1, 0, cancel),
+        (first, 1, 1, _slots((1,), (0, 1)) + _slots((1,), (0, 0),
+                                                       coeff=minus)),
+        # empty leading slots: pos > 0 with lo = 0
+        (beta_slots(b), 2, 2, _slots((), (), (0, 1), (1,))),
+        (beta_slots(b), 2, 1, _slots((), (0,), (1, 1), (0,), coeff=q)),
+        (cop, 1, 1, _slots((), (0, 1), (1,))),
+        (grow, 1, 0, _slots((), (1,), (0,))),
+        # and lo > 0, so inner and image cuts move by lo
+        (beta_slots(b), 2, 1, _slots((1,), (0,), (1, 1))),
+        (cop, 1, 1, _slots((0,), (0, 1))),
+        # kept and grown slot lengths, later cuts shifted or not
+        (grow, 1, 1, _slots((0,), (1, 0), (1,)) + _slots((0,), (), (0,))),
+        (grow, 1, 0, _slots((0, 1), (1,), ())),
+    ]
+    for f, arity, pos, x in cases:
+        got = apply_slots(f, arity, pos, x)
+        assert got == _sliced_reference(f, arity, pos, x)
+        assert not any(c.is_zero() for c in got.terms.values())
+    got = apply_slots(first, 1, 0, cancel)
+    assert ((0, 1), (1,)) not in got.terms
+    assert got == _slots((1,), (0,), coeff=q)
+
+
+def _rekeyed_beta(braiding, key):
+    letters, (i,) = key
+    j = len(letters) - i
+    img = apply_beta_letters(braiding, i, j, letters)
+    return Element({(w, (j,)): c for (w, _), c in img.terms.items()})
+
+
+def test_beta_slot_map_is_shared_per_braiding():
+    # the shuffle and unshuffle rows and qb_validate's yb rows read the one
+    # beta slot map of their braiding, and none of them mutates its images
+    M = graded_base().qb_structure(3)
+    b = M.braiding
+    assert check_tensor_yb_product(
+        lambda x, y: qshuffle_product(x, y, b), b, 1, 1, 1).ok
+    memo = b._beta_slot_cache
+    snapshot = {key: dict(img.terms) for key, img in memo.items()}
+    assert snapshot
+    assert check_tensor_yb_coproduct(b, 1, 1, 1).ok
+    assert qb_validate(M, 3).ok
+    for key in snapshot:
+        assert beta_slots(b)(key) is memo[key]
+        assert memo[key].terms == snapshot[key]
+    # images equal beta_{ij} re-keyed, from a braiding with its own caches
+    fresh = Braiding(b.space, b.fwd, b.inv)
+    for key, img in memo.items():
+        assert img == _rekeyed_beta(fresh, key)
+    # the inverse braiding keeps its own map, of inverse images
+    inv = b.inverse_braiding()
+    assert inv._beta_slot_cache is not memo
+    assert check_tensor_yb_coproduct(inv, 1, 1, 1).ok
+    assert inv._beta_slot_cache
+    for key, img in inv._beta_slot_cache.items():
+        assert img == _rekeyed_beta(fresh.inverse_braiding(), key)
+    key = ((0, 1), (1,))
+    assert beta_slots(inv)(key) != beta_slots(b)(key)
 
 
 def test_shuffle_degree_two():
