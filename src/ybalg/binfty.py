@@ -21,13 +21,10 @@ from .linear import (Element, FormatError, LinMap, Report, _checked,
                      _leg_rows, _legs, _on_basis, _point, apply_at,
                      linmap_from_obj, linmap_to_obj, tensor_elements)
 from .scalars import Scalar
-from .tensoralg import (DegreeCapExceeded, InvalidBase, _memo, _slot_rows,
-                        beta_slots, check_yb_algebra, check_yb_product_rows,
-                        counit, delta_beta_iter, delta_beta_via_w,
-                        slot_bounds)
-# the kernel under delta_beta_iter, kept under its name here so that the
-# tests that count or corrupt its steps can rebind it in both modules
-from .tensoralg import _first_factor_delta_beta  # noqa: F401
+from .tensoralg import (DegreeCapExceeded, InvalidBase, _bilinear, _memo,
+                        _slot_rows, beta_slots, check_yb_algebra,
+                        check_yb_product_rows, counit, delta_beta_iter,
+                        delta_beta_via_w, slot_bounds, triples)
 
 
 def _lands_in_v(f, what):
@@ -147,7 +144,8 @@ def _star_pair_word(M, letters, cut, form):
         z = Element.basis(letters, (cut,))
         res = Element()
         for n in range(total):
-            res = res + _apply_m_blocks(M, delta_beta_via_w(M.braiding, z, n))
+            res.add_scaled(_apply_m_blocks(
+                M, delta_beta_via_w(M.braiding, z, n)))
     M._star_cache[key] = res
     return res
 
@@ -158,16 +156,8 @@ def star_product(M, x, y, form="reduced"):
     `form` selects between the cofree recursion ("reduced") and the
     block-braid expansion; the two agree (cross-checked in the test suite).
     """
-    out = Element()
-    for (lw, lc), a in x.terms.items():
-        for (rw, rc), b in y.terms.items():
-            if lc or rc:
-                raise ValueError("star_product expects uncut elements")
-            res = _star_pair_word(M, lw + rw, len(lw), form)
-            coeff = a * b
-            for key, s in res.terms.items():
-                out.add_term(key, s * coeff)
-    return out
+    return _bilinear(x, y, lambda u, v: _star_pair_word(
+        M, u + v, len(u), form), "star_product")
 
 
 def star_power(n, M):
@@ -207,9 +197,7 @@ def _eq5_side(M, letters, i, j, k, left):
     for (w, _), c in prod.terms.items():
         f = M.component(len(w), k) if left else M.component(i, len(w))
         if f is not None:
-            img = f.apply_word(w + tail if left else tail + w)
-            for key, s in img.terms.items():
-                out.add_term(key, s * c)
+            out.add_scaled(f.apply_word(w + tail if left else tail + w), c)
     return out
 
 
@@ -236,12 +224,7 @@ def qb_validate(M, degree_bound=None):
     vanish = _memo(lambda key: delta_beta_iter(
         M.braiding, Element.basis(*key), len(key[0]), reduced=True))
     rows = Report()
-    triples = sorted((i, j, k)
-                     for i in range(1, bound + 1)
-                     for j in range(1, bound + 1)
-                     for k in range(1, bound + 1)
-                     if i + j + k <= bound)
-    for (i, j, k) in triples:
+    for (i, j, k) in triples(bound):
         # slot programs on z_1 | z_2, each case named by the word z_1 z_2:
         # beta_{1k}(M_ij (x) id^k) = (id^k (x) M_ij) beta_{i+j,k} and
         # beta_{i1}(id^i (x) M_jk) = (M_jk (x) id^i) beta_{i,j+k}
@@ -276,18 +259,17 @@ class YBBase:
     """A product on V compatible with the braiding (rows of the product
     compatibility diagram; no unit is required)."""
 
-    def __init__(self, space, mult, braiding, validate=True):
+    def __init__(self, space, mult, braiding):
         if mult.in_degree != 2:
             raise InvalidBase("base product must have in-degree 2")
         _lands_in_v(mult, "base product")
         self.space = space
         self.mult = mult
         self.braiding = braiding
-        if validate:
-            bad = check_yb_product_rows(space, mult, braiding).first_failure()
-            if bad is not None:
-                raise InvalidBase("base fails compatibility at %r"
-                                  % ((bad["identity"], bad["witness"][0]),))
+        bad = check_yb_product_rows(space, mult, braiding).first_failure()
+        if bad is not None:
+            raise InvalidBase("base fails compatibility at %r"
+                              % ((bad["identity"], bad["witness"][0]),))
         self._memo = {}
 
     def qb_structure(self, degree_cap=6):
@@ -300,16 +282,8 @@ class YBBase:
 
 def quasi_shuffle(x, y, base):
     """Three-term recursive product mixing the braiding with base.mult."""
-    out = Element()
-    for (lw, lc), a in x.terms.items():
-        for (rw, rc), b in y.terms.items():
-            if lc or rc:
-                raise ValueError("quasi_shuffle expects uncut elements")
-            res = _qsh_words(base, lw, rw)
-            coeff = a * b
-            for key, s in res.terms.items():
-                out.add_term(key, s * coeff)
-    return out
+    return _bilinear(x, y, lambda u, v: _qsh_words(base, u, v),
+                     "quasi_shuffle")
 
 
 def _qsh_words(base, u, v):
@@ -361,14 +335,12 @@ class TwoYB:
     shared.  Validation is exhaustive over basis words.
     """
 
-    def __init__(self, space, braiding, star, dot, unit, validate=True):
+    def __init__(self, space, braiding, star, dot, unit):
         self.space = space
         self.braiding = braiding
         self.star = star
         self.dot = dot
         self.unit = unit
-        if not validate:
-            return
         report = self.validate()
         bad = report.failures()
         if bad:
@@ -406,7 +378,7 @@ def _fold_dot(a, x):
     """Left fold of the dot product over the letters of each term."""
     out = Element()
     for n in x.degrees():
-        out = out + _legs(x.component(n), *[(a.dot, 0)] * (n - 1))
+        out.add_scaled(_legs(x.component(n), *[(a.dot, 0)] * (n - 1)))
     return out
 
 
@@ -456,24 +428,15 @@ def reduced_deconcat_iter(x, n):
 
 def antipode(x, M):
     """Convolution inverse of the identity for the star-product bialgebra."""
-    eps = counit(x)
-    out = Element()
-    if not eps.is_zero():
-        out.add_term(((), ()), eps)
-    xbar = x - Element.basis((), (), eps) if not eps.is_zero() else x
-    degrees = xbar.degrees()
-    if not degrees:
-        return out
-    for n in range(0, max(degrees)):
+    out = Element.basis((), (), counit(x))
+    xbar = x - out
+    for n in range(max(xbar.degrees(), default=0)):
         d = reduced_deconcat_iter(xbar, n)
         sign = Scalar.from_int((-1) ** (n + 1))
         for (letters, cuts), c in d.terms.items():
             b = slot_bounds(letters, cuts)
-            acc = _star_fold(M, [letters[b[t]:b[t + 1]]
-                                 for t in range(n + 1)])
-            coeff = c * sign
-            for key, s in acc.terms.items():
-                out.add_term(key, s * coeff)
+            out.add_scaled(_star_fold(M, [letters[b[t]:b[t + 1]]
+                                          for t in range(n + 1)]), c * sign)
     return out
 
 

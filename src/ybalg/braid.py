@@ -199,12 +199,9 @@ def braid_lift_apply(braiding, w, letters):
     return res
 
 
-def braid_lift(w, braiding, degree=None):
-    """T_w as a LinMap on V^{(x) n} with n = w.n (or the given degree)."""
-    n = degree if degree is not None else w.n
-    if n != w.n:
-        raise ValueError("degree must match the permutation size")
-    return LinMap.tabulate(braiding.space, n,
+def braid_lift(w, braiding):
+    """T_w as a LinMap on V^{(x) n} with n = w.n."""
+    return LinMap.tabulate(braiding.space, w.n,
                            lambda word: braid_lift_apply(braiding, w, word))
 
 
@@ -216,7 +213,7 @@ def beta_component(i, j, braiding):
     """
     if i == 0 or j == 0:
         return LinMap.identity(braiding.space, i + j)
-    return braid_lift(chi(i, j), braiding, i + j)
+    return braid_lift(chi(i, j), braiding)
 
 
 def apply_beta_letters(braiding, i, j, letters):

@@ -13,8 +13,8 @@ from itertools import chain, combinations, product
 
 from .braid import Braiding
 from .hopf import HopfPresentation
-from .linear import (Element, FormatError, LinMap, Report, Space, _legs,
-                     _on_basis, _point, apply_at, column_echelon_basis,
+from .linear import (Element, FormatError, LinMap, Report, Space, _checked,
+                     _legs, _on_basis, _point, apply_at, column_echelon_basis,
                      in_span, map_kernel_basis)
 from .scalars import Scalar, parse_scalar
 from .tensoralg import symmetrizer_image
@@ -257,6 +257,8 @@ def qflip_compat_check(wa):
 def cartan_qmatrix(A, d):
     """q_ij = q^{d_i a_ij} from a symmetrizable integer Cartan matrix."""
     n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("A must be square")
     if len(d) != n:
         raise ValueError("d must match the size of A")
     for i in range(n):
@@ -291,8 +293,9 @@ def resolve_catalog(address):
     Supported kinds: exterior (Braiding), qflip (WedgeAlgebra), diagonal
     (Braiding from a JSON file of scalar strings), groupalgebra
     (HopfPresentation), cartan (matrix of Scalars from a JSON file with
-    "A" and "d").  An unknown kind or a missing or malformed parameter
-    raises linear.FormatError.
+    "A" and "d").  An unknown kind, a missing or malformed parameter, or a
+    file whose JSON does not have its kind's form raises
+    linear.FormatError.
     """
     kind, _, rest = address.partition(":")
     params = {}
@@ -311,19 +314,29 @@ def resolve_catalog(address):
             raise FormatError("", "%r needs %s=<%s>"
                               % (address, key, read.__name__)) from None
 
+    def data(form, what):
+        """The JSON of the file that the address names, refused unless it
+        has the given form, which `what` describes."""
+        with open(param("file", str)) as fh:
+            value = json.load(fh)
+        try:
+            return _checked(value, form)
+        except FormatError:
+            raise FormatError("", "%r reads a file that is not %s"
+                              % (address, what)) from None
+
     if kind == "exterior":
         return exterior_braiding(param("N", int))
     if kind == "qflip":
         return WedgeAlgebra(param("N", int))
     if kind == "diagonal":
-        with open(param("file", str)) as fh:
-            rows = json.load(fh)
+        rows = data([[str]], "a JSON list of rows of scalar strings")
         return diagonal_braiding([[parse_scalar(entry) for entry in row]
                                   for row in rows])
     if kind == "groupalgebra":
         return group_algebra_hopf(param("n", int))
     if kind == "cartan":
-        with open(param("file", str)) as fh:
-            data = json.load(fh)
-        return cartan_qmatrix(data["A"], data["d"])
+        obj = data({"A": [[int]], "d": [int]},
+                   'a JSON object of integer rows "A" and integers "d"')
+        return cartan_qmatrix(obj["A"], obj["d"])
     raise FormatError("", "%r names no catalog kind" % (address,))

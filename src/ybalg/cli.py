@@ -222,9 +222,7 @@ def _braiding_report(b, suite, bound):
     """The shuffle-product and unshuffle-coproduct rows up to the bound,
     each suite opening with its own Yang-Baxter entry, which the braiding's
     construction-time check decided."""
-    triples = [(i, j, k) for i in range(1, bound + 1)
-               for j in range(1, bound + 1) for k in range(1, bound + 1)
-               if i + j + k <= bound]
+    triples = tensoralg.triples(bound)
     report = Report()
 
     def record(identity, rows):

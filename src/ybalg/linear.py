@@ -3,6 +3,8 @@
 Everything is basis-driven: a Word is a tuple of basis indices, an Element is
 a finitely supported linear combination of words with Scalar coefficients,
 and a LinMap is a sparse column map defined on words of one fixed degree.
+A scaled sum of Elements is accumulated by one kernel, `Element.add_scaled`,
+in place; a single term by `add_term`.
 
 Elements may carry "cuts": a tuple of split positions marking how the word is
 distributed over tensor factors of T(V) (one cut for T(V) x T(V), more for
@@ -11,6 +13,10 @@ iterated coproducts).  The map machinery here works on the plain letters:
 cuts, and `_legs` runs a leg program, a chain of such steps and leg
 permutations.  Maps on whole tensor slots, which move the cuts, are the
 slot programs of tensoralg.
+
+Exact elimination is one kernel, `_row_reduce`, a sparse Gauss-Jordan on
+rows {column: Scalar} that never multiplies a zero entry; the inverse,
+kernel and echelon bases and span membership (by rank) read its result.
 
 Every two-sided identity is checked by one kernel, `Report.check`: it takes
 (case, lhs, rhs) triples, typically two programs run on the basis elements
@@ -105,17 +111,33 @@ class Element:
         else:
             self.terms[key] = new
 
+    def add_scaled(self, other, c=None):
+        """self += c * other in place, or self += other when c is None: each
+        term is summed into self.terms, a key whose sum is zero is deleted
+        and no zero is stored.  other, which must not be self, is only
+        read.  Returns self."""
+        if c is not None and c.is_zero():
+            return self
+        terms = self.terms
+        for key, a in other.terms.items():
+            if c is not None:
+                a = a * c
+            cur = terms.get(key)
+            if cur is None:
+                terms[key] = a
+                continue
+            a = cur + a
+            if a.is_zero():
+                del terms[key]
+            else:
+                terms[key] = a
+        return self
+
     def __add__(self, other):
-        out = Element(dict(self.terms))
-        for key, c in other.terms.items():
-            out.add_term(key, c)
-        return out
+        return Element(dict(self.terms)).add_scaled(other)
 
     def __sub__(self, other):
-        out = Element(dict(self.terms))
-        for key, c in other.terms.items():
-            out.add_term(key, -c)
-        return out
+        return self + -other
 
     def __neg__(self):
         return Element({k: -c for k, c in self.terms.items()})
@@ -300,10 +322,8 @@ class LinMap:
                     "word degree %d, map expects %d" % (len(letters),
                                                         self.in_degree))
             col = self.columns.get(letters)
-            if col is None:
-                continue
-            for key, a in col.terms.items():
-                out.add_term(key, a * c)
+            if col is not None:
+                out.add_scaled(col, c)
         return out
 
     apply_word = column
@@ -332,12 +352,8 @@ class LinMap:
             raise DegreeMismatch("cannot add maps of different in-degrees")
         cols = {w: Element(dict(c.terms)) for w, c in self.columns.items()}
         for w, c in other.columns.items():
-            cur = cols.get(w, Element.zero())
-            s = cur + c
-            if s.is_zero():
-                cols.pop(w, None)
-            else:
-                cols[w] = s
+            if cols.setdefault(w, Element()).add_scaled(c).is_zero():
+                del cols[w]
         return LinMap(self.in_degree, cols)
 
     def scale(self, s):
@@ -358,32 +374,28 @@ class LinMap:
         return "LinMap(deg=%d, %d cols)" % (self.in_degree, len(self.columns))
 
 
-def map_invert_exact(f, space, degree=None):
-    """Exact inverse on one degree component by Gauss-Jordan elimination on
-    the sparse rows of [f | id], so no zero entry is ever multiplied.
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan elimination, in place, of sparse rows {column: nonzero
+    Scalar} on their first ncols columns, never multiplying a zero entry.
 
-    Raises Singular when the map is not invertible on that component.
+    Column by column, the first row at or below the next pivot place with
+    an entry there moves up to that place, is scaled to 1 there, and the
+    column is cleared from every other row; a column without one is
+    skipped.  Returns the pivot columns: the rows are then in reduced row
+    echelon form on those columns, row r holding pivot r.
     """
-    deg = degree if degree is not None else f.in_degree
-    words = space.words(deg)
-    index = {w: i for i, w in enumerate(words)}
-    n = len(words)
-    # row i (output word i) as {column: nonzero entry}, with the identity
-    # block in columns n..2n-1
-    rows = [{n + i: Scalar.one()} for i in range(n)]
-    for w, col in f.columns.items():
-        j = index[w]
-        for (letters, _), c in col.terms.items():
-            rows[index[letters]][j] = c
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if col in rows[r]), None)
+    pivots, one = [], Scalar.one()
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if col in rows[r]),
+                     None)
         if pivot is None:
-            raise Singular("map is singular on degree %d" % deg)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        p = rows[col].pop(col).invert()
-        prow = rows[col] = {k: v * p for k, v in rows[col].items()}
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank].pop(col).invert()
+        prow = rows[rank] = {k: v * p for k, v in rows[rank].items()}
         for r, row in enumerate(rows):
-            if r == col or col not in row:
+            if r == rank or col not in row:
                 continue
             factor = row.pop(col)
             for k, v in prow.items():
@@ -392,91 +404,81 @@ def map_invert_exact(f, space, degree=None):
                     del row[k]
                 else:
                     row[k] = new
-    # the left block is now the identity, left out of the rows
+        prow[col] = one
+        pivots.append(col)
+    return pivots
+
+
+def _map_rows(f, words):
+    """The sparse rows of f on the input words, one per output word:
+    {output letters: {index of the input word: entry}}."""
+    rows = {}
+    for j, w in enumerate(words):
+        for (letters, _), c in f.column(w).terms.items():
+            rows.setdefault(letters, {})[j] = c
+    return rows
+
+
+def map_invert_exact(f, space, degree=None):
+    """Exact inverse on one degree component by _row_reduce on the sparse
+    rows of [f | id].
+
+    Raises Singular when the map is not invertible on that component.
+    """
+    deg = degree if degree is not None else f.in_degree
+    words = space.words(deg)
+    n = len(words)
+    # row i (output word i), with the identity block in columns n..2n-1
+    rows = _map_rows(f, words)
+    rows = [{**rows.get(w, {}), n + i: Scalar.one()}
+            for i, w in enumerate(words)]
+    if len(_row_reduce(rows, n)) < n:
+        raise Singular("map is singular on degree %d" % deg)
+    # the left block is now the identity; the right block is the inverse
     cols = [{} for _ in range(n)]
     for i, row in enumerate(rows):
         for k, v in row.items():
-            cols[k - n][(words[i], ())] = v
+            if k >= n:
+                cols[k - n][(words[i], ())] = v
     return LinMap(deg, {w: Element(t) for w, t in zip(words, cols) if t})
 
 
 def column_echelon_basis(vectors, space, degree):
-    """Echelon basis of the span of the given Elements.
+    """Echelon basis of the span of the given Elements: the nonzero rows
+    that _row_reduce leaves of them, ordered by their leading words, each
+    with coefficient 1 there and no term at another one's leading word.
 
-    Deterministic pivot order: graded lexicographic on words.  Returns a list
-    of Elements whose leading words are distinct.
+    Deterministic pivot order: graded lexicographic on words.
     """
     words = space.words(degree)
     index = {w: i for i, w in enumerate(words)}
-    basis = []  # list of (pivot_index, Element)
-    for v in vectors:
-        cur = v
-        changed = True
-        while changed and not cur.is_zero():
-            changed = False
-            lead = min(cur.terms, key=lambda k: index[k[0]])
-            for piv, b in basis:
-                if piv == index[lead[0]]:
-                    cur = cur - b.scale(cur.terms[lead])
-                    changed = True
-                    break
-        if cur.is_zero():
-            continue
-        lead = min(cur.terms, key=lambda k: index[k[0]])
-        cur = cur.scale(cur.terms[lead].invert())
-        basis.append((index[lead[0]], cur))
-    basis.sort(key=lambda t: t[0])
-    return [b for _, b in basis]
+    rows = [{index[w]: c for (w, _), c in v.terms.items()} for v in vectors]
+    rank = len(_row_reduce(rows, len(words)))
+    return [Element({(words[k], ()): c for k, c in row.items()})
+            for row in rows[:rank]]
 
 
 def map_kernel_basis(f, space, degree=None):
-    """Echelon basis of the kernel of f on one degree component."""
+    """Basis of the kernel of f on one degree component: after _row_reduce
+    on the rows of f, one vector per free column j, with coefficient 1 at
+    word j and minus row r's entry in column j at pivot r."""
     deg = degree if degree is not None else f.in_degree
     words = space.words(deg)
-    # run column reduction on the columns, tracking combinations
-    combos = {w: Element.basis(w) for w in words}
-    cols = {w: Element(dict(f.column(w).terms)) for w in words}
-    out_words = sorted({k[0] for c in cols.values() for k in c.terms})
-    index = {w: i for i, w in enumerate(out_words)}
-    pivots = {}  # pivot row index -> column word
+    rows = list(_map_rows(f, words).values())
+    pivots = _row_reduce(rows, len(words))
     kernel = []
-    for w in words:
-        cur = cols[w]
-        comb = combos[w]
-        while not cur.is_zero():
-            lead = min(cur.terms, key=lambda k: index[k[0]])
-            piv = index[lead[0]]
-            other = pivots.get(piv)
-            if other is None:
-                break
-            factor = cur.terms[lead]
-            cur = cur - cols[other].scale(factor)
-            comb = comb - combos[other].scale(factor)
-        if cur.is_zero():
-            kernel.append(comb)
-        else:
-            lead = min(cur.terms, key=lambda k: index[k[0]])
-            inv = cur.terms[lead].invert()
-            cols[w] = cur.scale(inv)
-            combos[w] = comb.scale(inv)
-            pivots[index[lead[0]]] = w
-    return column_echelon_basis(kernel, space, deg)
+    for j in sorted(set(range(len(words))) - set(pivots)):
+        terms = {(words[p], ()): -row[j] for p, row in zip(pivots, rows)
+                 if j in row}
+        terms[(words[j], ())] = Scalar.one()
+        kernel.append(Element(terms))
+    return kernel
 
 
 def in_span(x, basis, space, degree):
-    """Exact membership of x in the span of an echelon basis."""
-    words = space.words(degree)
-    index = {w: i for i, w in enumerate(words)}
-    cur = x
-    for piv, b in sorted(((min(index[k[0]] for k in b.terms), b)
-                          for b in basis), key=lambda t: t[0]):
-        if cur.is_zero():
-            return True
-        pivot_word = words[piv]
-        c = cur.terms.get((pivot_word, ()))
-        if c is not None:
-            cur = cur - b.scale(c)
-    return cur.is_zero()
+    """Exact membership of x in the span of a list of Elements, by rank."""
+    return (len(column_echelon_basis(list(basis) + [x], space, degree))
+            == len(column_echelon_basis(basis, space, degree)))
 
 
 # -- serialization ---------------------------------------------------------

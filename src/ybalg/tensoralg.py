@@ -5,6 +5,10 @@ Elements of T(V) are plain words; elements of tensor powers of T(V) carry
 braided coproduct of the pair algebra produces elements whose cut count
 doubles with each iteration.
 
+Every product on T(V) (concatenation, the quantum shuffle, and binfty's star
+product and quasi-shuffle) is the bilinear extension, by one kernel,
+`_bilinear`, of a function on pairs of words.
+
 Maps on whole tensor slots run as slot programs: chains of `apply_slots`
 steps, the graded-slot analogue of linear.apply_at, each summing its image
 terms in place; a braiding keeps one beta slot map, shared by all of them.
@@ -18,8 +22,7 @@ import itertools
 
 from .braid import (Perm, apply_beta_letters, braid_lift_apply,
                     enumerate_shuffles, perm_reduced_word, w_block)
-from .linear import (Element, LinMap, Report, _leg_rows, _point,
-                     tensor_elements)
+from .linear import Element, LinMap, Report, _leg_rows, _legs, _point
 from .scalars import Scalar
 
 
@@ -29,18 +32,28 @@ class DegreeCapExceeded(ValueError):
 
 # -- products and coproducts ----------------------------------------------
 
+def _bilinear(x, y, product, what):
+    """The bilinear extension of a product of words: the sum over the terms
+    a u of x and b v of y of (a b) product(u, v), where product returns an
+    Element that is only read.  A term with cuts is refused with "<what>
+    expects uncut elements"."""
+    out = Element()
+    for (u, uc), a in x.terms.items():
+        for (v, vc), b in y.terms.items():
+            if uc or vc:
+                raise ValueError("%s expects uncut elements" % what)
+            out.add_scaled(product(u, v), a * b)
+    return out
+
+
 def concat_product(x, y, cap=None):
     """Bilinear word concatenation (plain elements)."""
-    out = Element()
-    for (lw, lc), a in x.terms.items():
-        for (rw, rc), b in y.terms.items():
-            if lc or rc:
-                raise ValueError("concat_product expects uncut elements")
-            if cap is not None and len(lw) + len(rw) > cap:
-                raise DegreeCapExceeded(
-                    "degree %d exceeds cap %d" % (len(lw) + len(rw), cap))
-            out.add_term((lw + rw, ()), a * b)
-    return out
+    def concat(u, v):
+        if cap is not None and len(u) + len(v) > cap:
+            raise DegreeCapExceeded(
+                "degree %d exceeds cap %d" % (len(u) + len(v), cap))
+        return Element.basis(u + v)
+    return _bilinear(x, y, concat, "concat_product")
 
 
 def counit(x):
@@ -74,37 +87,21 @@ def delta_iter(x, n):
     for (letters, cuts), c in x.terms.items():
         if cuts:
             raise ValueError("delta_iter expects uncut elements")
-        for cts in _weak_cut_tuples(len(letters), n):
+        # every weakly increasing n-tuple of cut positions
+        for cts in itertools.combinations_with_replacement(
+                range(len(letters) + 1), n):
             out.add_term((letters, cts), c)
     return out
 
 
-def _weak_cut_tuples(length, n):
-    """All weakly increasing n-tuples of cut positions in [0, length]."""
-    def rec(start, left):
-        if left == 0:
-            yield ()
-            return
-        for p in range(start, length + 1):
-            for rest in rec(p, left - 1):
-                yield (p,) + rest
-    yield from rec(0, n)
-
-
 def qshuffle_product(x, y, braiding):
     """Quantum shuffle product: sum of braid lifts over (i,j)-shuffles."""
-    out = Element()
-    for (lw, lc), a in x.terms.items():
-        for (rw, rc), b in y.terms.items():
-            if lc or rc:
-                raise ValueError("qshuffle_product expects uncut elements")
-            coeff = a * b
-            word = lw + rw
-            for w in enumerate_shuffles(len(lw), len(rw)):
-                img = braid_lift_apply(braiding, w, word)
-                for key, s in img.terms.items():
-                    out.add_term(key, s * coeff)
-    return out
+    def shuffles(u, v):
+        out = Element()
+        for w in enumerate_shuffles(len(u), len(v)):
+            out.add_scaled(braid_lift_apply(braiding, w, u + v))
+        return out
+    return _bilinear(x, y, shuffles, "qshuffle_product")
 
 
 def quantum_coproduct(x, braiding):
@@ -114,9 +111,7 @@ def quantum_coproduct(x, braiding):
         if cuts:
             raise ValueError("quantum_coproduct expects uncut elements")
         for p in range(len(letters) + 1):
-            part = _unshuffle_component(braiding, letters, p)
-            for key, s in part.terms.items():
-                out.add_term(key, s * c)
+            out.add_scaled(_unshuffle_component(braiding, letters, p), c)
     return out
 
 
@@ -300,14 +295,13 @@ def symmetrizer_image(k, braiding, sign=1):
     """Operator sum of (sign)^{l(w)} T_w over S_k, as a LinMap."""
     space = braiding.space
     perms = _all_perms(k)
+    minus = -Scalar.one()
 
     def column(word):
         acc = Element()
         for w in perms:
-            img = braid_lift_apply(braiding, w, word)
-            if sign < 0 and w.inversions() % 2:
-                img = -img
-            acc = acc + img
+            acc.add_scaled(braid_lift_apply(braiding, w, word),
+                           minus if sign < 0 and w.inversions() % 2 else None)
         return acc
 
     return LinMap.tabulate(space, k, column)
@@ -324,34 +318,27 @@ class InvalidBase(ValueError):
 
 
 def power_product(i, mult, braiding):
-    """Product on A^{(x) i}: multiply componentwise after the w_i braid.
+    """Product on A^{(x) i}: multiply componentwise after the w_i braid,
+    the leg program T_{w_i}, (m, 0), (m, 1), ..., (m, i-1).
 
     Returns a function on plain words of degree 2i (concatenated pair).
     """
+    steps = [(mult, t) for t in range(i)]
+
     def prod(letters, coeff=None):
         x = Element.basis(letters, (), coeff)
-        y = apply_letter_lift(braiding, w_block(i), x)
-        out = Element()
-        for (wl, _), c in y.terms.items():
-            acc = Element.basis((), (), c)
-            for t in range(i):
-                pair = wl[2 * t:2 * t + 2]
-                factor = mult.apply_word(pair)
-                acc = tensor_elements(acc, factor)
-            for key, s in acc.terms.items():
-                out.add_term(key, s)
-        return out
+        return _legs(apply_letter_lift(braiding, w_block(i), x), *steps)
     return prod
 
 
 def power_coproduct(i, comult, braiding):
-    """Coproduct on A^{(x) i}: T_{w_i^{-1}} after componentwise comult."""
+    """Coproduct on A^{(x) i}: T_{w_i^{-1}} after componentwise comult, the
+    leg program (Delta, i-1), ..., (Delta, 0), T_{w_i^{-1}}."""
+    steps = [(comult, t) for t in reversed(range(i))]
+
     def coprod(letters, coeff=None):
-        acc = Element.basis((), (), coeff)
-        for t in range(i):
-            factor = comult.apply_word(letters[t:t + 1])
-            acc = tensor_elements(acc, factor)
-        return apply_letter_lift(braiding, w_block(i).inverse(), acc)
+        x = _legs(Element.basis(letters, (), coeff), *steps)
+        return apply_letter_lift(braiding, w_block(i).inverse(), x)
     return coprod
 
 
@@ -405,6 +392,13 @@ def check_yb_coalgebra(space, comult, counit_map, braiding):
 
 
 # -- graded YB algebra check for products on T(V) --------------------------
+
+def triples(bound):
+    """The degree triples (i, j, k) of positive integers with i + j + k at
+    most the bound, in lexicographic order."""
+    return [t for t in itertools.product(range(1, bound - 1), repeat=3)
+            if sum(t) <= bound]
+
 
 def check_tensor_yb_product(product, braiding, i, j, k):
     """Def 2.1 product rows for a (possibly inhomogeneous) product on T(V).

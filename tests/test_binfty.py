@@ -424,7 +424,6 @@ def test_qb_validate_first_factor_step_count(monkeypatch):
         return _first_factor_delta_beta(braiding, x, reduced)
 
     monkeypatch.setattr(tensoralg, "_first_factor_delta_beta", counting)
-    monkeypatch.setattr(binfty, "_first_factor_delta_beta", counting)
     for bound, steps in ((4, 56), (5, 248)):
         calls.clear()
         assert qb_validate(graded_base().qb_structure(degree_cap=5),
@@ -440,7 +439,6 @@ def test_unreduced_iterate_fails_assoc_vanishing(monkeypatch):
         return _first_factor_delta_beta(braiding, x, False)
 
     monkeypatch.setattr(tensoralg, "_first_factor_delta_beta", unreduced)
-    monkeypatch.setattr(binfty, "_first_factor_delta_beta", unreduced)
     M = graded_base().qb_structure(degree_cap=4)
     vanishing = [e for e in qb_validate(M, 4).entries
                  if e["identity"].startswith("assoc-vanishing")]

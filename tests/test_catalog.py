@@ -130,6 +130,12 @@ def test_cartan_goldens():
         cartan_qmatrix([[2, -1], [-2, 2]], [1, 1])
 
 
+@pytest.mark.parametrize("A", [[[2], [-1]], [[2, -1]], [[2, -1], [-1]]])
+def test_cartan_refuses_a_matrix_that_is_not_square(A):
+    with pytest.raises(ValueError, match="square"):
+        cartan_qmatrix(A, [1] * len(A))
+
+
 def test_group_algebra_shapes():
     h1 = group_algebra_hopf(1)
     assert h1.space.dim == 1

@@ -379,6 +379,9 @@ def graded_qb(*maps):
 E1E1 = ([0, 0], [[1]])
 
 
+CATALOG_FILES = Path(__file__).resolve().parent / "catalog_files"
+
+
 def catalog_address(address):
     """A catalog declaration of the given address."""
     return {"version": 1, "objects": [{"name": "d", "kind": "catalog",
@@ -421,7 +424,12 @@ MALFORMED_FIELDS = [
 ] + [
     ("catalog-" + address, catalog_address(address), "address")
     for address in ("exterior", "qflip:n=2", "groupalgebra:N=2",
-                    "exterior:N=x", "cartan", "diagonal")]
+                    "exterior:N=x", "cartan", "diagonal")] + [
+    # a catalog file whose JSON has not its kind's form
+    ("catalog-file-" + name, catalog_address("%s:file=%s" % (
+        name.split("-")[0], CATALOG_FILES / (name + ".json"))), "address")
+    for name in ("diagonal-number", "diagonal-int-entry", "cartan-list",
+                 "cartan-int-a")]
 
 
 def test_well_formed_fixtures_load(tmp_path):

@@ -191,6 +191,60 @@ def test_sparse_inverse_matches_dense(case):
     assert (outcomes[0] is Singular) == (kind != "invertible")
 
 
+def elements():
+    """Elements of up to four terms on words of 0-2 letters of two."""
+    word = st.lists(st.integers(0, 1), max_size=2).map(tuple)
+    return st.dictionaries(word, laurent_entries(), max_size=4).map(
+        lambda d: Element({(w, ()): c for w, c in d.items()}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements(), elements(),
+       st.one_of(st.none(), st.just(Scalar.zero()), laurent_entries()))
+def test_add_scaled_matches_add_term_loop(x, y, c):
+    ref = Element(dict(x.terms))
+    for key, a in y.terms.items():
+        ref.add_term(key, a if c is None else a * c)
+    before = dict(y.terms)
+    out = Element(dict(x.terms))
+    assert out.add_scaled(y, c) is out
+    assert out.terms == ref.terms
+    assert not any(v.is_zero() for v in out.terms.values())
+    assert y.terms == before
+    # a sum that cancels leaves no key behind
+    assert Element(dict(y.terms)).add_scaled(y, -Scalar.one()).terms == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_to_invert())
+def test_elimination_rank_kernel_and_span(case):
+    f, space, degree, kind = case
+    words = space.words(degree)
+    cols = [f.column(w) for w in words]
+    rank = len(column_echelon_basis(cols, space, degree))
+    # P L U has full rank; a repeated or a zero column costs exactly one
+    assert rank == len(words) - (kind != "invertible")
+    kernel = map_kernel_basis(f, space, degree)
+    assert rank + len(kernel) == len(words)
+    assert all(f.apply(v).is_zero() for v in kernel)
+    # membership in the span of the columns, which are in no echelon form
+    total = Element()
+    for t, c in enumerate(cols):
+        total.add_scaled(c, Scalar.q_power(t))
+    assert in_span(total, cols, space, degree)
+    outside = [w for w in words
+               if not in_span(Element.basis(w), cols, space, degree)]
+    assert bool(outside) == (kind != "invertible")
+
+
+def test_in_span_accepts_any_spanning_list():
+    sp = Space(["a", "b"])
+    e00, e11 = Element.basis((0, 0)), Element.basis((1, 1))
+    assert in_span(e11, [e00 + e11, e00], sp, 2)
+    assert not in_span(Element.basis((0, 1)), [e00 + e11, e00], sp, 2)
+    assert in_span(Element(), [], sp, 2)
+
+
 def test_kernel_basis():
     sp = Space(["a", "b"])
     f = LinMap(1, {(0,): Element.basis((0,)), (1,): Element.basis((0,))})

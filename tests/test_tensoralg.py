@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import flip_braiding, graded_base, symbolic_diagonal
 from ybalg import tensoralg
-from ybalg.binfty import qb_validate, quasi_shuffle
-from ybalg.braid import Braiding, apply_beta_letters, check_yang_baxter
+from ybalg.binfty import qb_validate, quasi_shuffle, star_product
+from ybalg.braid import (Braiding, apply_beta_letters, braid_lift,
+                         check_yang_baxter, w_block)
 from ybalg.catalog import exterior_braiding
 from ybalg.linear import Element, LinMap, Space, tensor_elements
 from ybalg.scalars import Scalar, parse_scalar
@@ -363,6 +364,48 @@ def test_power_coproduct_inverts_interleave():
     for (letters, cuts), c in coprod(x).terms.items():
         back = back + prod(letters, c)
     assert back.terms.get(((0, 1), ())) is not None
+
+
+@pytest.mark.parametrize("make", [exterior_braiding, symbolic_diagonal])
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_power_structures_match_lifted_tensor_maps(make, i):
+    b = make(2)
+    q = parse_scalar("q")
+    mult = LinMap(2, {(0, 0): Element.basis((1,)),
+                      (0, 1): Element.basis((0,), coeff=q),
+                      (1, 0): Element.basis((0,)) + Element.basis((1,))})
+    comult = LinMap(1, {(0,): Element.basis((0, 1)),
+                        (1,): Element.basis((1, 1), coeff=q)
+                        + Element.basis((1, 0))})
+    prod, coprod = power_product(i, mult, b), power_coproduct(i, comult, b)
+    mult_i = reduce(LinMap.tensor, [mult] * i)
+    comult_i = reduce(LinMap.tensor, [comult] * i)
+    ref_prod = mult_i.compose(braid_lift(w_block(i), b))
+    ref_coprod = braid_lift(w_block(i).inverse(), b).compose(comult_i)
+    for w in b.space.words(2 * i):
+        assert prod(w) == ref_prod.column(w)
+        assert prod(w, q) == ref_prod.column(w).scale(q)
+    for w in b.space.words(i):
+        assert coprod(w) == ref_coprod.column(w)
+        assert coprod(w, q) == ref_coprod.column(w).scale(q)
+
+
+def test_bilinear_products_refuse_cut_elements():
+    b = symbolic_diagonal(2)
+    base = graded_base()
+    M = base.qb_structure(degree_cap=4)
+    cut, plain = Element.basis((0, 1), (1,)), Element.basis((1,))
+    for name, product in (
+            ("concat_product", lambda x, y: concat_product(x, y, cap=1)),
+            ("qshuffle_product", lambda x, y: qshuffle_product(x, y, b)),
+            ("star_product", lambda x, y: star_product(M, x, y)),
+            ("quasi_shuffle", lambda x, y: quasi_shuffle(x, y, base))):
+        for x, y in ((cut, plain), (plain, cut)):
+            # the cut check comes first, before concat_product's cap
+            with pytest.raises(ValueError) as e:
+                product(x, y)
+            assert type(e.value) is ValueError
+            assert str(e.value) == "%s expects uncut elements" % name
 
 
 def test_symmetrizer_rank_flip():
