@@ -14,16 +14,13 @@ limit: structural, but still computed, once per distinct head.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .braid import apply_beta_letters
 from .linear import (Element, FormatError, LinMap, Report, _checked,
                      _leg_rows, _legs, _on_basis, _point, apply_at,
                      linmap_from_obj, linmap_to_obj, tensor_elements)
-from .scalars import Scalar
 from .tensoralg import (DegreeCapExceeded, InvalidBase, _bilinear, _memo,
                         _slot_rows, beta_slots, check_yb_algebra,
-                        check_yb_product_rows, counit, delta_beta_iter,
+                        check_yb_product_rows, delta_beta_iter,
                         delta_beta_via_w, slot_bounds, triples)
 
 
@@ -158,23 +155,6 @@ def star_product(M, x, y, form="reduced"):
     """
     return _bilinear(x, y, lambda u, v: _star_pair_word(
         M, u + v, len(u), form), "star_product")
-
-
-def star_power(n, M):
-    """v_1 (x) ... (x) v_{n+1} -> v_1 * ... * v_{n+1}, left-nested."""
-    if n + 1 > M.degree_cap:
-        raise DegreeCapExceeded("power %d exceeds cap %d" % (n + 1,
-                                                             M.degree_cap))
-    return LinMap.tabulate(M.space, n + 1, lambda word: _star_fold(
-        M, [(a,) for a in word]))
-
-
-def _star_fold(M, words):
-    """w_1 * w_2 * ... * w_m of nonempty words, nested to the left."""
-    acc = Element.basis(words[0])
-    for w in words[1:]:
-        acc = star_product(M, acc, Element.basis(w))
-    return acc
 
 
 # -- validation ------------------------------------------------------------
@@ -415,28 +395,24 @@ def _peeled_column(a, M, z, p):
 
 # -- antipode --------------------------------------------------------------
 
-def reduced_deconcat_iter(x, n):
-    """All splits into n+1 nonempty blocks (n strictly increasing cuts)."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        if cuts:
-            raise ValueError("expects uncut elements")
-        for cts in combinations(range(1, len(letters)), n):
-            out.add_term((letters, cts), c)
-    return out
-
-
 def antipode(x, M):
-    """Convolution inverse of the identity for the star-product bialgebra."""
-    out = Element.basis((), (), counit(x))
-    xbar = x - out
-    for n in range(max(xbar.degrees(), default=0)):
-        d = reduced_deconcat_iter(xbar, n)
-        sign = Scalar.from_int((-1) ** (n + 1))
-        for (letters, cuts), c in d.terms.items():
-            b = slot_bounds(letters, cuts)
-            out.add_scaled(_star_fold(M, [letters[b[t]:b[t + 1]]
-                                          for t in range(n + 1)]), c * sign)
+    """The convolution inverse of the identity for the star product, by the
+    left recursion S(1) = 1, S(u) = -sum_{k<|u|} S(u[:k]) * u[k:], evaluated
+    per word as a table of its prefixes' antipodes, shortest first; the
+    k = 0 term is -u itself.  Expanded by bilinearity this is Takeuchi's sum
+    over the compositions of u of the left-nested star products, signed by
+    the number of blocks."""
+    out = Element()
+    for (u, cuts), c in x.terms.items():
+        if cuts:
+            raise ValueError("antipode expects uncut elements")
+        table = [Element.unit()]
+        for m in range(1, len(u) + 1):
+            s = Element.basis(u[:m])
+            for k in range(1, m):
+                s.add_scaled(star_product(M, table[k], Element.basis(u[k:m])))
+            table.append(-s)
+        out.add_scaled(table[-1], c)
     return out
 
 

@@ -292,10 +292,10 @@ def resolve_catalog(address):
 
     Supported kinds: exterior (Braiding), qflip (WedgeAlgebra), diagonal
     (Braiding from a JSON file of scalar strings), groupalgebra
-    (HopfPresentation), cartan (matrix of Scalars from a JSON file with
-    "A" and "d").  An unknown kind, a missing or malformed parameter, or a
-    file whose JSON does not have its kind's form raises
-    linear.FormatError.
+    (HopfPresentation), cartan (the diagonal Braiding with entries
+    q^{d_i a_ij}, from a JSON file with "A" and "d").  An unknown kind, a
+    missing or malformed parameter, or a file whose JSON does not have its
+    kind's form raises linear.FormatError.
     """
     kind, _, rest = address.partition(":")
     params = {}
@@ -338,5 +338,5 @@ def resolve_catalog(address):
     if kind == "cartan":
         obj = data({"A": [[int]], "d": [int]},
                    'a JSON object of integer rows "A" and integers "d"')
-        return cartan_qmatrix(obj["A"], obj["d"])
+        return diagonal_braiding(cartan_qmatrix(obj["A"], obj["d"]))
     raise FormatError("", "%r names no catalog kind" % (address,))

@@ -373,11 +373,6 @@ _ZERO = Scalar(Poly.zero(), Poly.one())
 _ONE = Scalar(Poly.one(), Poly.one())
 
 
-def scalar_normalize(num, den):
-    """Canonical representative of num/den; raises ZeroDenominator."""
-    return Scalar(num, den)
-
-
 # -- parsing ---------------------------------------------------------------
 
 def _tokenize(text):

@@ -72,15 +72,6 @@ def deconcatenate(x):
     return out
 
 
-def delta_component(x, i, j):
-    """The (i, j) component of the deconcatenation."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        if len(letters) == i + j:
-            out.add_term((letters, (i,)), c)
-    return out
-
-
 def delta_iter(x, n):
     """delta^{(n)}: T(V) -> T(V)^{(x) n+1}, so n cuts per term."""
     out = Element()

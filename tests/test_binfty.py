@@ -1,6 +1,7 @@
 """Induced products on the tensor algebra and the two-product peeling."""
 
 import inspect
+from itertools import combinations
 
 import pytest
 
@@ -9,8 +10,7 @@ from conftest import (dual_numbers_twoyb, flip_braiding, graded_base,
 from ybalg import binfty, tensoralg
 from ybalg.binfty import (QBStructure, TwoYB, YBBase, _apply_m_blocks,
                           _fold_dot, antipode, from_2yb, qb_from_obj,
-                          qb_to_obj, qb_validate, quasi_shuffle, star_power,
-                          star_product)
+                          qb_to_obj, qb_validate, quasi_shuffle, star_product)
 from ybalg.linear import Element, LinMap, Space, apply_at, tensor_elements
 from ybalg.scalars import Scalar
 from ybalg.tensoralg import (DegreeCapExceeded, InvalidBase,
@@ -57,14 +57,13 @@ def test_star_unital_and_associative():
                 assert lhs == rhs
 
 
-def test_star_power_left_nesting():
+def test_degree_cap_refused():
     M = graded_base().qb_structure(degree_cap=5)
-    f = star_power(2, M)
-    x = Element.basis((0,))
-    direct = star_product(M, star_product(M, x, x), x)
-    assert f.apply_word((0, 0, 0)) == direct
-    with pytest.raises(DegreeCapExceeded):
-        star_power(5, M)
+    e = Element.basis
+    with pytest.raises(DegreeCapExceeded, match="^degree 6 exceeds cap 5$"):
+        star_product(M, e((0, 1, 0)), e((1, 1, 0)))
+    with pytest.raises(DegreeCapExceeded, match="^degree 6 exceeds cap 5$"):
+        antipode(e((0, 1, 0, 1, 1, 0)), M)
 
 
 def test_qb_validate_zero_base():
@@ -444,3 +443,59 @@ def test_unreduced_iterate_fails_assoc_vanishing(monkeypatch):
                  if e["identity"].startswith("assoc-vanishing")]
     assert vanishing and not any(e["ok"] for e in vanishing)
 
+
+# -- the antipode against Takeuchi's sum ------------------------------------
+
+def _takeuchi_antipode(x, M):
+    """The reference: Takeuchi's sum over the 2^{n-1} compositions of each
+    word u of degree n into r nonempty blocks, of (-1)^r times the blocks'
+    star product nested to the left; S(1) = 1."""
+    out = Element()
+    for (u, cuts), c in x.terms.items():
+        assert not cuts
+        if not u:
+            out.add_scaled(Element.unit(), c)
+        for r in range(1, len(u) + 1):
+            sign = c if r % 2 == 0 else -c
+            for inner in combinations(range(1, len(u)), r - 1):
+                b = (0,) + inner + (len(u),)
+                acc = Element.basis(u[:b[1]])
+                for t in range(1, r):
+                    acc = star_product(M, acc, Element.basis(u[b[t]:b[t + 1]]))
+                out.add_scaled(acc, sign)
+    return out
+
+
+def _antipode_agrees(M, bound):
+    """antipode against the reference on every word of degree <= bound; the
+    two share M's star memo, and the assertion names the first word that
+    differs."""
+    for w in words_upto(M.space, bound):
+        x = Element.basis(w)
+        assert binfty.antipode(x, M) == _takeuchi_antipode(x, M), w
+
+
+def test_antipode_recursion_matches_takeuchi():
+    # the planted tower is not associative, and the recursion still expands
+    # to the left-nested sum there
+    for M in _towers(6):
+        _antipode_agrees(M, 6)
+    M = graded_base().qb_structure(degree_cap=4)
+    x = Element.basis((0, 1)).scale(Scalar.q_power(2)) - Element.unit()
+    assert antipode(x, M) == _takeuchi_antipode(x, M)
+    with pytest.raises(ValueError, match="antipode expects uncut elements"):
+        antipode(Element.basis((0, 1), (1,)), M)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("table.append(-s)", "table.append(s)"),
+    ("s = Element.basis(u[:m])", "s = Element()"),
+], ids=["wrong-sign", "k0-term-dropped"])
+def test_antipode_differential_catches_planted_fault(monkeypatch, old, new):
+    src = inspect.getsource(binfty.antipode)
+    assert src.count(old) == 1
+    namespace = dict(vars(binfty))
+    exec(src.replace(old, new), namespace)
+    monkeypatch.setattr(binfty, "antipode", namespace["antipode"])
+    with pytest.raises(AssertionError):
+        _antipode_agrees(graded_base().qb_structure(degree_cap=4), 4)

@@ -160,8 +160,10 @@ def test_resolve_catalog_addresses(tmp_path):
 
     cart = tmp_path / "cartan.json"
     cart.write_text(json.dumps({"A": [[2, -1], [-1, 2]], "d": [1, 1]}))
-    Q = resolve_catalog("cartan:file=%s" % cart)
-    assert Q[1][1] == Scalar.q_power(2)
+    b = resolve_catalog("cartan:file=%s" % cart)
+    assert isinstance(b, Braiding)
+    assert b.fwd.apply_word((1, 1)) == Element.basis(
+        (1, 1), coeff=Scalar.q_power(2))
 
     with pytest.raises(ValueError):
         resolve_catalog("nonesuch:N=2")

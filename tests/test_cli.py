@@ -297,8 +297,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["verify", path, "missing"]) == 2
     assert main(["verify", path, "sigma", "--suite", "hopf"]) == 2
     assert main(["compute", path, "shuffle(e1, e2)", "--cap", "1"]) == 2
+    assert main(["compute", path, "antipode(M, e1*e2*e1*e2*e1*e2*e1)"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "error: degree 7 exceeds cap 6" in err
 
 
 def test_main_subprocess(tmp_path):
@@ -386,6 +388,16 @@ def catalog_address(address):
     """A catalog declaration of the given address."""
     return {"version": 1, "objects": [{"name": "d", "kind": "catalog",
                                        "address": address}]}
+
+
+def test_cartan_catalog_builds_a_braiding(tmp_path, capsys):
+    cart = tmp_path / "a2.json"
+    cart.write_text(json.dumps({"A": [[2, -1], [-1, 2]], "d": [1, 1]}))
+    path = write_session(tmp_path, catalog_address("cartan:file=%s" % cart))
+    assert main(["verify", path, "d", "--bound", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert main(["compute", path, "shuffle(e1, e2, d)"]) == 0
+    assert capsys.readouterr().out.strip() == "e1*e2 + q^-1 e2*e1"
 
 
 # (id, session, field named in the error) for declarations that are

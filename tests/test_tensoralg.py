@@ -19,9 +19,9 @@ from ybalg.tensoralg import (DegreeCapExceeded, _first_factor_delta_beta,
                              apply_slots, beta_slots,
                              concat_product, counit, deconcatenate,
                              delta_beta, delta_beta_iter, delta_beta_via_w,
-                             delta_component, delta_iter, power_coproduct,
-                             power_product, qshuffle_product,
-                             quantum_coproduct, check_tensor_yb_coproduct,
+                             delta_iter, power_coproduct, power_product,
+                             qshuffle_product, quantum_coproduct,
+                             check_tensor_yb_coproduct,
                              check_tensor_yb_product, slot_bounds,
                              symmetrizer_image)
 
@@ -43,8 +43,6 @@ def test_deconcatenate_counts():
     d = deconcatenate(Element.basis((0, 1)))
     assert len(d.terms) == 3
     assert d.terms[((0, 1), (1,))] == Scalar.one()
-    assert delta_component(Element.basis((0, 1)), 1, 1) == \
-        Element.basis((0, 1), cuts=(1,))
 
 
 def test_delta_iter_weak_cuts():
