@@ -9,7 +9,8 @@ compatibility with the braiding and, degree by degree, the associativity
 condition in star form,
 sum_r M_{r,k}((u*v)_r (x) w) = sum_r M_{i,r}(u (x) (v*w)_r), together
 with the vanishing of the reduced coproduct iterate one past the summation
-limit: structural, but still computed, once per distinct head.
+limit: structural, but still computed once per distinct head, the iterate
+running over the splits with both pairs nonempty.
 """
 
 from __future__ import annotations
@@ -191,7 +192,9 @@ def qb_validate(M, degree_bound=None):
     iterate one past the summation limit is zero on every head u|v and
     v|w: structural (no word splits into more nonempty pair factors than
     it has letters), but still computed, as delta_beta_iter on the head,
-    once per distinct head and call.
+    once per distinct head and call; each reduced step runs over the
+    splits with both pairs nonempty, so a head of n letters leaves no term
+    after its n-th step.
     Entries are named like "assoc 1,2,1", ordered by identity and then
     triple; a failure's witness is its first failing word.
     """
@@ -426,9 +429,9 @@ def qb_to_obj(M):
 
 def qb_from_obj(obj, braiding):
     """The QBStructure of qb_to_obj's JSON form on `braiding`.  M_pq reads
-    as a map from words of p + q letters of V to words in V's letters, whose
-    length the construction checks; a malformed value, a word off its legs,
-    or a repeated in-word or block raises linear.FormatError."""
+    as a map from words of p + q letters of V to V, one letter per out-word;
+    a malformed value, a word off its legs (an out-word leaving V too), or a
+    repeated in-word or block raises linear.FormatError."""
     V = braiding.space
     comps = {}
     for e in _checked(obj, {"M": [{"p": int, "q": int, "map": list}],
@@ -436,5 +439,5 @@ def qb_from_obj(obj, braiding):
         pq = (e["p"], e["q"])
         if pq in comps:
             raise FormatError("", "declares M_%d,%d twice" % pq)
-        comps[pq] = linmap_from_obj(e["map"], [V] * sum(pq), V)
+        comps[pq] = linmap_from_obj(e["map"], [V] * sum(pq), [V])
     return QBStructure(braiding, comps, obj["degree_cap"])

@@ -227,27 +227,31 @@ def delta_beta(braiding, x):
 def _first_factor_delta_beta(braiding, x, reduced):
     """Apply Delta_beta (or its reduced form) to the first pair factor u|v
     of each term, the later factors kept: u1 | beta(u2 v1) | v2 over every
-    split u = u1 u2 and v = v1 v2.  The reduced form then subtracts the
-    splits 1_C (x) u|v and u|v (x) 1_C."""
+    split u = u1 u2 and v = v1 v2.  The reduced form runs over the splits
+    with both pairs u1|v1 and u2|v2 nonempty, leaving out the unit splits
+    1_C (x) u|v and u|v (x) 1_C; on the empty pair, where those are one
+    split, it is Delta - 1_C (x) x - x (x) 1_C = -1_C (x) 1_C."""
     out = Element()
     for (letters, cuts), c in x.terms.items():
         cut, rest = cuts[0], cuts[1:]
         end = rest[0] if rest else len(letters)
+        if reduced and not end:
+            out.add_term((letters, (0, 0, 0) + rest), -c)
+            continue
         for a in range(cut + 1):
             for b in range(cut, end + 1):
                 ncuts = (a, a + b - cut, b) + rest
                 if a == cut or b == cut:
                     # beta with an empty block is the identity
-                    out.add_term((letters, ncuts), c)
+                    if not (reduced and (a == 0 and b == cut
+                                         or a == cut and b == end)):
+                        out.add_term((letters, ncuts), c)
                     continue
                 img = apply_beta_letters(braiding, cut - a, b - cut,
                                          letters[a:b])
                 for (mw, _), s in img.terms.items():
                     out.add_term((letters[:a] + mw + letters[b:], ncuts),
                                  s * c)
-        if reduced:
-            out.add_term((letters, (0, 0, cut) + rest), -c)
-            out.add_term((letters, (cut, end, end) + rest), -c)
     return out
 
 

@@ -7,9 +7,13 @@ pass/fail line to the terminal before asserting.
 
 from itertools import product as iproduct
 
+import pytest
+
 from conftest import (dual_numbers_twoyb, flip_braiding, graded_base,
                       symbolic_diagonal, zero_base)
 from test_hopf import sign_action, z2_rmatrix
+from test_tensoralg import UNIT_SPLIT_KEPT, _mutant_kernel
+from ybalg import tensoralg
 from ybalg.binfty import from_2yb, antipode, qb_validate, quasi_shuffle, \
     star_product
 from ybalg.braid import (Perm, all_reduced_words, braid_lift_word,
@@ -21,7 +25,7 @@ from ybalg.hopf import (RMatrix, hopf_validate, rmatrix_yd, smash_structures,
                         woronowicz_braiding, yd_adjoint, yd_braiding,
                         yd_regular, yd_validate)
 from ybalg.linear import Element, LinMap, Space, tensor_elements
-from ybalg.scalars import Scalar
+from ybalg.scalars import Scalar, parse_scalar
 from ybalg.tensoralg import (check_tensor_yb_coproduct,
                              check_tensor_yb_product, check_yb_algebra,
                              check_yb_coalgebra, counit, deconcatenate,
@@ -384,14 +388,42 @@ def test_criterion_08_hopf_and_yd_constructions(capsys):
            failures)
 
 
-def test_criterion_09_reduced_coproduct_and_antipode(capsys):
+def _rational_diagonal():
+    return diagonal_braiding([[parse_scalar(e) for e in row] for row in
+                              [["(q^2+1)/(q+2)", "q"],
+                               ["2/(q-3)", "-1"]]])
+
+
+# (name, braiding, highest degree) for the reduced-iterate vanishing check
+VANISHING_BRAIDINGS = [
+    ("symbolic diagonal", lambda: symbolic_diagonal(2), 5),
+    ("flip", lambda: flip_braiding(2), 5),
+    ("deformed flip N=2", lambda: exterior_braiding(2), 5),
+    ("deformed flip N=3", lambda: exterior_braiding(3), 4),
+    ("signed flip N=2", lambda: WedgeAlgebra(2).braiding, 4),
+    ("rational diagonal", _rational_diagonal, 5),
+]
+
+
+def _vanishing_failures():
+    """Per braiding, the first u|v of degree 1 <= d <= its highest degree,
+    at any cut, whose d-th reduced braided coproduct iterate is not zero."""
     failures = []
-    b = symbolic_diagonal(2)
-    for d in range(1, 6):
-        for letters in b.space.words(d):
-            x = Element.basis(letters, cuts=(d // 2,))
-            if not delta_beta_iter(b, x, d, reduced=True).is_zero():
-                failures.append(("vanishing", letters, d))
+    for name, make, top in VANISHING_BRAIDINGS:
+        b = make()
+        for letters, cut in ((w, cut) for d in range(1, top + 1)
+                             for w in b.space.words(d)
+                             for cut in range(d + 1)):
+            x = Element.basis(letters, cuts=(cut,))
+            if not delta_beta_iter(b, x, len(letters),
+                                   reduced=True).is_zero():
+                failures.append((name, "vanishing", letters, cut))
+                break
+    return failures
+
+
+def test_criterion_09_reduced_coproduct_and_antipode(capsys):
+    failures = _vanishing_failures()
     for name, base in (("zero base", zero_base(symbolic_diagonal(2))),
                        ("graded base", graded_base())):
         M = base.qb_structure(degree_cap=5)
@@ -411,6 +443,18 @@ def test_criterion_09_reduced_coproduct_and_antipode(capsys):
     report(capsys, 9,
            "reduced coproduct vanishing and the antipode convolution law",
            failures)
+
+
+@pytest.mark.parametrize("old, new", UNIT_SPLIT_KEPT,
+                         ids=["right-unit-kept", "left-unit-kept"])
+def test_criterion_09_vanishing_catches_kept_unit_split(monkeypatch, old,
+                                                        new):
+    # the reduced iterate with u|v (x) 1_C or 1_C (x) u|v kept fails the
+    # vanishing check on every braiding
+    monkeypatch.setattr(tensoralg, "_first_factor_delta_beta",
+                        _mutant_kernel(old, new))
+    failed = {name for name, *_ in _vanishing_failures()}
+    assert failed == {name for name, _, _ in VANISHING_BRAIDINGS}
 
 
 def test_criterion_10_quadratic_and_signed_flip(capsys):

@@ -429,6 +429,7 @@ MALFORMED_FIELDS = [
      "data.hopf.antipode"),
     ("qb-block-repeated", graded_qb([E1E1], []), "data"),
     ("qb-in-word-repeated", graded_qb([E1E1, ([0, 0], [])]), "data"),
+    ("qb-out-word-leaves-v", qb_map([0, 1], [1, 1]), "data"),
     ("yb-base-in-word-repeated", edited(
         qb_map([0, 0], [1], "yb-base"),
         lambda s: s["objects"][1]["mult"].append(
@@ -530,10 +531,10 @@ def test_main_malformed_session_exits_2(tmp_path, capsys, data):
 
 def test_qb_component_leaving_v_exits_2(tmp_path, capsys):
     path = write_session(tmp_path, qb_map([0, 1], [1, 1]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError):
         load_session(path)
     assert main(["verify", path, "d"]) == 2
-    assert "outside V" in capsys.readouterr().err
+    assert "the out-word [1, 1], not of degree 1" in capsys.readouterr().err
 
 
 def test_yb_base_product_leaving_v_exits_2(tmp_path, capsys):

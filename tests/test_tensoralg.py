@@ -282,6 +282,14 @@ def _differential(kernel, braiding, ncuts, reduced):
         assert kernel(braiding, x, reduced) == \
             _reference_first_factor(braiding, x, reduced)
     check()
+    # fixed inputs the draws may miss: an empty first pair, whose one split
+    # is both unit splits, and empty later pairs
+    words = [(0, 1), (1,), (1, 0), (0,), (1, 1), ()]
+    for slots in ([(), ()] + words[2:ncuts + 1],
+                  words[:2] + [()] * (ncuts - 1)):
+        x = _slots(*slots, coeff=Scalar.from_int(2) * Scalar.q_power(-1))
+        assert kernel(braiding, x, reduced) == \
+            _reference_first_factor(braiding, x, reduced)
 
 
 DIFFERENTIAL_BRAIDINGS = {"exterior": lambda: exterior_braiding(2),
@@ -307,14 +315,19 @@ def _mutant_kernel(old, new):
     return namespace["_first_factor_delta_beta"]
 
 
-@pytest.mark.parametrize("old, new", [
-    ("out.add_term((letters, (cut, end, end) + rest), -c)", "pass"),
+# the reduced form keeping one unit split: u|v (x) 1_C, then 1_C (x) u|v
+UNIT_SPLIT_KEPT = [("a == cut and b == end", "False"),
+                   ("a == 0 and b == cut", "False")]
+
+
+@pytest.mark.parametrize("old, new", UNIT_SPLIT_KEPT + [
+    ("out.add_term((letters, (0, 0, 0) + rest), -c)", "pass"),
     ("ncuts = (a, a + b - cut, b) + rest",
      "ncuts = (a, a + b - cut, b) + tuple(p + 1 for p in rest)"),
     ("out.add_term((letters, ncuts), c)",
      "out.add_term((letters, (a, a, b) + rest), c)"),
-], ids=["subtraction-dropped", "rest-cut-shifted",
-        "identity-split-middle-cut"])
+], ids=["right-unit-kept", "left-unit-kept", "empty-pair-dropped",
+        "rest-cut-shifted", "identity-split-middle-cut"])
 def test_first_factor_differential_catches_planted_fault(old, new):
     mutant = _mutant_kernel(old, new)
     with pytest.raises(AssertionError):
