@@ -217,7 +217,7 @@ def qb_validate(M, degree_bound=None):
             if f is None:
                 rows.record((name, (i, j, k)), True)
                 continue
-            m = _memo(lambda key, f=f: f.apply_word(key[0]))
+            m = lambda key, f=f: f.apply_word(key[0])
             _slot_rows(rows, space, degrees, lambda ws: ws[0] + ws[1], [
                 ((name, (i, j, k)), [(m, 1, pos), (beta, 2, 0)],
                  [(beta, 2, 0), (m, 1, 1 - pos)])])

@@ -205,17 +205,6 @@ def braid_lift(w, braiding):
                            lambda word: braid_lift_apply(braiding, w, word))
 
 
-def beta_component(i, j, braiding):
-    """beta_{ij} = T_{chi_{ij}} on V^{(x)i} (x) V^{(x)j} (plain letters).
-
-    For i = 0 or j = 0 this is the identity on letters; the split-tag move
-    is the caller's bookkeeping.
-    """
-    if i == 0 or j == 0:
-        return LinMap.identity(braiding.space, i + j)
-    return braid_lift(chi(i, j), braiding)
-
-
 def apply_beta_letters(braiding, i, j, letters):
     """beta_{ij} applied to a single concatenated word of degree i+j."""
     if i == 0 or j == 0:

@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import binfty, catalog, hopf, tensoralg
-from .braid import Braiding, beta_component, check_yang_baxter
+from .braid import Braiding, apply_beta_letters, check_yang_baxter
 from .linear import (Element, FormatError, Report, _fits,
                      element_to_obj, linmap_from_obj, read_field)
 from .scalars import ScalarParseError, parse_scalar
@@ -283,21 +283,6 @@ def cmd_verify(session, target, suite, bound):
 
 # -- compute ---------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([(),]|[^\s(),]+)")
-
-
-def _tokenize(text):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
 def _parse_element(text, space):
     """`e1*e2` words with optional scalar weights, joined by + and -.
 
@@ -476,7 +461,10 @@ def _evaluate(session, text, cap):
         if x.degrees() not in ([], [i + j]):
             raise ParseError("braid(%d, %d) expects an element of degree %d"
                              % (i, j, i + j))
-        return beta_component(i, j, b).apply(x), sp
+        out = Element()
+        for (letters, _), c in x.terms.items():
+            out.add_scaled(apply_beta_letters(b, i, j, letters), c)
+        return out, sp
     raise ParseError("unknown operation %r" % op)
 
 
@@ -489,7 +477,7 @@ def format_element(x, space):
     for key in sorted(x.terms, key=term_sort_key):
         letters, cuts = key
         coeff = x.terms[key]
-        bounds = (0,) + cuts + (len(letters),)
+        bounds = tensoralg.slot_bounds(letters, cuts)
         blocks = []
         for t in range(len(bounds) - 1):
             seg = letters[bounds[t]:bounds[t + 1]]

@@ -113,11 +113,6 @@ class Poly:
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly(out)
 
-    def scale(self, n):
-        if n == 0:
-            return Poly()
-        return Poly({e: c * n for e, c in self.coeffs.items()})
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 

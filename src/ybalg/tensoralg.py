@@ -46,14 +46,10 @@ def _bilinear(x, y, product, what):
     return out
 
 
-def concat_product(x, y, cap=None):
+def concat_product(x, y):
     """Bilinear word concatenation (plain elements)."""
-    def concat(u, v):
-        if cap is not None and len(u) + len(v) > cap:
-            raise DegreeCapExceeded(
-                "degree %d exceeds cap %d" % (len(u) + len(v), cap))
-        return Element.basis(u + v)
-    return _bilinear(x, y, concat, "concat_product")
+    return _bilinear(x, y, lambda u, v: Element.basis(u + v),
+                     "concat_product")
 
 
 def counit(x):

@@ -7,7 +7,7 @@ import pytest
 from conftest import flip_braiding, symbolic_diagonal
 from ybalg.braid import (Braiding, Perm, UnvalidatedBraiding,
                          all_reduced_words, apply_beta_letters,
-                         beta_component, braid_lift, braid_lift_word,
+                         braid_lift, braid_lift_word,
                          check_yang_baxter, chi, enumerate_shuffles,
                          perm_reduced_word, w_block)
 from ybalg.catalog import exterior_braiding
@@ -97,15 +97,15 @@ def test_matsumoto_small():
 
 def test_beta_unit_components_are_identity():
     b = symbolic_diagonal(2)
-    assert beta_component(0, 2, b).equals(LinMap.identity(b.space, 2),
-                                          b.space, 2)
+    assert braid_lift(chi(0, 2), b).equals(LinMap.identity(b.space, 2),
+                                           b.space, 2)
     assert apply_beta_letters(b, 2, 0, (0, 1)) == Element.basis((0, 1))
 
 
 def test_beta_diagonal_scalar():
     b = symbolic_diagonal(2)
     # beta_{11} = sigma
-    assert beta_component(1, 1, b).equals(b.fwd, b.space, 2)
+    assert braid_lift(chi(1, 1), b).equals(b.fwd, b.space, 2)
     # on a diagonal braiding, beta_{ij} is the block flip times the product
     res = apply_beta_letters(b, 2, 1, (0, 1, 0))
     coeff = Scalar.q_power(1) * Scalar.q_power(3)  # q_{00} q_{10}
@@ -140,7 +140,7 @@ def test_beta_factorization():
     # beta_{i+j,k} = (beta_{ik} (x) id^j)(id^i (x) beta_{jk})
     b = exterior_braiding(2)
     i, j, k = 1, 1, 1
-    lhs = beta_component(i + j, k, b)
-    step1 = LinMap.identity(b.space, i).tensor(beta_component(j, k, b))
-    step2 = beta_component(i, k, b).tensor(LinMap.identity(b.space, j))
+    lhs = braid_lift(chi(i + j, k), b)
+    step1 = LinMap.identity(b.space, i).tensor(braid_lift(chi(j, k), b))
+    step2 = braid_lift(chi(i, k), b).tensor(LinMap.identity(b.space, j))
     assert lhs.equals(step2.compose(step1), b.space, i + j + k)

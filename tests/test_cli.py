@@ -11,10 +11,10 @@ import pytest
 import ybalg
 from ybalg import braid, cli, hopf
 from ybalg.binfty import QBStructure, YBBase, qb_from_obj, qb_to_obj
-from ybalg.braid import Braiding, check_yang_baxter
+from ybalg.braid import Braiding, braid_lift, check_yang_baxter, chi
 from ybalg.catalog import (WedgeAlgebra, diagonal_braiding,
                            exterior_braiding, group_algebra_hopf)
-from ybalg.cli import (ParseError, SuiteMismatch, UnknownTarget,
+from ybalg.cli import (ParseError, Session, SuiteMismatch, UnknownTarget,
                        ValidationError, cmd_compute, cmd_verify,
                        compute_expression, format_element, load_session,
                        main, _parse_element)
@@ -208,6 +208,66 @@ def test_compute_braid_golden(tmp_path):
     session = load_session(basic_session(tmp_path))
     _, text = cmd_compute(session, "braid(sigma, 1, 1, e1*e2)")
     assert text == "q^-1 e2*e1"
+
+
+def test_compute_braid_lifts_only_the_operand_words(tmp_path):
+    session = load_session(basic_session(tmp_path))
+    compute_expression(session, "braid(sigma, 3, 3, e1*e2*e1*e2*e1*e2)")
+    assert len(session.get("sigma")._lift_cache) == 1
+
+
+@pytest.mark.parametrize("i, j", [(40, 0), (20, 20)])
+def test_compute_braid_of_zero_lifts_nothing(tmp_path, i, j):
+    session = load_session(basic_session(tmp_path))
+    assert cmd_compute(session, "braid(sigma, %d, %d, 0)" % (i, j)) == \
+        (0, "0")
+    assert not session.get("sigma")._lift_cache
+
+
+BRAID_DIFFERENTIAL = [
+    ("deformed flip N=2", lambda: exterior_braiding(2)),
+    ("rational diagonal", lambda: diagonal_braiding(
+        [[parse_scalar(e) for e in row] for row in
+         [["(q^2+1)/(q+2)", "q"], ["2/(q-3)", "-1"]]])),
+]
+
+
+def _braid_mismatches(make):
+    """The (x, i, j) with deg x = i + j <= 4 on which `compute braid`
+    differs from beta_ij = T_{chi_ij} tabulated by braid_lift on a separate
+    copy of the braiding.  x runs over the words of each degree and their
+    sum weighted by distinct powers of q."""
+    b, ref = make(), make()
+    session = Session({"b": b})
+    mismatches = []
+    for d in range(5):
+        words = b.space.words(d)
+        mixed = Element()
+        for k, w in enumerate(words):
+            mixed.add_scaled(Element.basis(w), Scalar.q_power(k))
+        for i in range(d + 1):
+            beta = braid_lift(chi(i, d - i), ref)
+            for x in [Element.basis(w) for w in words] + [mixed]:
+                got = compute_expression(session, "braid(b, %d, %d, %s)" % (
+                    i, d - i, format_element(x, b.space)))
+                if got != beta.apply(x):
+                    mismatches.append((x, i, d - i))
+    return mismatches
+
+
+@pytest.mark.parametrize("make", [m for _, m in BRAID_DIFFERENTIAL],
+                         ids=[n for n, _ in BRAID_DIFFERENTIAL])
+def test_compute_braid_matches_tabulated_beta(make):
+    assert _braid_mismatches(make) == []
+
+
+def test_compute_braid_differential_catches_swapped_degrees(monkeypatch):
+    apply_beta_letters = cli.apply_beta_letters
+    monkeypatch.setattr(cli, "apply_beta_letters",
+                        lambda b, i, j, letters: apply_beta_letters(
+                            b, j, i, letters))
+    for _, make in BRAID_DIFFERENTIAL:
+        assert _braid_mismatches(make)
 
 
 def test_compute_json_roundtrip(tmp_path):

@@ -15,9 +15,8 @@ from ybalg.braid import (Braiding, apply_beta_letters, braid_lift,
 from ybalg.catalog import exterior_braiding
 from ybalg.linear import Element, LinMap, Space, tensor_elements
 from ybalg.scalars import Scalar, parse_scalar
-from ybalg.tensoralg import (DegreeCapExceeded, _first_factor_delta_beta,
-                             apply_slots, beta_slots,
-                             concat_product, counit, deconcatenate,
+from ybalg.tensoralg import (_first_factor_delta_beta, apply_slots,
+                             beta_slots, concat_product, counit, deconcatenate,
                              delta_beta, delta_beta_iter, delta_beta_via_w,
                              delta_iter, power_coproduct, power_product,
                              qshuffle_product, quantum_coproduct,
@@ -30,8 +29,10 @@ def test_concat_and_cap():
     x = Element.basis((0,))
     y = Element.basis((1, 0))
     assert concat_product(x, y) == Element.basis((0, 1, 0))
-    with pytest.raises(DegreeCapExceeded):
-        concat_product(x, y, cap=2)
+    # concatenation has no cap of its own: degree caps belong to the
+    # operations that a session exposes
+    long = Element.basis((0, 1) * 4)
+    assert concat_product(long, long) == Element.basis((0, 1) * 8)
 
 
 def test_counit_projects_to_empty_word():
@@ -347,14 +348,6 @@ def test_reduced_delta_beta_drops_unit_terms():
         assert 0 in degs
 
 
-def test_reduced_delta_beta_vanishes_beyond_degree():
-    b = symbolic_diagonal(2)
-    for letters in b.space.words(3):
-        for cut in range(len(letters) + 1):
-            x = Element.basis(letters, cuts=(cut,))
-            assert delta_beta_iter(b, x, 3, reduced=True).is_zero()
-
-
 def test_power_product_flip_is_componentwise():
     b = flip_braiding(2)
     mult = LinMap(2, {w: Element.basis((w[0],)) for w in b.space.words(2)})
@@ -407,12 +400,11 @@ def test_bilinear_products_refuse_cut_elements():
     M = base.qb_structure(degree_cap=4)
     cut, plain = Element.basis((0, 1), (1,)), Element.basis((1,))
     for name, product in (
-            ("concat_product", lambda x, y: concat_product(x, y, cap=1)),
+            ("concat_product", concat_product),
             ("qshuffle_product", lambda x, y: qshuffle_product(x, y, b)),
             ("star_product", lambda x, y: star_product(M, x, y)),
             ("quasi_shuffle", lambda x, y: quasi_shuffle(x, y, base))):
         for x, y in ((cut, plain), (plain, cut)):
-            # the cut check comes first, before concat_product's cap
             with pytest.raises(ValueError) as e:
                 product(x, y)
             assert type(e.value) is ValueError
