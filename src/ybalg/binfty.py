@@ -279,29 +279,25 @@ def _qsh_words(base, u, v):
     elif not u:
         res = Element.basis(v)
     else:
-        i, j = len(u), len(v)
+        j, a = len(v), u[-1:]
         res = Element()
         # last letter of v split off before any braiding
         t1 = _qsh_words(base, u, v[:-1])
         for (wl, _), c in t1.terms.items():
             res.add_term((wl + v[-1:], ()), c)
-        # migrate the last letter of u to the end, then recurse on the rest
-        z = Element.basis(u + v)
-        for pos in range(i - 1, i + j - 1):
-            z = apply_at(base.braiding.fwd, 2, pos, z)
-        for (wl, _), c in z.terms.items():
-            rec = _qsh_words(base, wl[:i - 1], wl[i - 1:i + j - 1])
+        # beta_1j moves the last letter a of u past v; recurse on the rest
+        moved = apply_beta_letters(base.braiding, 1, j, a + v)
+        for (wl, _), c in moved.terms.items():
+            rec = _qsh_words(base, u[:-1], wl[:j])
             for (rl, _), s in rec.terms.items():
-                res.add_term((rl + wl[i + j - 1:], ()), s * c)
-        # migrate one step less and close with the base product
-        z = Element.basis(u + v)
-        for pos in range(i - 1, i + j - 2):
-            z = apply_at(base.braiding.fwd, 2, pos, z)
-        for (wl, _), c in z.terms.items():
-            prod = base.mult.apply_word(wl[i + j - 2:])
+                res.add_term((rl + wl[j:], ()), s * c)
+        # beta_1,j-1 stops a one letter short; close with the base product
+        moved = apply_beta_letters(base.braiding, 1, j - 1, a + v[:-1])
+        for (wl, _), c in moved.terms.items():
+            prod = base.mult.apply_word(wl[j - 1:] + v[-1:])
             if prod.is_zero():
                 continue
-            rec = _qsh_words(base, wl[:i - 1], wl[i - 1:i + j - 2])
+            rec = _qsh_words(base, u[:-1], wl[:j - 1])
             for (rl, _), s in rec.terms.items():
                 for (pl, _), t in prod.terms.items():
                     res.add_term((rl + pl, ()), s * t * c)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
-from .linear import (Element, LinMap, Report, _on_basis, apply_at,
+from .linear import (Element, Report, _on_basis, apply_at,
                      map_invert_exact)
 
 
@@ -197,12 +197,6 @@ def braid_lift_apply(braiding, w, letters):
     res = braid_lift_word(braiding, perm_reduced_word(w), x)
     braiding._lift_cache[key] = res
     return res
-
-
-def braid_lift(w, braiding):
-    """T_w as a LinMap on V^{(x) n} with n = w.n."""
-    return LinMap.tabulate(braiding.space, w.n,
-                           lambda word: braid_lift_apply(braiding, w, word))
 
 
 def apply_beta_letters(braiding, i, j, letters):

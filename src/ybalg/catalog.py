@@ -142,7 +142,7 @@ def _flip_exponent(I, J):
     """
     if set(I) & set(J):
         return 0
-    return 2 * sum(1 for a in I for b in J if a > b) - len(I) * len(J)
+    return 2 * _cross_inversions(I, J) - len(I) * len(J)
 
 
 def _cross_inversions(I, J):

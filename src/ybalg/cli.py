@@ -368,26 +368,34 @@ def compute_expression(session, text, cap=None):
 
 def _evaluate(session, text, cap):
     """Evaluate one expression; returns the Element and the space whose
-    letters it is written in, which the operation looked up once."""
+    letters it is written in.
+
+    No operation's result has a degree above the sum of its operands'
+    degrees, so that sum is checked against the cap before any work.
+    """
     text = text.strip()
     m = re.match(r"^(\w+)\((.*)\)$", text, re.S)
     if not m:
         raise ParseError("expected op(args), got %r" % text)
-    op, argtext = m.group(1), m.group(2)
-    args = _split_args(argtext)
+    space, operands, run = _operation(session, m.group(1),
+                                      _split_args(m.group(2)))
+    xs = [_parse_element(t, space) for t in operands]
     cap = cap if cap is not None else session.degree_cap
+    degree = sum(max(x.degrees(), default=0) for x in xs)
+    if degree > cap:
+        raise tensoralg.DegreeCapExceeded(
+            "degree %d exceeds cap %d" % (degree, cap))
+    return run(*xs), space
+
+
+def _operation(session, op, args):
+    """The space, the operand texts and the kernel of one operation: the
+    only part of `compute` that depends on the operation."""
 
     def want(n):
         if len(args) != n:
             raise ParseError("%s expects %d arguments, got %d"
                              % (op, n, len(args)))
-
-    def check_cap(x):
-        degs = x.degrees()
-        if degs and max(degs) > cap:
-            raise tensoralg.DegreeCapExceeded(
-                "result degree %d exceeds cap %d" % (max(degs), cap))
-        return x
 
     def named(i, kinds, mismatch):
         """The session object args[i] names, which must be of `kinds`."""
@@ -396,34 +404,29 @@ def _evaluate(session, text, cap):
             raise SuiteMismatch(mismatch)
         return obj
 
+    def trailing(kind, what):
+        """A product's optional third argument, or else the session's
+        single object of its kind."""
+        if len(args) == 3:
+            return named(2, kind, "%s expects a %s third" % (op, what))
+        want(2)
+        return session.unique((kind,))
+
     if op == "shuffle":
-        if len(args) == 3:
-            b = named(2, Braiding, "shuffle expects a braiding third")
-        else:
-            want(2)
-            b = session.unique((Braiding,))
-        sp = b.space
-        x = _parse_element(args[0], sp)
-        y = _parse_element(args[1], sp)
-        return check_cap(tensoralg.qshuffle_product(x, y, b)), sp
+        b = trailing(Braiding, "braiding")
+        return (b.space, args[:2],
+                lambda x, y: tensoralg.qshuffle_product(x, y, b))
     if op == "quasishuffle":
-        if len(args) == 3:
-            base = named(2, binfty.YBBase, "quasishuffle expects a base third")
-        else:
-            want(2)
-            base = session.unique((binfty.YBBase,))
-        sp = base.space
-        x = _parse_element(args[0], sp)
-        y = _parse_element(args[1], sp)
-        return check_cap(binfty.quasi_shuffle(x, y, base)), sp
-    if op == "star":
-        want(3)
+        base = trailing(binfty.YBBase, "base")
+        return (base.space, args[:2],
+                lambda x, y: binfty.quasi_shuffle(x, y, base))
+    if op in ("star", "antipode"):
+        want(3 if op == "star" else 2)
         M = named(0, binfty.QBStructure,
-                  "star expects a tower structure first")
-        sp = M.space
-        x = _parse_element(args[1], sp)
-        y = _parse_element(args[2], sp)
-        return check_cap(binfty.star_product(M, x, y)), sp
+                  "%s expects a tower structure first" % op)
+        return M.space, args[1:], (
+            (lambda x, y: binfty.star_product(M, x, y)) if op == "star"
+            else (lambda x: binfty.antipode(x, M)))
     if op == "coproduct":
         if len(args) == 2:
             sp = named(1, _BRAIDED,
@@ -437,15 +440,7 @@ def _evaluate(session, text, cap):
                 raise UnknownTarget("expected a single underlying space, "
                                     "found %d" % len(spaces))
             sp, = spaces.values()
-        x = _parse_element(args[0], sp)
-        return tensoralg.deconcatenate(x), sp
-    if op == "antipode":
-        want(2)
-        M = named(0, binfty.QBStructure,
-                  "antipode expects a tower structure first")
-        sp = M.space
-        x = _parse_element(args[1], sp)
-        return check_cap(binfty.antipode(x, M)), sp
+        return sp, args[:1], tensoralg.deconcatenate
     if op == "braid":
         want(4)
         b = named(0, Braiding, "braid expects a braiding first")
@@ -456,15 +451,16 @@ def _evaluate(session, text, cap):
                              % (args[1], args[2]))
         if i < 0 or j < 0:
             raise ParseError("braid degrees must be non-negative")
-        sp = b.space
-        x = _parse_element(args[3], sp)
-        if x.degrees() not in ([], [i + j]):
-            raise ParseError("braid(%d, %d) expects an element of degree %d"
-                             % (i, j, i + j))
-        out = Element()
-        for (letters, _), c in x.terms.items():
-            out.add_scaled(apply_beta_letters(b, i, j, letters), c)
-        return out, sp
+
+        def run(x):
+            if x.degrees() not in ([], [i + j]):
+                raise ParseError("braid(%d, %d) expects an element of "
+                                 "degree %d" % (i, j, i + j))
+            out = Element()
+            for (letters, _), c in x.terms.items():
+                out.add_scaled(apply_beta_letters(b, i, j, letters), c)
+            return out
+        return b.space, args[3:], run
     raise ParseError("unknown operation %r" % op)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: small braided spaces and algebra bases used across tests."""
 
 from ybalg.binfty import TwoYB, YBBase
+from ybalg.braid import braid_lift_apply
 from ybalg.catalog import diagonal_braiding
 from ybalg.linear import Element, LinMap, Space
 from ybalg.scalars import Scalar
@@ -11,6 +12,13 @@ def symbolic_diagonal(n):
     Q = [[Scalar.q_power(i * n + j + 1) for j in range(n)]
          for i in range(n)]
     return diagonal_braiding(Q)
+
+
+def braid_lift(w, braiding):
+    """T_w tabulated as a LinMap on V^{(x) n}, n = w.n: the reference form
+    of a braid lift, one column per basis word."""
+    return LinMap.tabulate(braiding.space, w.n,
+                           lambda word: braid_lift_apply(braiding, w, word))
 
 
 def flip_braiding(n):

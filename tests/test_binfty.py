@@ -11,6 +11,7 @@ from ybalg import binfty, tensoralg
 from ybalg.binfty import (QBStructure, TwoYB, YBBase, _apply_m_blocks,
                           _fold_dot, antipode, from_2yb, qb_from_obj,
                           qb_to_obj, qb_validate, quasi_shuffle, star_product)
+from ybalg.catalog import exterior_braiding
 from ybalg.linear import Element, LinMap, Space, apply_at, tensor_elements
 from ybalg.scalars import Scalar
 from ybalg.tensoralg import (DegreeCapExceeded, InvalidBase,
@@ -100,11 +101,16 @@ def test_quasi_shuffle_matches_star():
 
 
 def test_quasi_shuffle_zero_base_is_shuffle():
-    b = flip_braiding(2)
-    base = zero_base(b)
-    x = Element.basis((0, 1))
-    y = Element.basis((1,))
-    assert quasi_shuffle(x, y, base) == qshuffle_product(x, y, b)
+    """On a zero base the quasi-shuffle is the quantum shuffle, on every
+    word pair with |u| + |v| <= 5; the deformed flip is not diagonal."""
+    for name, b in (("flip", flip_braiding(2)),
+                    ("deformed flip", exterior_braiding(2))):
+        base = zero_base(b)
+        for u in words_upto(b.space, 5):
+            for v in words_upto(b.space, 5 - len(u)):
+                x, y = Element.basis(u), Element.basis(v)
+                assert quasi_shuffle(x, y, base) == \
+                    qshuffle_product(x, y, b), (name, u, v)
 
 
 # -- closed forms for the peeled components --------------------------------

@@ -4,10 +4,10 @@ from itertools import permutations
 
 import pytest
 
-from conftest import flip_braiding, symbolic_diagonal
+from conftest import braid_lift, flip_braiding, symbolic_diagonal
 from ybalg.braid import (Braiding, Perm, UnvalidatedBraiding,
                          all_reduced_words, apply_beta_letters,
-                         braid_lift, braid_lift_word,
+                         braid_lift_word,
                          check_yang_baxter, chi, enumerate_shuffles,
                          perm_reduced_word, w_block)
 from ybalg.catalog import exterior_braiding

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import ybalg
-from ybalg import braid, cli, hopf
+from conftest import braid_lift
+from ybalg import binfty, braid, cli, hopf, tensoralg
 from ybalg.binfty import QBStructure, YBBase, qb_from_obj, qb_to_obj
-from ybalg.braid import Braiding, braid_lift, check_yang_baxter, chi
+from ybalg.braid import Braiding, check_yang_baxter, chi
 from ybalg.catalog import (WedgeAlgebra, diagonal_braiding,
                            exterior_braiding, group_algebra_hopf)
 from ybalg.cli import (ParseError, Session, SuiteMismatch, UnknownTarget,
@@ -361,6 +362,46 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "error: degree 7 exceeds cap 6" in err
+
+
+# one request per operation whose operands' degrees sum past 4, with the
+# module attribute of the kernel it runs
+OVER_CAP = [
+    ("shuffle(e1*e2*e1, e2*e1)", 5, tensoralg, "qshuffle_product"),
+    ("quasishuffle(e1*e2, e2*e1*e2, base)", 5, binfty, "quasi_shuffle"),
+    ("star(M, e1*e2*e1, e1*e2*e1)", 6, binfty, "star_product"),
+    ("antipode(M, e1*e2*e1*e2*e1)", 5, binfty, "antipode"),
+    ("coproduct(e1*e2*e1*e2*e1, sigma)", 5, tensoralg, "deconcatenate"),
+    ("braid(sigma, 3, 3, e1*e2*e1*e2*e1*e2)", 6, cli, "apply_beta_letters"),
+]
+
+
+@pytest.mark.parametrize("expr, degree, module, kernel", OVER_CAP,
+                         ids=[e.split("(")[0] for e, *_ in OVER_CAP])
+def test_compute_refuses_operands_over_cap_before_any_work(
+        tmp_path, capsys, monkeypatch, expr, degree, module, kernel):
+    path = basic_session(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("%s ran past the cap" % kernel)
+    with monkeypatch.context() as m:
+        m.setattr(module, kernel, refuse)
+        assert main(["compute", path, expr, "--cap", "4"]) == 2
+    assert capsys.readouterr().err == \
+        "error: degree %d exceeds cap 4\n" % degree
+    # the bound is the operands' degree sum itself
+    assert main(["compute", path, expr, "--cap", str(degree)]) == 0
+
+
+def test_compute_refuses_a_cancelled_top_degree_over_cap(tmp_path, capsys):
+    # on q_11 = -1, e1 sh e1 = e1*e1 - e1*e1 = 0: the result has no degree,
+    # but its operands' degrees sum to 2
+    path = write_session(tmp_path, {"version": 1, "objects": [
+        {"name": "s", "kind": "diagonal", "matrix": [["-1"]]}]})
+    assert main(["compute", path, "shuffle(e1, e1)"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["compute", path, "shuffle(e1, e1)", "--cap", "1"]) == 2
+    assert capsys.readouterr().err == "error: degree 2 exceeds cap 1\n"
 
 
 def test_main_subprocess(tmp_path):

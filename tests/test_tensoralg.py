@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip_braiding, graded_base, symbolic_diagonal
+from conftest import (braid_lift, flip_braiding, graded_base,
+                      symbolic_diagonal)
 from ybalg import tensoralg
 from ybalg.binfty import qb_validate, quasi_shuffle, star_product
-from ybalg.braid import (Braiding, apply_beta_letters, braid_lift,
-                         check_yang_baxter, w_block)
+from ybalg.braid import (Braiding, apply_beta_letters, check_yang_baxter,
+                         w_block)
 from ybalg.catalog import exterior_braiding
 from ybalg.linear import Element, LinMap, Space, tensor_elements
 from ybalg.scalars import Scalar, parse_scalar
