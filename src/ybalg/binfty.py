@@ -19,8 +19,8 @@ from .braid import apply_beta_letters
 from .linear import (Element, FormatError, LinMap, Report, _checked,
                      _leg_rows, _legs, _on_basis, _point, apply_at,
                      linmap_from_obj, linmap_to_obj, tensor_elements)
-from .tensoralg import (DegreeCapExceeded, InvalidBase, _bilinear, _memo,
-                        _slot_rows, beta_slots, check_yb_algebra,
+from .tensoralg import (DegreeCapExceeded, InvalidBase, _bilinear, _linear,
+                        _memo, _slot_rows, beta_slots, check_yb_algebra,
                         check_yb_product_rows, delta_beta_iter,
                         delta_beta_via_w, slot_bounds, triples)
 
@@ -39,8 +39,6 @@ class QBStructure:
     """
 
     def __init__(self, braiding, components=None, degree_cap=6):
-        if not braiding.validated:
-            raise ValueError("braiding must be validated")
         self.space = braiding.space
         self.braiding = braiding
         self.degree_cap = degree_cap
@@ -242,14 +240,14 @@ class YBBase:
     """A product on V compatible with the braiding (rows of the product
     compatibility diagram; no unit is required)."""
 
-    def __init__(self, space, mult, braiding):
+    def __init__(self, mult, braiding):
         if mult.in_degree != 2:
             raise InvalidBase("base product must have in-degree 2")
         _lands_in_v(mult, "base product")
-        self.space = space
+        self.space = braiding.space
         self.mult = mult
         self.braiding = braiding
-        bad = check_yb_product_rows(space, mult, braiding).first_failure()
+        bad = check_yb_product_rows(mult, braiding).first_failure()
         if bad is not None:
             raise InvalidBase("base fails compatibility at %r"
                               % ((bad["identity"], bad["witness"][0]),))
@@ -314,8 +312,8 @@ class TwoYB:
     shared.  Validation is exhaustive over basis words.
     """
 
-    def __init__(self, space, braiding, star, dot, unit):
-        self.space = space
+    def __init__(self, braiding, star, dot, unit):
+        self.space = braiding.space
         self.braiding = braiding
         self.star = star
         self.dot = dot
@@ -347,7 +345,7 @@ class TwoYB:
             report.check(name + " unit", _on_basis(
                 [sp], ([(u, 0), (f, 0)], []),
                 ([(u, 1), (f, 0)], [])))
-            for e in check_yb_algebra(sp, f, self.unit, self.braiding).entries:
+            for e in check_yb_algebra(f, self.unit, self.braiding).entries:
                 report.record("%s %s" % (name, e["identity"]), e["ok"],
                               e["witness"])
         return report
@@ -401,18 +399,15 @@ def antipode(x, M):
     k = 0 term is -u itself.  Expanded by bilinearity this is Takeuchi's sum
     over the compositions of u of the left-nested star products, signed by
     the number of blocks."""
-    out = Element()
-    for (u, cuts), c in x.terms.items():
-        if cuts:
-            raise ValueError("antipode expects uncut elements")
+    def word(u):
         table = [Element.unit()]
         for m in range(1, len(u) + 1):
             s = Element.basis(u[:m])
             for k in range(1, m):
                 s.add_scaled(star_product(M, table[k], Element.basis(u[k:m])))
             table.append(-s)
-        out.add_scaled(table[-1], c)
-    return out
+        return table[-1]
+    return _linear(x, word, "antipode")
 
 
 # -- serialization ---------------------------------------------------------

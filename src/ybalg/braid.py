@@ -14,10 +14,6 @@ from .linear import (Element, Report, _on_basis, apply_at,
                      map_invert_exact)
 
 
-class UnvalidatedBraiding(ValueError):
-    pass
-
-
 class Perm:
     """Permutation of {1,...,n}, stored by its sequence of images."""
 
@@ -137,17 +133,17 @@ def w_block(i):
 
 
 class Braiding:
-    """Invertible degree-2 map with a validated Yang-Baxter flag.
+    """An invertible degree-2 map on V that solves the Yang-Baxter equation.
 
-    The inverse is computed exactly at construction unless supplied, and the
-    YBE is checked unless `validate=False`; `ybe` keeps the Report of that
-    check (None when it was not made), so it is decided once per braiding.
+    The inverse is computed exactly unless supplied.  Construction checks
+    both inverse compositions and the YBE, so every braiding passes them;
+    `ybe` keeps the Report of the YBE check, decided once per braiding.
     """
 
-    def __init__(self, space, fwd, inv=None, validate=True):
+    def __init__(self, space, fwd, inv=None):
         self.space = space
         self.fwd = fwd
-        self.inv = inv if inv is not None else map_invert_exact(fwd, space, 2)
+        self.inv = inv if inv is not None else map_invert_exact(fwd, space)
         # f(g(w)) = w on each basis word, from the columns of g
         inverse = Report()
         for name, f, g in (("right", self.fwd, self.inv),
@@ -159,22 +155,12 @@ class Braiding:
         if bad:
             raise ValueError("supplied inverse is not a %s"
                              % bad[0]["identity"])
-        self.ybe = check_yang_baxter(self.fwd, space) if validate else None
-        if validate and not self.ybe.ok:
+        self.ybe = check_yang_baxter(self.fwd, space)
+        if not self.ybe.ok:
             raise ValueError("Yang-Baxter equation fails at %r"
                              % (self.ybe.entries[0]["witness"],))
-        self.validated = validate
         self._lift_cache = {}
         self._beta_slot_cache = {}  # tensoralg.beta_slots images
-        self._inv_braiding = None
-
-    def inverse_braiding(self):
-        if self._inv_braiding is None:
-            b = Braiding(self.space, self.inv, self.fwd,
-                         validate=False)
-            b.validated = self.validated
-            self._inv_braiding = b
-        return self._inv_braiding
 
 
 def braid_lift_word(braiding, word, x):
@@ -186,9 +172,6 @@ def braid_lift_word(braiding, word, x):
 
 def braid_lift_apply(braiding, w, letters):
     """T_w applied to a single basis word, memoized per (braiding, w)."""
-    if not braiding.validated:
-        raise UnvalidatedBraiding(
-            "braid lifts require a braiding with a validated YBE")
     key = (w.images, letters)
     cached = braiding._lift_cache.get(key)
     if cached is not None:

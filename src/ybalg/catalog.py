@@ -110,7 +110,7 @@ def exterior_relations_check(N):
                           None if img.is_zero() else img)
     # the relations span the full fixed space of sigma
     fixer = LinMap.identity(space, 2).add(b.fwd.scale(-Scalar.one()))
-    kernel = map_kernel_basis(fixer, space, 2)
+    kernel = map_kernel_basis(fixer, space)
     span = column_echelon_basis(relations, space, 2)
     spans = (len(kernel) == len(span)
              and all(in_span(v, kernel, space, 2) for v in span))
@@ -316,14 +316,13 @@ def resolve_catalog(address):
 
     def data(form, what):
         """The JSON of the file that the address names, refused unless it
-        has the given form, which `what` describes."""
+        is JSON, not too deep to read, of the form `what` describes."""
         with open(param("file", str)) as fh:
-            value = json.load(fh)
-        try:
-            return _checked(value, form)
-        except FormatError:
-            raise FormatError("", "%r reads a file that is not %s"
-                              % (address, what)) from None
+            try:
+                return _checked(json.load(fh), form)
+            except (ValueError, RecursionError):
+                raise FormatError("", "%r reads a file that is not %s"
+                                  % (address, what)) from None
 
     if kind == "exterior":
         return exterior_braiding(param("N", int))

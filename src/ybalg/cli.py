@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import binfty, catalog, hopf, tensoralg
-from .braid import Braiding, apply_beta_letters, check_yang_baxter
+from .braid import Braiding, apply_beta_letters
 from .linear import (Element, FormatError, Report, _fits,
                      element_to_obj, linmap_from_obj, read_field)
 from .scalars import ScalarParseError, parse_scalar
@@ -94,6 +94,8 @@ def load_session(path):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno)
+    except RecursionError:
+        raise ParseError("session %s is nested too deeply" % path) from None
     if not isinstance(data, dict):
         raise ParseError("a session must be a JSON object")
     if data.get("version") != 1:
@@ -171,7 +173,7 @@ def _build_object(decl, session):
         braiding = _ref(decl, "braiding", session, Braiding)
         V = braiding.space
         return binfty.YBBase(
-            V, read_field(decl, "mult", linmap_from_obj, [V, V], V), braiding)
+            read_field(decl, "mult", linmap_from_obj, [V, V], V), braiding)
     if kind == "quasishuffle":
         base = _ref(decl, "base", session, binfty.YBBase)
         return base.qb_structure(
@@ -211,13 +213,6 @@ def _suite_entries(session, target, suite, bound):
             for e in run(obj, suite, bound).entries]
 
 
-def _ybe_entries(b):
-    """Copies of the Yang-Baxter entries of the braiding b: those of its
-    construction-time check, or of a check made now when it has none."""
-    ybe = b.ybe if b.ybe is not None else check_yang_baxter(b.fwd, b.space)
-    return [dict(e) for e in ybe.entries]
-
-
 def _braiding_report(b, suite, bound):
     """The shuffle-product and unshuffle-coproduct rows up to the bound,
     each suite opening with its own Yang-Baxter entry, which the braiding's
@@ -232,16 +227,15 @@ def _braiding_report(b, suite, bound):
         report.record(identity, bad is None, None if bad is None
                       else (bad["identity"],) + bad["witness"])
 
-    ybe = _ybe_entries(b)
     if suite in ("yb-algebra", "all"):
-        report.entries += ybe
+        report.entries += [dict(e) for e in b.ybe.entries]
         for i, j, k in triples:
             record("shuffle-product %d,%d,%d" % (i, j, k),
                    tensoralg.check_tensor_yb_product(
                        lambda x, y: tensoralg.qshuffle_product(x, y, b),
                        b, i, j, k))
     if suite in ("yb-coalgebra", "all"):
-        report.entries += [dict(e) for e in ybe]
+        report.entries += [dict(e) for e in b.ybe.entries]
         for p, q, r in triples:
             record("unshuffle-coproduct %d,%d,%d" % (p, q, r),
                    tensoralg.check_tensor_yb_coproduct(b, p, q, r))
@@ -250,7 +244,7 @@ def _braiding_report(b, suite, bound):
 
 def _qflip_report(w, suite, bound):
     report = catalog.qflip_compat_check(w)
-    report.entries[:0] = _ybe_entries(w.braiding)
+    report.entries[:0] = [dict(e) for e in w.braiding.ybe.entries]
     return report
 
 
@@ -456,10 +450,8 @@ def _operation(session, op, args):
             if x.degrees() not in ([], [i + j]):
                 raise ParseError("braid(%d, %d) expects an element of "
                                  "degree %d" % (i, j, i + j))
-            out = Element()
-            for (letters, _), c in x.terms.items():
-                out.add_scaled(apply_beta_letters(b, i, j, letters), c)
-            return out
+            return tensoralg._linear(
+                x, lambda u: apply_beta_letters(b, i, j, u), "braid")
         return b.space, args[3:], run
     raise ParseError("unknown operation %r" % op)
 

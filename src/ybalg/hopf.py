@@ -61,8 +61,7 @@ class HopfPresentation:
     def antipode_inverse(self):
         if self.antipode_inv is None:
             try:
-                self.antipode_inv = map_invert_exact(self.antipode,
-                                                     self.space, 1)
+                self.antipode_inv = map_invert_exact(self.antipode, self.space)
             except Singular:
                 raise AntipodeNotInvertible(
                     "antipode is singular on this presentation")
@@ -316,7 +315,7 @@ class RMatrix:
         right = LinMap.tabulate(sp, 2, lambda w: _legwise_product(
             hopf, Element.basis(w), R, 2))
         try:
-            inv = map_invert_exact(right, sp, 2)
+            inv = map_invert_exact(right, sp)
         except Singular:
             raise InvalidRMatrix("R is not invertible in H (x) H")
         return RMatrix(hopf, R, inv.apply(tensor_elements(hopf.unit,

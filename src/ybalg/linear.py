@@ -419,28 +419,28 @@ def _map_rows(f, words):
     return rows
 
 
-def map_invert_exact(f, space, degree=None):
-    """Exact inverse on one degree component by _row_reduce on the sparse
+def map_invert_exact(f, space):
+    """Exact inverse on f's degree component by _row_reduce on the sparse
     rows of [f | id].
 
     Raises Singular when the map is not invertible on that component.
     """
-    deg = degree if degree is not None else f.in_degree
-    words = space.words(deg)
+    words = space.words(f.in_degree)
     n = len(words)
     # row i (output word i), with the identity block in columns n..2n-1
     rows = _map_rows(f, words)
     rows = [{**rows.get(w, {}), n + i: Scalar.one()}
             for i, w in enumerate(words)]
     if len(_row_reduce(rows, n)) < n:
-        raise Singular("map is singular on degree %d" % deg)
+        raise Singular("map is singular on degree %d" % f.in_degree)
     # the left block is now the identity; the right block is the inverse
     cols = [{} for _ in range(n)]
     for i, row in enumerate(rows):
         for k, v in row.items():
             if k >= n:
                 cols[k - n][(words[i], ())] = v
-    return LinMap(deg, {w: Element(t) for w, t in zip(words, cols) if t})
+    return LinMap(f.in_degree,
+                  {w: Element(t) for w, t in zip(words, cols) if t})
 
 
 def column_echelon_basis(vectors, space, degree):
@@ -458,12 +458,11 @@ def column_echelon_basis(vectors, space, degree):
             for row in rows[:rank]]
 
 
-def map_kernel_basis(f, space, degree=None):
-    """Basis of the kernel of f on one degree component: after _row_reduce
+def map_kernel_basis(f, space):
+    """Basis of the kernel of f on its degree component: after _row_reduce
     on the rows of f, one vector per free column j, with coefficient 1 at
     word j and minus row r's entry in column j at pivot r."""
-    deg = degree if degree is not None else f.in_degree
-    words = space.words(deg)
+    words = space.words(f.in_degree)
     rows = list(_map_rows(f, words).values())
     pivots = _row_reduce(rows, len(words))
     kernel = []

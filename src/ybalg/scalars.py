@@ -496,7 +496,11 @@ def parse_scalar(text):
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarParseError("empty scalar string")
-    num, den = _Parser(tokens).parse_rational()
+    try:
+        num, den = _Parser(tokens).parse_rational()
+    except RecursionError:
+        raise ScalarParseError(
+            "%r... is nested too deeply" % text[:20]) from None
     if den.is_zero():
         raise ScalarParseError("division by zero in %r" % (text,))
     return Scalar(num, den)

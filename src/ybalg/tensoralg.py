@@ -7,7 +7,8 @@ doubles with each iteration.
 
 Every product on T(V) (concatenation, the quantum shuffle, and binfty's star
 product and quasi-shuffle) is the bilinear extension, by one kernel,
-`_bilinear`, of a function on pairs of words.
+`_bilinear`, of a function on pairs of words, and every other map given on
+words is the linear extension by `_linear`.
 
 Maps on whole tensor slots run as slot programs: chains of `apply_slots`
 steps, the graded-slot analogue of linear.apply_at, each summing its image
@@ -31,6 +32,18 @@ class DegreeCapExceeded(ValueError):
 
 
 # -- products and coproducts ----------------------------------------------
+
+def _linear(x, image, what):
+    """The linear extension of a map on words: the sum over the terms a u of
+    x of a image(u), where image returns an Element that is only read.  A
+    term with cuts is refused with "<what> expects uncut elements"."""
+    out = Element()
+    for (u, cuts), a in x.terms.items():
+        if cuts:
+            raise ValueError("%s expects uncut elements" % what)
+        out.add_scaled(image(u), a)
+    return out
+
 
 def _bilinear(x, y, product, what):
     """The bilinear extension of a product of words: the sum over the terms
@@ -59,26 +72,20 @@ def counit(x):
 
 def deconcatenate(x):
     """delta: split every word at every position (result has one cut)."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        if cuts:
-            raise ValueError("deconcatenate expects uncut elements")
-        for i in range(len(letters) + 1):
-            out.add_term((letters, (i,)), c)
-    return out
+    return _linear(x, lambda u: _splits(u, 1), "deconcatenate")
 
 
 def delta_iter(x, n):
     """delta^{(n)}: T(V) -> T(V)^{(x) n+1}, so n cuts per term."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        if cuts:
-            raise ValueError("delta_iter expects uncut elements")
-        # every weakly increasing n-tuple of cut positions
-        for cts in itertools.combinations_with_replacement(
-                range(len(letters) + 1), n):
-            out.add_term((letters, cts), c)
-    return out
+    return _linear(x, lambda u: _splits(u, n), "delta_iter")
+
+
+def _splits(letters, n):
+    """The word cut at every weakly increasing n-tuple of positions."""
+    one = Scalar.one()
+    return Element({(letters, cts): one for cts in
+                    itertools.combinations_with_replacement(
+                        range(len(letters) + 1), n)})
 
 
 def qshuffle_product(x, y, braiding):
@@ -93,13 +100,12 @@ def qshuffle_product(x, y, braiding):
 
 def quantum_coproduct(x, braiding):
     """Braided unshuffle coproduct; (p, n-p) component sums T_{w^{-1}}."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        if cuts:
-            raise ValueError("quantum_coproduct expects uncut elements")
-        for p in range(len(letters) + 1):
-            out.add_scaled(_unshuffle_component(braiding, letters, p), c)
-    return out
+    def components(u):
+        out = Element()
+        for p in range(len(u) + 1):
+            out.add_scaled(_unshuffle_component(braiding, u, p))
+        return out
+    return _linear(x, components, "quantum_coproduct")
 
 
 def _unshuffle_component(braiding, letters, p):
@@ -335,21 +341,17 @@ def power_coproduct(i, comult, braiding):
 
 def apply_letter_lift(braiding, w, x):
     """T^sigma_w at the letter level on plain elements."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        img = braid_lift_apply(braiding, w, letters)
-        for (iw, _), s in img.terms.items():
-            out.add_term((iw, cuts), s * c)
-    return out
+    return _linear(x, lambda u: braid_lift_apply(braiding, w, u),
+                   "apply_letter_lift")
 
 
 # -- Def 2.1 checks --------------------------------------------------------
 
-def check_yb_product_rows(space, mult, braiding):
-    """The two product rows of the Def 2.1 YB algebra diagram on V^{(x)3}:
-    Report entries "product-row-1" and "product-row-2"."""
+def check_yb_product_rows(mult, braiding):
+    """The two product rows of the Def 2.1 YB algebra diagram on V^{(x)3}
+    for V the braiding's space: "product-row-1" and "product-row-2"."""
     sig = braiding.fwd
-    return _leg_rows(Report(), [space] * 3, [
+    return _leg_rows(Report(), [braiding.space] * 3, [
         # sigma(m (x) id) = (id (x) m) sigma_1 sigma_2
         ("product-row-1", [(mult, 0), (sig, 0)],
          [(sig, 1), (sig, 0), (mult, 1)]),
@@ -358,21 +360,21 @@ def check_yb_product_rows(space, mult, braiding):
          [(sig, 0), (sig, 1), (mult, 0)])])
 
 
-def check_yb_algebra(space, mult, unit, braiding):
-    """Def 2.1 YB algebra diagram on a single space: the product rows, then
-    "unit-row-1" and "unit-row-2" on V."""
+def check_yb_algebra(mult, unit, braiding):
+    """Def 2.1 YB algebra diagram on the braiding's space V: the product
+    rows, then "unit-row-1" and "unit-row-2" on V."""
     sig, u = braiding.fwd, _point(unit)
-    return _leg_rows(check_yb_product_rows(space, mult, braiding), [space], [
+    return _leg_rows(check_yb_product_rows(mult, braiding), [braiding.space], [
         # sigma(1 (x) x) = x (x) 1 and sigma(x (x) 1) = 1 (x) x
         ("unit-row-1", [(u, 0), (sig, 0)], [(u, 1)]),
         ("unit-row-2", [(u, 1), (sig, 0)], [(u, 0)])])
 
 
-def check_yb_coalgebra(space, comult, counit_map, braiding):
-    """Def 2.1 YB coalgebra diagram on a single space: Report entries
-    "coproduct-row-1/2" and "counit-row-1/2" on V^{(x)2}."""
+def check_yb_coalgebra(comult, counit_map, braiding):
+    """Def 2.1 YB coalgebra diagram on the braiding's space V: Report
+    entries "coproduct-row-1/2" and "counit-row-1/2" on V^{(x)2}."""
     sig, d, e = braiding.fwd, comult, counit_map
-    return _leg_rows(Report(), [space] * 2, [
+    return _leg_rows(Report(), [braiding.space] * 2, [
         # sigma_1 sigma_2 (Delta (x) id) = (id (x) Delta) sigma
         ("coproduct-row-1", [(d, 0), (sig, 1), (sig, 0)], [(sig, 0), (d, 1)]),
         # sigma_2 sigma_1 (id (x) Delta) = (Delta (x) id) sigma

@@ -29,7 +29,7 @@ def flip_braiding(n):
 
 def zero_base(braiding):
     """Base with the zero product: quasi-shuffle collapses to the shuffle."""
-    return YBBase(braiding.space, LinMap(2), braiding)
+    return YBBase(LinMap(2), braiding)
 
 
 def graded_base():
@@ -42,7 +42,7 @@ def graded_base():
     Q = [[Scalar.q_power(w[i] * w[j]) for j in range(2)] for i in range(2)]
     b = diagonal_braiding(Q)
     mult = LinMap(2, {(0, 0): Element.basis((1,))})
-    return YBBase(b.space, mult, b)
+    return YBBase(mult, b)
 
 
 def dual_numbers_twoyb():
@@ -59,7 +59,7 @@ def dual_numbers_twoyb():
             (1, 0): Element.basis((1,))}
     mult = LinMap(2, cols)
     unit = Element.basis((0,))
-    return TwoYB(b.space, b, mult, mult, unit)
+    return TwoYB(b, mult, mult, unit)
 
 
 def sweedler_h4():

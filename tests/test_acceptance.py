@@ -185,7 +185,7 @@ def big_shuffle_base(depth=3):
                 continue
             prod = qshuffle_product(Element.basis(w1), Element.basis(w2), v0)
             mcols[(a, b)] = encode(prod)
-    base = YBBase(braiding.space, LinMap(2, mcols), braiding)
+    base = YBBase(LinMap(2, mcols), braiding)
     return base, index, encode, pair_weight, v0, blocks
 
 
@@ -343,7 +343,7 @@ def test_criterion_08_hopf_and_yd_constructions(capsys):
     m = yd_adjoint(h)
     if not yd_validate(m).ok:
         failures.append(("adjoint module axioms", None))
-    rep = check_yb_algebra(h.space, h.mult, h.unit, yd_braiding(m))
+    rep = check_yb_algebra(h.mult, h.unit, yd_braiding(m))
     if not rep.ok:
         failures.append(("product compatible with the module braiding",
                          rep.failures()[0]))
@@ -351,7 +351,7 @@ def test_criterion_08_hopf_and_yd_constructions(capsys):
     m = yd_regular(h)
     if not yd_validate(m).ok:
         failures.append(("regular module axioms", None))
-    rep = check_yb_coalgebra(h.space, h.comult, h.counit, yd_braiding(m))
+    rep = check_yb_coalgebra(h.comult, h.counit, yd_braiding(m))
     if not rep.ok:
         failures.append(("coproduct compatible with the module braiding",
                          rep.failures()[0]))
@@ -366,7 +366,7 @@ def test_criterion_08_hopf_and_yd_constructions(capsys):
             right = right + s.product.apply_word(w[:1] + mw).scale(c)
         if left != right:
             failures.append(("tensor-product algebra associativity", w))
-    rep = check_yb_algebra(s.space, s.product, s.unit, s.braiding)
+    rep = check_yb_algebra(s.product, s.unit, s.braiding)
     if not rep.ok:
         failures.append(("tensor-product algebra compatibility",
                          rep.failures()[0]))
@@ -379,7 +379,7 @@ def test_criterion_08_hopf_and_yd_constructions(capsys):
     if not rep.ok:
         failures.append(("universal-matrix module axioms",
                          rep.failures()[0]))
-    rep = check_yb_algebra(h2.space, h2.mult, h2.unit, yd_braiding(m))
+    rep = check_yb_algebra(h2.mult, h2.unit, yd_braiding(m))
     if not rep.ok:
         failures.append(("universal-matrix braiding compatibility",
                          rep.failures()[0]))

@@ -248,7 +248,7 @@ def test_base_compatibility_enforced():
     # inhomogeneous column against a generic diagonal braiding
     b = symbolic_diagonal(2)
     with pytest.raises(InvalidBase):
-        YBBase(b.space, LinMap(2, {(0, 0): Element.basis((1,))}), b)
+        YBBase(LinMap(2, {(0, 0): Element.basis((1,))}), b)
 
 
 def test_base_product_leaving_v_rejected():
@@ -257,7 +257,7 @@ def test_base_product_leaving_v_rejected():
     b = flip_braiding(1)
     for out in ((0, 0), ()):
         with pytest.raises(ValueError, match="outside V"):
-            YBBase(b.space, LinMap(2, {(0, 0): Element.basis(out)}), b)
+            YBBase(LinMap(2, {(0, 0): Element.basis(out)}), b)
 
 
 def test_twoyb_rejects_nonassociative():
@@ -266,7 +266,7 @@ def test_twoyb_rejects_nonassociative():
     cols[(1, 1)] = Element.basis((0,))
     mult = LinMap(2, cols)
     with pytest.raises(InvalidBase):
-        TwoYB(b.space, b, mult, mult, Element.basis((0,)))
+        TwoYB(b, mult, mult, Element.basis((0,)))
 
 
 # -- the iterate stream and the star-form associativity row -----------------

@@ -4,15 +4,15 @@ from itertools import permutations
 
 import pytest
 
-from conftest import braid_lift, flip_braiding, symbolic_diagonal
-from ybalg.braid import (Braiding, Perm, UnvalidatedBraiding,
-                         all_reduced_words, apply_beta_letters,
-                         braid_lift_word,
+from conftest import braid_lift, flip_braiding, sweedler_h4, symbolic_diagonal
+from ybalg.braid import (Braiding, Perm, all_reduced_words,
+                         apply_beta_letters, braid_lift_word,
                          check_yang_baxter, chi, enumerate_shuffles,
                          perm_reduced_word, w_block)
-from ybalg.catalog import exterior_braiding
+from ybalg.catalog import WedgeAlgebra, diagonal_braiding, exterior_braiding
+from ybalg.hopf import yd_adjoint, yd_braiding
 from ybalg.linear import Element, LinMap, Space, apply_at
-from ybalg.scalars import Scalar
+from ybalg.scalars import Scalar, parse_scalar
 
 
 def all_perms(n):
@@ -62,7 +62,6 @@ def test_w_block_interleaves():
 
 def test_flip_is_braiding():
     b = flip_braiding(2)
-    assert b.validated
     assert check_yang_baxter(b.fwd, b.space).ok
 
 
@@ -112,28 +111,31 @@ def test_beta_diagonal_scalar():
     assert res == Element.basis((0, 0, 1), coeff=coeff)
 
 
-def test_unvalidated_braiding_refuses_lifts():
-    b = symbolic_diagonal(2)
-    raw = Braiding(b.space, b.fwd, b.inv, validate=False)
-    with pytest.raises(UnvalidatedBraiding):
-        braid_lift(chi(1, 1), raw)
-
-
 def test_braiding_keeps_its_yang_baxter_report():
     b = symbolic_diagonal(2)
     assert [e["identity"] for e in b.ybe.entries] == ["yang-baxter"]
     assert b.ybe.ok
-    raw = Braiding(b.space, b.fwd, b.inv, validate=False)
-    assert raw.ybe is None and not raw.validated
-    assert b.inverse_braiding().ybe is None
 
 
-def test_inverse_braiding():
-    b = exterior_braiding(3)
-    ib = b.inverse_braiding()
+@pytest.mark.parametrize("build", [
+    lambda: flip_braiding(2),
+    lambda: symbolic_diagonal(2),
+    lambda: exterior_braiding(2),
+    lambda: exterior_braiding(3),
+    lambda: WedgeAlgebra(2).braiding,
+    lambda: diagonal_braiding([[parse_scalar(e) for e in row] for row in
+                               [["(q^2+1)/(q+2)", "q"], ["2/(q-3)", "-1"]]]),
+    lambda: yd_braiding(yd_adjoint(sweedler_h4())),
+], ids=["flip-2", "diagonal-2", "exterior-2", "exterior-3", "qflip-2",
+        "rational-2", "yd-adjoint-h4"])
+def test_inverse_braiding(build):
+    # the inverse of a braiding is a braiding: it constructs, so its
+    # inverse compositions and its Yang-Baxter check pass
+    b = build()
+    ib = Braiding(b.space, b.inv, b.fwd)
+    assert ib.ybe.ok
     assert b.fwd.compose(ib.fwd).equals(LinMap.identity(b.space, 2),
                                         b.space, 2)
-    assert check_yang_baxter(ib.fwd, ib.space).ok
 
 
 def test_beta_factorization():

@@ -128,7 +128,6 @@ def test_verify_decides_yang_baxter_once(tmp_path, capsys, monkeypatch,
         return check_yang_baxter(sigma, space)
 
     monkeypatch.setattr(braid, "check_yang_baxter", counted)
-    monkeypatch.setattr(cli, "check_yang_baxter", counted)
     path = write_session(tmp_path, {"version": 1, "objects": [decl]})
     assert main(["verify", path, "T", "--suite", "all", "--bound", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -137,7 +136,7 @@ def test_verify_decides_yang_baxter_once(tmp_path, capsys, monkeypatch,
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("case", ["diagonal", "qflip", "unchecked"])
+@pytest.mark.parametrize("case", ["diagonal", "qflip"])
 def test_verify_report_copies_the_stored_yang_baxter_report(case):
     b = diagonal_braiding([[parse_scalar("q"), Scalar.one()],
                            [Scalar.one(), parse_scalar("-q")]])
@@ -145,15 +144,9 @@ def test_verify_report_copies_the_stored_yang_baxter_report(case):
         w = WedgeAlgebra(2)
         b, report = w.braiding, cli._qflip_report(w, "all", 3)
     else:
-        if case == "unchecked":
-            # no stored report: the entry comes from a check made now
-            b = Braiding(b.space, b.fwd, b.inv, validate=False)
-            b.validated = True
         report = cli._braiding_report(b, "all", 3)
     ybe = [e for e in report.entries if e["identity"] == "yang-baxter"]
     assert ybe and all(e["ok"] for e in ybe)
-    if b.ybe is None:
-        return
     stored = [dict(e) for e in b.ybe.entries]
     for e in report.entries:
         e["ok"] = False
@@ -539,11 +532,11 @@ MALFORMED_FIELDS = [
     ("catalog-" + address, catalog_address(address), "address")
     for address in ("exterior", "qflip:n=2", "groupalgebra:N=2",
                     "exterior:N=x", "cartan", "diagonal")] + [
-    # a catalog file whose JSON has not its kind's form
+    # a catalog file whose JSON has not its kind's form, or that is not JSON
     ("catalog-file-" + name, catalog_address("%s:file=%s" % (
         name.split("-")[0], CATALOG_FILES / (name + ".json"))), "address")
     for name in ("diagonal-number", "diagonal-int-entry", "cartan-list",
-                 "cartan-int-a")]
+                 "cartan-int-a", "diagonal-not-json")]
 
 
 def test_well_formed_fixtures_load(tmp_path):
@@ -713,6 +706,38 @@ def test_yd_structure_keys_named_together(tmp_path, capsys):
 def test_main_compute_divides_by_zero_exits_2(tmp_path, capsys, expr):
     assert main(["compute", basic_session(tmp_path), expr]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# a coefficient and a JSON value nested deeper than a parser can recurse
+NESTED_SCALAR = "(" * 3000 + "q" + ")" * 3000
+NESTED_JSON = "[" * 100000 + "]" * 100000
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp: ["compute", basic_session(tmp),
+                  "shuffle(%s e1, e2)" % NESTED_SCALAR],
+     "is nested too deeply"),
+    (lambda tmp: ["verify", write_session(tmp, {"version": 1, "objects": [
+        {"name": "d", "kind": "diagonal", "matrix": [[NESTED_SCALAR]]}]}),
+        "d"], "is nested too deeply"),
+    (lambda tmp: ["verify", write_text(
+        tmp / "session.json",
+        '{"version": 1, "objects": %s}' % NESTED_JSON), "d"],
+     "is nested too deeply"),
+    (lambda tmp: ["verify", write_session(tmp, catalog_address(
+        "diagonal:file=%s" % write_text(tmp / "deep.json", NESTED_JSON))),
+        "d"], "reads a file that is not"),
+], ids=["compute-coefficient", "diagonal-entry", "session-objects",
+        "catalog-file"])
+def test_main_deeply_nested_input_exits_2(tmp_path, capsys, argv, message):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_main_unreadable_session_exits_2(tmp_path, capsys):

@@ -148,7 +148,7 @@ def test_rmatrix_yd_sign_action():
     rep = yd_validate(m)
     assert rep.ok, rep.failures()
     sigma = yd_braiding(m)
-    assert check_yb_algebra(h.space, h.mult, h.unit, sigma).ok
+    assert check_yb_algebra(h.mult, h.unit, sigma).ok
 
 
 def test_rmatrix_yd_swap_action():
@@ -159,7 +159,7 @@ def test_rmatrix_yd_swap_action():
     rep = yd_validate(m)
     assert rep.ok, rep.failures()
     sigma = yd_braiding(m)
-    assert check_yb_coalgebra(h.space, h.comult, h.counit, sigma).ok
+    assert check_yb_coalgebra(h.comult, h.counit, sigma).ok
 
 
 def test_trivial_rmatrix_gives_flip():
@@ -197,7 +197,7 @@ def test_smash_product_associative():
         for (mw, _), c in s.product.apply_word(w[1:]).terms.items():
             right = right + s.product.apply_word(w[:1] + mw).scale(c)
         assert left == right
-    assert check_yb_algebra(sp, s.product, s.unit, s.braiding).ok
+    assert check_yb_algebra(s.product, s.unit, s.braiding).ok
     assert s.coproduct is None and s.counit is None
 
 

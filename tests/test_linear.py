@@ -65,7 +65,7 @@ def test_invert_exact():
     q = parse_scalar("q")
     f = LinMap(1, {(0,): Element.basis((0,), coeff=q) + Element.basis((1,)),
                    (1,): Element.basis((1,), coeff=q)})
-    inv = map_invert_exact(f, sp, 1)
+    inv = map_invert_exact(f, sp)
     assert f.compose(inv).equals(LinMap.identity(sp, 1), sp, 1)
     assert inv.compose(f).equals(LinMap.identity(sp, 1), sp, 1)
 
@@ -74,15 +74,16 @@ def test_invert_singular():
     sp = Space(["a", "b"])
     f = LinMap(1, {(0,): Element.basis((0,)), (1,): Element.basis((0,))})
     with pytest.raises(Singular):
-        map_invert_exact(f, sp, 1)
+        map_invert_exact(f, sp)
 
 
 # -- the sparse inverse against the dense Gauss-Jordan it replaced ---------
 
-def _dense_invert(f, space, degree):
+def _dense_invert(f, space):
     """Gauss-Jordan on the dense matrix of f beside the identity, with the
     same pivot rule: the first row at or below the column holding a
     nonzero entry."""
+    degree = f.in_degree
     words = space.words(degree)
     index = {w: i for i, w in enumerate(words)}
     n = len(words)
@@ -184,7 +185,7 @@ def test_sparse_inverse_matches_dense(case):
     outcomes = []
     for invert in (map_invert_exact, _dense_invert):
         try:
-            outcomes.append(_layout(invert(f, space, degree)))
+            outcomes.append(_layout(invert(f, space)))
         except Singular:
             outcomes.append(Singular)
     assert outcomes[0] == outcomes[1]
@@ -224,7 +225,7 @@ def test_elimination_rank_kernel_and_span(case):
     rank = len(column_echelon_basis(cols, space, degree))
     # P L U has full rank; a repeated or a zero column costs exactly one
     assert rank == len(words) - (kind != "invertible")
-    kernel = map_kernel_basis(f, space, degree)
+    kernel = map_kernel_basis(f, space)
     assert rank + len(kernel) == len(words)
     assert all(f.apply(v).is_zero() for v in kernel)
     # membership in the span of the columns, which are in no echelon form
@@ -248,7 +249,7 @@ def test_in_span_accepts_any_spanning_list():
 def test_kernel_basis():
     sp = Space(["a", "b"])
     f = LinMap(1, {(0,): Element.basis((0,)), (1,): Element.basis((0,))})
-    ker = map_kernel_basis(f, sp, 1)
+    ker = map_kernel_basis(f, sp)
     assert len(ker) == 1
     assert f.apply(ker[0]).is_zero()
 

@@ -177,12 +177,13 @@ def test_beta_slot_map_is_shared_per_braiding():
     for key, img in memo.items():
         assert img == _rekeyed_beta(fresh, key)
     # the inverse braiding keeps its own map, of inverse images
-    inv = b.inverse_braiding()
+    inv = Braiding(b.space, b.inv, b.fwd)
     assert inv._beta_slot_cache is not memo
     assert check_tensor_yb_coproduct(inv, 1, 1, 1).ok
     assert inv._beta_slot_cache
+    fresh_inv = Braiding(b.space, b.inv, b.fwd)
     for key, img in inv._beta_slot_cache.items():
-        assert img == _rekeyed_beta(fresh.inverse_braiding(), key)
+        assert img == _rekeyed_beta(fresh_inv, key)
     key = ((0, 1), (1,))
     assert beta_slots(inv)(key) != beta_slots(b)(key)
 
@@ -410,6 +411,14 @@ def test_bilinear_products_refuse_cut_elements():
                 product(x, y)
             assert type(e.value) is ValueError
             assert str(e.value) == "%s expects uncut elements" % name
+    for name, linear in (
+            ("deconcatenate", deconcatenate),
+            ("delta_iter", lambda x: delta_iter(x, 2)),
+            ("quantum_coproduct", lambda x: quantum_coproduct(x, b))):
+        with pytest.raises(ValueError) as e:
+            linear(cut + plain)
+        assert type(e.value) is ValueError
+        assert str(e.value) == "%s expects uncut elements" % name
 
 
 def test_symmetrizer_rank_flip():
