@@ -386,7 +386,7 @@ def _peeled_column(a, M, z, p):
     # term; the top-level pair bypasses the star memo, and the shorter
     # products it memoises reach only components that are complete
     shorter = _cofree_terms(M, z, p)
-    return (apply_at(a.star, 2, 0, tensor_elements(left, right))
+    return (apply_at(a.star, 0, tensor_elements(left, right))
             - _fold_dot(a, shorter))
 
 

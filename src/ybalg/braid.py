@@ -149,7 +149,7 @@ class Braiding:
         for name, f, g in (("right", self.fwd, self.inv),
                            ("left", self.inv, self.fwd)):
             inverse.check(name + " inverse", (
-                (w, apply_at(f, 2, 0, g.column(w)), Element.basis(w))
+                (w, apply_at(f, 0, g.column(w)), Element.basis(w))
                 for w in space.words(2)))
         bad = inverse.failures()
         if bad:
@@ -166,7 +166,7 @@ class Braiding:
 def braid_lift_word(braiding, word, x):
     """Apply sigma_{i_1} o ... o sigma_{i_l} for an explicit generator word."""
     for i in reversed(word):
-        x = apply_at(braiding.fwd, 2, i - 1, x)
+        x = apply_at(braiding.fwd, i - 1, x)
     return x
 
 

@@ -9,13 +9,13 @@ over the symbolic parameter q and validated at construction.
 from __future__ import annotations
 
 import json
-from itertools import chain, combinations, product
+from itertools import combinations
 
 from .braid import Braiding
 from .hopf import HopfPresentation
 from .linear import (Element, FormatError, LinMap, Report, Space, _checked,
-                     _legs, _on_basis, _point, apply_at, column_echelon_basis,
-                     in_span, map_kernel_basis)
+                     _on_basis, _point, _program, apply_at,
+                     column_echelon_basis, in_span, map_kernel_basis)
 from .scalars import Scalar, parse_scalar
 from .tensoralg import symmetrizer_image
 
@@ -72,7 +72,7 @@ def exterior_braiding(N):
     # sigma^2 = (1 - q^{-2}) sigma + q^{-2} id, from the columns of sigma
     report = Report()
     report.check("quadratic relation", (
-        (w, apply_at(fwd, 2, 0, fwd.column(w)),
+        (w, apply_at(fwd, 0, fwd.column(w)),
          fwd.column(w).scale(extra)
          + Element.basis(w, (), Scalar.q_power(-2)))
         for w in space.words(2)))
@@ -171,7 +171,9 @@ class WedgeAlgebra:
             for b, J in enumerate(self.subsets):
                 cols[(a, b)] = Element.basis(
                     (b, a), coeff=_neg_q_power(_flip_exponent(I, J)))
-        self.braiding = Braiding(self.space, LinMap(2, cols))
+        # sigma is its own inverse; Braiding checks both compositions
+        sigma = LinMap(2, cols)
+        self.braiding = Braiding(self.space, sigma, sigma)
 
         wcols = {}
         for a, I in enumerate(self.subsets):
@@ -222,21 +224,28 @@ def qflip_compat_check(wa):
     The identities hold on triples where the bystander monomial is disjoint
     from the other two; on overlapping index sets the flip degenerates to
     the plain transposition and the product rows do not apply.  Checked:
-    both product rows, both coproduct rows, and the unit/counit rows.
+    both product rows, both coproduct rows, and the unit row `unit-flip`.
     """
     sig, wedge, delta = wa.braiding.fwd, wa.wedge, wa.coproduct
     u = _point(wa.unit)
+    # the index set of each letter as a bitmask
+    masks = [sum(1 << i for i in I) for I in wa.subsets]
     report = Report()
 
     def check(identity, degree, bystander, lhs, rhs):
+        lhs, rhs = _program(lhs), _program(rhs)
+
         # a case is named by the index sets of its letters
         def cases():
-            for letters, sets in zip(wa.space.words(degree),
-                                     product(wa.subsets, repeat=degree)):
-                rest = sets[:bystander] + sets[bystander + 1:]
-                if set(sets[bystander]).isdisjoint(chain(*rest)):
+            for letters in wa.space.words(degree):
+                rest = 0
+                for t, a in enumerate(letters):
+                    if t != bystander:
+                        rest |= masks[a]
+                if not masks[letters[bystander]] & rest:
                     x = Element.basis(letters)
-                    yield sets, _legs(x, *lhs), _legs(x, *rhs)
+                    yield (tuple(wa.subsets[a] for a in letters), lhs(x),
+                           rhs(x))
         report.check(identity, cases())
 
     check("wedge-left", 3, 0, [(sig, 0), (sig, 1), (wedge, 0)],

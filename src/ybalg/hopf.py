@@ -3,8 +3,8 @@
 A Hopf algebra is presented by structure constants: sparse linear maps for
 multiplication, comultiplication, counit, and antipode on a named basis.
 Every Sweedler sum is a leg program: a chain of structure maps applied at
-given legs of a multi-leg element (linear.apply_at) and leg permutations
-(linear.permute_legs), run by `linear._legs`; nothing is symbolic.
+given legs of a multi-leg element and leg permutations, resolved once by
+`linear._program` and run one pass per term; nothing is symbolic.
 
 On top of this sit Yetter-Drinfel'd modules with their natural braiding
 sigma_V, the four conjugation-style braidings on H itself, quasi-triangular
@@ -19,10 +19,10 @@ import itertools
 
 from .braid import Braiding
 from .linear import (Element, FormatError, LinMap, Report, Singular, Space,
-                     _checked, _leg_rows, _legs, _on_basis, _point, apply_at,
-                     element_from_obj, element_to_obj, linmap_from_obj,
-                     linmap_to_obj, map_invert_exact, permute_legs,
-                     read_field, tensor_elements)
+                     _checked, _leg_rows, _legs, _on_basis, _point, _program,
+                     apply_at, element_from_obj, element_to_obj,
+                     linmap_from_obj, linmap_to_obj, map_invert_exact,
+                     permute_legs, read_field, tensor_elements)
 
 
 class InvalidYD(ValueError):
@@ -70,8 +70,8 @@ class HopfPresentation:
 
 def _program_map(space, degree, *steps):
     """The leg program as a LinMap on the basis words of one degree."""
-    return LinMap.tabulate(space, degree,
-                           lambda w: _legs(Element.basis(w), *steps))
+    run = _program(steps)
+    return LinMap.tabulate(space, degree, lambda w: run(Element.basis(w)))
 
 
 def hopf_validate(h):
@@ -298,11 +298,11 @@ class RMatrix:
                     "conjugation identity fails at %r" % (w,))
         # R_13, R_23 and R_12 in H^{(x)3}: the unit fills the missing leg
         r13, r23, r12 = (_legs(R, (u, t)) for t in (1, 0, 2))
-        lhs = apply_at(h.comult, 1, 0, R)
+        lhs = apply_at(h.comult, 0, R)
         if lhs != _legwise_product(h, r13, r23, 3):
             raise InvalidRMatrix(
                 "comultiplication expansion on the first leg fails",)
-        lhs = apply_at(h.comult, 1, 1, R)
+        lhs = apply_at(h.comult, 1, R)
         if lhs != _legwise_product(h, r13, r12, 3):
             raise InvalidRMatrix(
                 "comultiplication expansion on the second leg fails")

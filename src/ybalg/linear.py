@@ -177,14 +177,15 @@ def tensor_elements(x, y):
     return out
 
 
-def apply_at(f, arity, pos, x):
-    """Apply the map f to the `arity` letters at `pos` of every term of x.
+def apply_at(f, pos, x):
+    """Apply the map f to its f.in_degree letters at `pos` of every term
+    of x, summing the image terms in place.
 
     f may change the number of letters (a counit drops one, a
     comultiplication adds one); each term keeps its cuts.
     """
     out = Element()
-    end = pos + arity
+    end = pos + f.in_degree
     for (letters, cuts), c in x.terms.items():
         head, tail = letters[:pos], letters[end:]
         for (mid, _), a in f.apply_word(letters[pos:end]).terms.items():
@@ -207,29 +208,69 @@ def _point(x):
     return LinMap(0, {(): x})
 
 
-def _legs(x, *steps):
-    """Run a leg program on x, left to right.
+def _program(steps):
+    """A leg program, resolved once, as a function of an Element.
 
-    A step (f, pos) applies the map f at legs pos..pos+arity of every term;
-    a list [i_0, i_1, ...] permutes the legs, new leg t being old leg i_t.
+    A step (f, pos) applies the map f at legs pos..pos+f.in_degree of every
+    term; a list [i_0, i_1, ...] permutes the legs, new leg t being old leg
+    i_t.  The function runs each term of its argument through every step
+    as a list of (letters, coeff) pairs, read straight from the columns of
+    the maps, and sums the images once, at the end: a term keeps its cuts,
+    a key whose sum is zero is dropped.
     """
-    for step in steps:
-        if isinstance(step, list):
-            x = permute_legs(x, step)
-        else:
-            f, pos = step
-            x = apply_at(f, f.in_degree, pos, x)
-    return x
+    # a permutation is kept as (None, order, 0)
+    resolved = [(None, tuple(step), 0) if isinstance(step, list)
+                else (step[0].columns, step[1], step[1] + step[0].in_degree)
+                for step in steps]
+
+    def run(x):
+        out = Element()
+        terms = out.terms
+        for (letters, cuts), c in x.terms.items():
+            cur = [(letters, c)]
+            for cols, pos, end in resolved:
+                if cols is None:
+                    cur = [(tuple([w[i] for i in pos]), a) for w, a in cur]
+                    continue
+                nxt = []
+                add = nxt.append
+                for w, a in cur:
+                    col = cols.get(w[pos:end])
+                    if col is not None:
+                        head, tail = w[:pos], w[end:]
+                        for (mid, _), b in col.terms.items():
+                            add((head + mid + tail, b * a))
+                cur = nxt
+            for w, a in cur:
+                key = (w, cuts)
+                s = terms.get(key)
+                if s is None:
+                    terms[key] = a
+                else:
+                    s = s + a
+                    if s.is_zero():
+                        del terms[key]
+                    else:
+                        terms[key] = s
+        return out
+    return run
+
+
+def _legs(x, *steps):
+    """Run the leg program of `steps` (see _program) on x, left to right."""
+    return _program(steps)(x)
 
 
 def _on_basis(spaces, *sides):
     """(word, lhs(x), rhs(x)) cases over the basis words x of the tensor
     product of `spaces`, for (lhs, rhs) pairs of leg programs given as
-    lists of steps; each word runs every pair in turn."""
+    lists of steps, each resolved once; each word runs every pair in
+    turn."""
+    sides = [(_program(lhs), _program(rhs)) for lhs, rhs in sides]
     for w in itertools.product(*(range(sp.dim) for sp in spaces)):
         x = Element.basis(w)
         for lhs, rhs in sides:
-            yield w, _legs(x, *lhs), _legs(x, *rhs)
+            yield w, lhs(x), rhs(x)
 
 
 def _leg_rows(report, spaces, rows):

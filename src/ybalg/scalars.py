@@ -274,13 +274,15 @@ class Scalar:
     def one():
         return _ONE
 
+    # a Laurent polynomial over 1 is canonical (module docstring)
+
     @staticmethod
     def from_int(n):
-        return Scalar(Poly.const(n), Poly.one())
+        return Scalar(Poly.const(n), Poly.one(), True)
 
     @staticmethod
     def q_power(exp, coeff=1):
-        return Scalar(Poly.q(exp, coeff), Poly.one())
+        return Scalar(Poly.q(exp, coeff), Poly.one(), True)
 
     # -- predicates --------------------------------------------------------
 
@@ -472,15 +474,33 @@ class _Parser:
         raise ScalarParseError("unexpected token %r" % (t,))
 
 
+# A power is expanded only while its exponent times the base's size is at
+# most this, the size being the larger of the base's degree span and the
+# base-2 logarithm, rounded down, of the sum of its absolute coefficients:
+# the expansion then spans at most that many degrees, with coefficients of
+# about that many bits at most.  Only +-q^k has size 0, so its powers have
+# no limit.
+_POWER_BUDGET = 256
+
+
 def _poly_pow(p, e):
     if len(p.coeffs) == 1:
         (exp, c), = p.coeffs.items()
         if e < 0 and abs(c) != 1:
             raise ScalarParseError("negative power of a non-unit monomial")
-        return Poly({exp * e: c ** abs(e)})
     # negative powers only for monomials
-    if e < 0:
+    elif e < 0:
         raise ScalarParseError("negative power of a non-monomial")
+    if e > 1 and p.coeffs:
+        size = max(p.max_exp() - p.min_exp(),
+                   sum(abs(c) for c in p.coeffs.values()).bit_length() - 1)
+        if e * size > _POWER_BUDGET:
+            raise ScalarParseError(
+                "the power ^%d of a base other than +-q^k is past the "
+                "limit: the exponent times the base's size must be at most "
+                "%d" % (e, _POWER_BUDGET))
+    if len(p.coeffs) == 1:
+        return Poly({exp * e: c ** abs(e)})
     out = Poly.one()
     while e:
         if e & 1:

@@ -23,7 +23,7 @@ import itertools
 
 from .braid import (Perm, apply_beta_letters, braid_lift_apply,
                     enumerate_shuffles, perm_reduced_word, w_block)
-from .linear import Element, LinMap, Report, _leg_rows, _legs, _point
+from .linear import Element, LinMap, Report, _leg_rows, _point, _program
 from .scalars import Scalar
 
 
@@ -320,21 +320,21 @@ def power_product(i, mult, braiding):
 
     Returns a function on plain words of degree 2i (concatenated pair).
     """
-    steps = [(mult, t) for t in range(i)]
+    run = _program([(mult, t) for t in range(i)])
 
     def prod(letters, coeff=None):
         x = Element.basis(letters, (), coeff)
-        return _legs(apply_letter_lift(braiding, w_block(i), x), *steps)
+        return run(apply_letter_lift(braiding, w_block(i), x))
     return prod
 
 
 def power_coproduct(i, comult, braiding):
     """Coproduct on A^{(x) i}: T_{w_i^{-1}} after componentwise comult, the
     leg program (Delta, i-1), ..., (Delta, 0), T_{w_i^{-1}}."""
-    steps = [(comult, t) for t in reversed(range(i))]
+    run = _program([(comult, t) for t in reversed(range(i))])
 
     def coprod(letters, coeff=None):
-        x = _legs(Element.basis(letters, (), coeff), *steps)
+        x = run(Element.basis(letters, (), coeff))
         return apply_letter_lift(braiding, w_block(i).inverse(), x)
     return coprod
 

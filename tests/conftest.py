@@ -3,7 +3,7 @@
 from ybalg.binfty import TwoYB, YBBase
 from ybalg.braid import braid_lift_apply
 from ybalg.catalog import diagonal_braiding
-from ybalg.linear import Element, LinMap, Space
+from ybalg.linear import Element, LinMap, Space, apply_at, permute_legs
 from ybalg.scalars import Scalar
 
 
@@ -19,6 +19,18 @@ def braid_lift(w, braiding):
     of a braid lift, one column per basis word."""
     return LinMap.tabulate(braiding.space, w.n,
                            lambda word: braid_lift_apply(braiding, w, word))
+
+
+def legs_reference(x, *steps):
+    """The reference form of a leg program: one apply_at or permute_legs
+    per step, each summing into a new Element, left to right."""
+    for step in steps:
+        if isinstance(step, list):
+            x = permute_legs(x, step)
+        else:
+            f, pos = step
+            x = apply_at(f, pos, x)
+    return x
 
 
 def flip_braiding(n):

@@ -370,7 +370,7 @@ def test_from_2yb_matches_stream_peeling():
     for total in range(2, 6):
         for p in range(1, total):
             def column(z):
-                prod = apply_at(a.star, 2, 0, tensor_elements(
+                prod = apply_at(a.star, 0, tensor_elements(
                     _fold_dot(a, Element.basis(z[:p])),
                     _fold_dot(a, Element.basis(z[p:]))))
                 return prod - _fold_dot(a, _stream_star(ref, z, p))

@@ -75,11 +75,18 @@ def test_braiding_rejects_broken_yb():
         Braiding(sp, LinMap(2, cols))
 
 
+def test_braiding_rejects_a_wrong_inverse():
+    # sigma^2 != id on the deformed flip, so sigma is no inverse of itself
+    b = exterior_braiding(2)
+    with pytest.raises(ValueError, match="not a right inverse"):
+        Braiding(b.space, b.fwd, b.fwd)
+
+
 def test_lift_respects_word_order():
     # sigma_{i_1} o ... o sigma_{i_l}: the rightmost generator acts first
     b = symbolic_diagonal(2)
     x = Element.basis((0, 1, 0))
-    direct = apply_at(b.fwd, 2, 0, apply_at(b.fwd, 2, 1, x))
+    direct = apply_at(b.fwd, 0, apply_at(b.fwd, 1, x))
     assert braid_lift_word(b, [1, 2], x) == direct
 
 

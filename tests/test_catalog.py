@@ -66,12 +66,24 @@ def test_signed_symmetrizer_ranks():
     assert signed_symmetrizer_rank(2, 2) == 1
 
 
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_qflip_squares_to_identity(N):
+    # WedgeAlgebra(N) constructs, with sigma supplied as its own inverse
     b = qflip_braiding(N)
     ident = LinMap.identity(b.space, 2)
     assert b.fwd.compose(b.fwd).equals(ident, b.space, 2)
     assert check_yang_baxter(b.fwd, b.space).ok
+
+
+def test_qflip_with_a_scaled_column_is_refused():
+    # supplied as its own inverse, as WedgeAlgebra does, the copy fails the
+    # inverse check that Braiding always makes
+    b = qflip_braiding(2)
+    cols = dict(b.fwd.columns)
+    cols[(1, 2)] = cols[(1, 2)].scale(Scalar.q_power(1))
+    bad = LinMap(2, cols)
+    with pytest.raises(ValueError, match="not a right inverse"):
+        Braiding(b.space, bad, bad)
 
 
 def test_qflip_golden_coefficient():

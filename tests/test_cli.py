@@ -740,6 +740,18 @@ def test_main_deeply_nested_input_exits_2(tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["compute", basic_session(tmp), "shuffle((q+1)^1000 e1, e2)"],
+    lambda tmp: ["verify", write_session(tmp, {"version": 1, "objects": [
+        {"name": "d", "kind": "diagonal", "matrix": [["(2q)^300"]]}]}),
+        "d"],
+], ids=["compute-coefficient", "diagonal-entry"])
+def test_main_power_past_the_limit_exits_2(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "past the limit" in err
+
+
 def test_main_unreadable_session_exits_2(tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b'{"version": 1, "objects": [\xff]}')

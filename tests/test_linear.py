@@ -1,14 +1,16 @@
 """Words, elements, sparse maps, exact elimination, serialization."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import legs_reference
 from ybalg.linear import (DegreeMismatch, Element, LinMap, Singular, Space,
-                          apply_at, column_echelon_basis, element_from_obj,
-                          element_to_obj, in_span, linmap_from_obj,
-                          linmap_to_obj, map_invert_exact, map_kernel_basis,
-                          permute_legs, tensor_elements, term_sort_key)
+                          _legs, apply_at, column_echelon_basis,
+                          element_from_obj, element_to_obj, in_span,
+                          linmap_from_obj, linmap_to_obj, map_invert_exact,
+                          map_kernel_basis, permute_legs, tensor_elements,
+                          term_sort_key)
 from ybalg.scalars import Scalar, parse_scalar
 
 
@@ -317,7 +319,7 @@ def combinations_of(draw, words):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_apply_at_matches_kronecker_reference(data):
-    # apply_at(f, arity, pos, .) is id^pos (x) f (x) id^rest, cuts untouched
+    # apply_at(f, pos, .) is id^pos (x) f (x) id^rest, cuts untouched
     sp = Space(["a", "b"])
     arity, out = data.draw(st.sampled_from([(1, 0), (1, 1), (1, 2), (2, 1)]))
     f = LinMap(arity, {w: data.draw(combinations_of(sp.words(out)))
@@ -327,10 +329,10 @@ def test_apply_at_matches_kronecker_reference(data):
     x = data.draw(combinations_of(sp.words(n)))
     ref = LinMap.identity(sp, pos).tensor(f).tensor(
         LinMap.identity(sp, rest)).apply(x)
-    assert apply_at(f, arity, pos, x) == ref
+    assert apply_at(f, pos, x) == ref
     cuts = tuple(sorted(data.draw(st.lists(st.integers(0, n), max_size=2))))
     cut_x = Element({(w, cuts): c for (w, _), c in x.terms.items()})
-    assert apply_at(f, arity, pos, cut_x) == Element(
+    assert apply_at(f, pos, cut_x) == Element(
         {(w, cuts): c for (w, _), c in ref.terms.items()})
 
 
@@ -348,9 +350,80 @@ def test_permute_legs_matches_adjacent_flips(data):
     ref, legs = x, list(range(n))
     for t in range(n):
         for j in range(legs.index(order[t]), t, -1):
-            ref = apply_at(tau, 2, j - 1, ref)
+            ref = apply_at(tau, j - 1, ref)
             legs[j - 1], legs[j] = legs[j], legs[j - 1]
     assert permute_legs(x, order) == ref
+
+
+# (in-degree, out-degree) of the maps a leg program may apply: arity-0
+# points, a counit, endomorphisms, comultiplications and products
+_LEG_MAPS = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@st.composite
+def leg_programs(draw):
+    """(x, steps): an element on 0-3 legs of a dim-2 space whose terms
+    share cuts, and a leg program of 1-4 steps that fits its legs (at most
+    4).  Coefficients are +-1 and +-q.  On one leg or more, x is c u - c v
+    for two words u, v; each map of arity 1 or 2 leaves out at most one
+    column and draws the others, of 0-3 terms, from a pool of two, so u and
+    v often meet and cancel in the final sum."""
+    sp = Space(["a", "b"])
+    coeffs = [Scalar.one(), Scalar.from_int(-1), Scalar.q_power(1),
+              Scalar.q_power(1, -1)]
+
+    def combination(words, least=0):
+        x = Element()
+        for w, c in draw(st.lists(st.tuples(st.sampled_from(words),
+                                            st.sampled_from(coeffs)),
+                                  min_size=least, max_size=3)):
+            x.add_term((w, ()), c)
+        return x
+
+    n = draw(st.integers(0, 3))
+    if n:
+        # u and v differ in one letter, so a map at that leg whose two
+        # columns agree sends c u - c v to zero
+        u, t = draw(st.sampled_from(sp.words(n))), draw(st.integers(0, n - 1))
+        c = draw(st.sampled_from(coeffs))
+        x = Element({(u, ()): c, (u[:t] + (1 - u[t],) + u[t + 1:], ()): -c})
+    else:
+        x = combination([()], 1)
+    cuts = tuple(sorted(draw(st.lists(st.integers(0, n), max_size=2))))
+    x = Element({(w, cuts): c for (w, _), c in x.terms.items()})
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        if n and draw(st.booleans()):
+            steps.append(list(draw(st.permutations(range(n)))))
+            continue
+        arity, out = draw(st.sampled_from(
+            [m for m in _LEG_MAPS if m[0] <= n and n - m[0] + m[1] <= 4]))
+        pool = [combination(sp.words(out), 1), combination(sp.words(out))]
+        missing = (draw(st.sampled_from(sp.words(arity) + [None])) if arity
+                   else None)
+        cols = {w: draw(st.sampled_from(pool)) for w in sp.words(arity)
+                if w != missing}
+        steps.append((LinMap(arity, cols), draw(st.integers(0, n - arity))))
+        n += out - arity
+    return x, steps
+
+
+# a program whose two paths always meet and cancel: a b - b b with cuts,
+# the legs swapped, then a map sending a and b alike
+_CANCELLING = (
+    Element({((0, 1), (1,)): Scalar.one(), ((1, 1), (1,)): -Scalar.one()}),
+    [[1, 0], (LinMap(1, {(0,): Element.basis((0,), (), Scalar.q_power(1)),
+                         (1,): Element.basis((0,), (), Scalar.q_power(1))}),
+              1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(leg_programs())
+@example(_CANCELLING)
+def test_legs_matches_step_by_step_reference(program):
+    # one pass per term, summed at the end, against one Element per step
+    x, steps = program
+    assert _legs(x, *steps) == legs_reference(x, *steps)
 
 
 def test_tabulate_leaves_out_zero_columns():

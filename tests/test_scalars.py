@@ -15,6 +15,14 @@ def test_cancellation_to_polynomial():
     assert parse_scalar("(q^2-1)/(q-1)") == parse_scalar("q+1")
 
 
+def test_q_power_and_from_int_are_canonical():
+    # both skip normalisation: a Laurent polynomial over 1 is canonical
+    for c in range(-3, 4):
+        assert Scalar.from_int(c) == Scalar(Poly.const(c), Poly.one())
+        for e in range(-20, 21):
+            assert Scalar.q_power(e, c) == Scalar(Poly.q(e, c), Poly.one())
+
+
 def test_zero_canonical():
     assert parse_scalar("0") == Scalar.zero()
     assert parse_scalar("q-q").is_zero()
@@ -115,6 +123,23 @@ def test_power_literals():
         parse_scalar("(2q)^-1")
     with pytest.raises(ScalarParseError):
         parse_scalar("(q+1)^-1")
+
+
+@pytest.mark.parametrize("text", ["(q+1)^1000", "9^999999999", "(2q)^300",
+                                  "((q+1)^16)^17", "(q^300+1)^2"])
+def test_power_past_the_limit_is_refused(text):
+    # the exponent times the base's size (degree span, or log2 of the sum
+    # of its absolute coefficients) may not pass 256; +-q^k has no limit
+    with pytest.raises(ScalarParseError, match="past the limit"):
+        parse_scalar(text)
+
+
+def test_powers_within_the_limit_parse():
+    assert parse_scalar("(-q)^999999") == Scalar.q_power(999999, -1)
+    assert parse_scalar("((q+1)^16)^16") == parse_scalar("(q+1)^256")
+    assert parse_scalar("(q^300+1)^1") == parse_scalar("q^300+1")
+    assert parse_scalar("0^999999999") == Scalar.zero()
+    assert parse_scalar("2^256") == Scalar.from_int(2 ** 256)
 
 
 # -- the normaliser against an independent reference ----------------------
