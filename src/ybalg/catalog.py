@@ -17,7 +17,6 @@ from .linear import (Element, FormatError, LinMap, Report, Space, _checked,
                      _on_basis, _point, _program, apply_at,
                      column_echelon_basis, in_span, map_kernel_basis)
 from .scalars import Scalar, parse_scalar
-from .tensoralg import symmetrizer_image
 
 
 class ZeroEntry(ValueError):
@@ -85,46 +84,31 @@ def exterior_relations_check(N):
     """Degree-2 relations of the quadratic exterior algebra.
 
     In the signed-symmetrizer model of the quotient, a relation holds
-    exactly when sum_w (-1)^{l(w)} T_w kills its tensor representative:
-    e_i (x) e_i and e_j (x) e_i + q^{-1} e_i (x) e_j (i < j) must map to
-    zero, and together they must span the fixed space Ker(id - sigma).
+    exactly when sum_w (-1)^{l(w)} T_w kills its tensor representative; on
+    two letters that sum is id - sigma.  e_i (x) e_i and e_j (x) e_i +
+    q^{-1} e_i (x) e_j (i < j) must map to zero, and together they must
+    span the fixed space Ker(id - sigma).
     """
     b = exterior_braiding(N)
     space = b.space
-    sym = symmetrizer_image(2, b, sign=-1)
+    fixer = LinMap.identity(space, 2).add(b.fwd.scale(-Scalar.one()))
     qinv = Scalar.q_power(-1)
     report = Report()
-    relations = []
-    for i in range(N):
-        x = Element.basis((i, i))
-        relations.append(x)
-        img = sym.apply(x)
-        report.record("square e%d" % (i + 1), img.is_zero(),
-                      None if img.is_zero() else img)
-    for i in range(N):
-        for j in range(i + 1, N):
-            x = Element.basis((j, i)) + Element.basis((i, j), coeff=qinv)
-            relations.append(x)
-            img = sym.apply(x)
-            report.record("skew e%d e%d" % (i + 1, j + 1), img.is_zero(),
-                          None if img.is_zero() else img)
+    relations = [("square e%d" % (i + 1), Element.basis((i, i)))
+                 for i in range(N)]
+    relations += [("skew e%d e%d" % (i + 1, j + 1), Element.basis((j, i))
+                   + Element.basis((i, j), coeff=qinv))
+                  for i in range(N) for j in range(i + 1, N)]
+    for name, x in relations:
+        img = fixer.apply(x)
+        report.record(name, img.is_zero(), None if img.is_zero() else img)
     # the relations span the full fixed space of sigma
-    fixer = LinMap.identity(space, 2).add(b.fwd.scale(-Scalar.one()))
     kernel = map_kernel_basis(fixer, space)
-    span = column_echelon_basis(relations, space, 2)
+    span = column_echelon_basis([x for _, x in relations], space, 2)
     spans = (len(kernel) == len(span)
              and all(in_span(v, kernel, space, 2) for v in span))
     report.record("fixed-space span", spans)
     return report
-
-
-def signed_symmetrizer_rank(N, degree):
-    """Rank of sum_w (-1)^{l(w)} T_w on `degree` letters."""
-    b = exterior_braiding(N)
-    sym = symmetrizer_image(degree, b, sign=-1)
-    image = column_echelon_basis(
-        [sym.column(w) for w in b.space.words(degree)], b.space, degree)
-    return len(image)
 
 
 # -- signed flip on wedge monomials ----------------------------------------
@@ -211,11 +195,6 @@ class WedgeAlgebra:
                   if I[x] > I[y])
         return Element.basis((self.index[tuple(sorted(I))],),
                              coeff=_neg_q_power(-inv))
-
-
-def qflip_braiding(N):
-    """The signed flip on wedge monomials, as a validated braiding."""
-    return WedgeAlgebra(N).braiding
 
 
 def qflip_compat_check(wa):

@@ -431,6 +431,7 @@ class _Parser:
             op = self.next()
             t = self.parse_term()
             acc = acc + t if op == "+" else acc - t
+            _check_span(acc)
         return acc
 
     def parse_term(self):
@@ -439,12 +440,13 @@ class _Parser:
             nxt = self.peek()
             if nxt == "*":
                 self.next()
-                acc = acc * self.parse_factor()
-            elif nxt == "q" or nxt == "(":
-                # juxtaposition, e.g. "2q" or "3(q+1)"
-                acc = acc * self.parse_factor()
-            else:
+            elif nxt != "q" and nxt != "(":
                 return acc
+            # a product, or juxtaposition such as "2q" or "3(q+1)", is
+            # refused before it is built
+            f = self.parse_factor()
+            _check_span(acc, f)
+            acc = acc * f
 
     def parse_factor(self):
         base = self.parse_atom()
@@ -472,6 +474,24 @@ class _Parser:
                 raise ScalarParseError("unbalanced parenthesis")
             return inner
         raise ScalarParseError("unexpected token %r" % (t,))
+
+
+# A polynomial the parser builds may span at most this many degrees: a
+# parsed scalar is normalised through dense coefficient lists as long as
+# the spans of its numerator and denominator.  Every sum and product is
+# checked; a power within _POWER_BUDGET spans at most that many degrees.
+_SPAN_BUDGET = 512
+
+
+def _check_span(*factors):
+    """Refuse a sum, or a product of the factors, whose degree span (the
+    sum of the factors' spans) passes _SPAN_BUDGET."""
+    span = sum(p.max_exp() - p.min_exp() for p in factors if p.coeffs)
+    if span > _SPAN_BUDGET:
+        raise ScalarParseError(
+            "a polynomial spanning %d degrees is past the limit: a scalar "
+            "literal's polynomials may span at most %d" % (span,
+                                                           _SPAN_BUDGET))
 
 
 # A power is expanded only while its exponent times the base's size is at

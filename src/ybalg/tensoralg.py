@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import itertools
 
-from .braid import (Perm, apply_beta_letters, braid_lift_apply,
-                    enumerate_shuffles, perm_reduced_word, w_block)
-from .linear import Element, LinMap, Report, _leg_rows, _point, _program
+from .braid import (apply_beta_letters, braid_lift_apply, enumerate_shuffles,
+                    perm_reduced_word, w_block)
+from .linear import (Element, Report, _leg_rows, _point, _program,
+                     column_echelon_basis)
 from .scalars import Scalar
 
 
@@ -286,26 +287,22 @@ def delta_beta_via_w(braiding, x, n):
     return apply_block_lift(braiding, w_block(n + 1), out)
 
 
-# -- symmetrizers ----------------------------------------------------------
+# -- the Nichols algebra ---------------------------------------------------
 
-def symmetrizer_image(k, braiding, sign=1):
-    """Operator sum of (sign)^{l(w)} T_w over S_k, as a LinMap."""
+def nichols_basis(braiding, n):
+    """Echelon bases of the degrees 0..n of the Nichols algebra B(V): the
+    subalgebra of the quantum shuffle algebra generated by V.  The shuffle
+    of d letters is the quantum symmetrizer sum_{w in S_d} T_w, so degree d
+    is spanned by e_i sh b over the letters e_i and the basis b of degree
+    d-1 (Rosso, Invent. Math. 133, 1998)."""
     space = braiding.space
-    perms = _all_perms(k)
-    minus = -Scalar.one()
-
-    def column(word):
-        acc = Element()
-        for w in perms:
-            acc.add_scaled(braid_lift_apply(braiding, w, word),
-                           minus if sign < 0 and w.inversions() % 2 else None)
-        return acc
-
-    return LinMap.tabulate(space, k, column)
-
-
-def _all_perms(k):
-    return [Perm(p) for p in itertools.permutations(range(1, k + 1))]
+    letters = [Element.basis((i,)) for i in range(space.dim)]
+    bases = [[Element.unit()]]
+    for d in range(1, n + 1):
+        bases.append(column_echelon_basis(
+            [qshuffle_product(e, b, braiding)
+             for e in letters for b in bases[-1]], space, d))
+    return bases
 
 
 # -- power structures (Prop 2.2) ------------------------------------------

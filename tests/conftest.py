@@ -1,7 +1,11 @@
 """Shared fixtures: small braided spaces and algebra bases used across tests."""
 
+import itertools
+
+from hypothesis import strategies as st
+
 from ybalg.binfty import TwoYB, YBBase
-from ybalg.braid import braid_lift_apply
+from ybalg.braid import Braiding, Perm, braid_lift_apply
 from ybalg.catalog import diagonal_braiding
 from ybalg.linear import Element, LinMap, Space, apply_at, permute_legs
 from ybalg.scalars import Scalar
@@ -19,6 +23,38 @@ def braid_lift(w, braiding):
     of a braid lift, one column per basis word."""
     return LinMap.tabulate(braiding.space, w.n,
                            lambda word: braid_lift_apply(braiding, w, word))
+
+
+def symmetrizer_image(k, braiding):
+    """The quantum symmetrizer sum_{w in S_k} T_w tabulated as a LinMap on
+    V^{(x) k}: the reference form of the degree-k part of the Nichols
+    algebra, lifting all k! permutations on every basis word."""
+    perms = [Perm(p) for p in itertools.permutations(range(1, k + 1))]
+
+    def column(word):
+        acc = Element()
+        for w in perms:
+            acc.add_scaled(braid_lift_apply(braiding, w, word))
+        return acc
+    return LinMap.tabulate(braiding.space, k, column)
+
+
+def negated(braiding):
+    """-sigma, checked as a Braiding: sum_w (-1)^{l(w)} T_w for sigma is
+    sum_w T_w for -sigma."""
+    minus = -Scalar.one()
+    return Braiding(braiding.space, braiding.fwd.scale(minus),
+                    braiding.inv.scale(minus))
+
+
+@st.composite
+def diagonal_braidings(draw):
+    """Diagonal braidings of dim 2-3 with entries +-q^a, a in -3..3."""
+    n = draw(st.integers(2, 3))
+    return diagonal_braiding([
+        [Scalar.q_power(draw(st.integers(-3, 3)),
+                        draw(st.sampled_from([1, -1])))
+         for _ in range(n)] for _ in range(n)])
 
 
 def legs_reference(x, *steps):

@@ -10,7 +10,7 @@ from itertools import product as iproduct
 import pytest
 
 from conftest import (dual_numbers_twoyb, flip_braiding, graded_base,
-                      symbolic_diagonal, zero_base)
+                      negated, symbolic_diagonal, zero_base)
 from test_hopf import sign_action, z2_rmatrix
 from test_tensoralg import UNIT_SPLIT_KEPT, _mutant_kernel
 from ybalg import tensoralg
@@ -20,7 +20,7 @@ from ybalg.braid import (Perm, all_reduced_words, braid_lift_word,
                          check_yang_baxter)
 from ybalg.catalog import (WedgeAlgebra, diagonal_braiding, exterior_braiding,
                            exterior_relations_check, group_algebra_hopf,
-                           qflip_compat_check, signed_symmetrizer_rank)
+                           qflip_compat_check)
 from ybalg.hopf import (RMatrix, hopf_validate, rmatrix_yd, smash_structures,
                         woronowicz_braiding, yd_adjoint, yd_braiding,
                         yd_regular, yd_validate)
@@ -30,7 +30,7 @@ from ybalg.tensoralg import (check_tensor_yb_coproduct,
                              check_tensor_yb_product, check_yb_algebra,
                              check_yb_coalgebra, counit, deconcatenate,
                              delta_beta_iter, delta_beta_via_w,
-                             qshuffle_product)
+                             nichols_basis, qshuffle_product)
 from ybalg.binfty import YBBase
 
 
@@ -478,10 +478,11 @@ def test_criterion_10_quadratic_and_signed_flip(capsys):
         if not rep.ok:
             failures.append(("signed flip compatibility N=%d" % N,
                              rep.failures()[0]))
-    if signed_symmetrizer_rank(3, 3) != 1:
-        failures.append(("signed symmetrizer rank (3, 3)", None))
-    if signed_symmetrizer_rank(2, 3) != 0:
-        failures.append(("signed symmetrizer rank (2, 3)", None))
+    # the signed symmetrizer of sigma is the symmetrizer of -sigma: its
+    # degree-n image is the degree-n part of the Nichols algebra of -sigma
+    for N, rank in ((3, 1), (2, 0)):
+        if len(nichols_basis(negated(exterior_braiding(N)), 3)[3]) != rank:
+            failures.append(("signed symmetrizer rank (%d, 3)" % N, None))
     report(capsys, 10,
            "quadratic relations and the signed flip on wedge monomials",
            failures)

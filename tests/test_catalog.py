@@ -4,16 +4,17 @@ import json
 
 import pytest
 
+from conftest import negated
 from ybalg.braid import Braiding, check_yang_baxter
 from ybalg.catalog import (NotSymmetrizable, WedgeAlgebra, ZeroEntry,
                            cartan_qmatrix, diagonal_braiding,
                            exterior_braiding, exterior_relations_check,
-                           group_algebra_hopf, qflip_braiding,
-                           qflip_compat_check, resolve_catalog,
-                           signed_symmetrizer_rank, _flip_exponent)
+                           group_algebra_hopf, qflip_compat_check,
+                           resolve_catalog, _flip_exponent)
 from ybalg.hopf import HopfPresentation
 from ybalg.linear import Element, LinMap
 from ybalg.scalars import Scalar, parse_scalar
+from ybalg.tensoralg import nichols_basis
 
 
 def test_diagonal_all_ones_is_flip():
@@ -61,15 +62,19 @@ def test_exterior_relations(N):
 
 
 def test_signed_symmetrizer_ranks():
-    assert signed_symmetrizer_rank(3, 3) == 1
-    assert signed_symmetrizer_rank(2, 3) == 0
-    assert signed_symmetrizer_rank(2, 2) == 1
+    # the signed symmetrizer of sigma is the symmetrizer of -sigma, whose
+    # image in degree n is the degree-n part of the Nichols algebra of -sigma
+    def rank(N, n):
+        return len(nichols_basis(negated(exterior_braiding(N)), n)[n])
+    assert rank(3, 3) == 1
+    assert rank(2, 3) == 0
+    assert rank(2, 2) == 1
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_qflip_squares_to_identity(N):
     # WedgeAlgebra(N) constructs, with sigma supplied as its own inverse
-    b = qflip_braiding(N)
+    b = WedgeAlgebra(N).braiding
     ident = LinMap.identity(b.space, 2)
     assert b.fwd.compose(b.fwd).equals(ident, b.space, 2)
     assert check_yang_baxter(b.fwd, b.space).ok
@@ -78,7 +83,7 @@ def test_qflip_squares_to_identity(N):
 def test_qflip_with_a_scaled_column_is_refused():
     # supplied as its own inverse, as WedgeAlgebra does, the copy fails the
     # inverse check that Braiding always makes
-    b = qflip_braiding(2)
+    b = WedgeAlgebra(2).braiding
     cols = dict(b.fwd.columns)
     cols[(1, 2)] = cols[(1, 2)].scale(Scalar.q_power(1))
     bad = LinMap(2, cols)

@@ -745,7 +745,13 @@ def test_main_deeply_nested_input_exits_2(tmp_path, capsys, argv, message):
     lambda tmp: ["verify", write_session(tmp, {"version": 1, "objects": [
         {"name": "d", "kind": "diagonal", "matrix": [["(2q)^300"]]}]}),
         "d"],
-], ids=["compute-coefficient", "diagonal-entry"])
+    lambda tmp: ["compute", basic_session(tmp),
+                 "shuffle((q^100000+1) e1, e2)"],
+    lambda tmp: ["verify", write_session(tmp, {"version": 1, "objects": [
+        {"name": "d", "kind": "diagonal", "matrix": [["q^100000+1"]]}]}),
+        "d"],
+], ids=["compute-coefficient", "diagonal-entry", "span-compute-coefficient",
+        "span-diagonal-entry"])
 def test_main_power_past_the_limit_exits_2(tmp_path, capsys, argv):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -125,13 +125,28 @@ def test_power_literals():
         parse_scalar("(q+1)^-1")
 
 
-@pytest.mark.parametrize("text", ["(q+1)^1000", "9^999999999", "(2q)^300",
-                                  "((q+1)^16)^17", "(q^300+1)^2"])
+# (q+1)(q^2+1)...(q^32768+1): sixteen factors, 2^16 terms when expanded
+DOUBLING_CHAIN = "*".join("(q^%d+1)" % 2 ** k for k in range(16))
+
+
+@pytest.mark.parametrize("text", [
+    "(q+1)^1000", "9^999999999", "(2q)^300", "((q+1)^16)^17", "(q^300+1)^2",
+    "q^100000+1", "q^-300+q^300", "(q^300+1)(q^300-1)",
+    pytest.param(DOUBLING_CHAIN, id="doubling-chain")])
 def test_power_past_the_limit_is_refused(text):
     # the exponent times the base's size (degree span, or log2 of the sum
-    # of its absolute coefficients) may not pass 256; +-q^k has no limit
+    # of its absolute coefficients) may not pass 256; +-q^k has no limit.
+    # No sum or product the parser builds may span more than 512 degrees.
     with pytest.raises(ScalarParseError, match="past the limit"):
         parse_scalar(text)
+
+
+def test_spans_within_the_limit_parse():
+    assert parse_scalar("q^-256+q^256") == \
+        parse_scalar("q^512+1") * Scalar.q_power(-256)
+    chain = "*".join("(q^%d+1)" % 2 ** k for k in range(9))
+    assert parse_scalar(chain) == parse_scalar(
+        "+".join("q^%d" % k for k in range(512)))
 
 
 def test_powers_within_the_limit_parse():

@@ -7,23 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (braid_lift, flip_braiding, graded_base,
-                      symbolic_diagonal)
+from conftest import (braid_lift, diagonal_braidings, flip_braiding,
+                      graded_base, negated, symbolic_diagonal,
+                      symmetrizer_image)
 from ybalg import tensoralg
 from ybalg.binfty import qb_validate, quasi_shuffle, star_product
 from ybalg.braid import (Braiding, apply_beta_letters, check_yang_baxter,
                          w_block)
-from ybalg.catalog import exterior_braiding
-from ybalg.linear import Element, LinMap, Space, tensor_elements
+from ybalg.catalog import cartan_qmatrix, diagonal_braiding, exterior_braiding
+from ybalg.linear import (Element, LinMap, Space, column_echelon_basis,
+                          tensor_elements)
 from ybalg.scalars import Scalar, parse_scalar
 from ybalg.tensoralg import (_first_factor_delta_beta, apply_slots,
                              beta_slots, concat_product, counit, deconcatenate,
                              delta_beta, delta_beta_iter, delta_beta_via_w,
-                             delta_iter, power_coproduct, power_product,
-                             qshuffle_product, quantum_coproduct,
-                             check_tensor_yb_coproduct,
-                             check_tensor_yb_product, slot_bounds,
-                             symmetrizer_image)
+                             delta_iter, nichols_basis, power_coproduct,
+                             power_product, qshuffle_product,
+                             quantum_coproduct, check_tensor_yb_coproduct,
+                             check_tensor_yb_product, slot_bounds)
 
 
 def test_concat_and_cap():
@@ -309,13 +310,13 @@ def test_first_factor_delta_beta_matches_compositional_form(name, ncuts):
         _differential(lambda b, x, reduced: delta_beta(b, x), b, 1, False)
 
 
-def _mutant_kernel(old, new):
-    """_first_factor_delta_beta with one line of its source replaced."""
-    src = inspect.getsource(_first_factor_delta_beta)
+def _mutant_kernel(old, new, kernel=_first_factor_delta_beta):
+    """A tensoralg kernel with one line of its source replaced."""
+    src = inspect.getsource(kernel)
     assert src.count(old) == 1
     namespace = dict(vars(tensoralg))
     exec(src.replace(old, new), namespace)
-    return namespace["_first_factor_delta_beta"]
+    return namespace[kernel.__name__]
 
 
 # the reduced form keeping one unit split: u|v (x) 1_C, then 1_C (x) u|v
@@ -422,11 +423,122 @@ def test_bilinear_products_refuse_cut_elements():
 
 
 def test_symmetrizer_rank_flip():
-    b = flip_braiding(2)
-    sym = symmetrizer_image(2, b, sign=-1)
+    b = negated(flip_braiding(2))
+    sym = symmetrizer_image(2, b)
     img = [w for w in b.space.words(2) if not sym.column(w).is_zero()]
-    # antisymmetrizer kills the diagonal words
+    # the symmetrizer of -flip, the antisymmetrizer, kills the diagonal words
     assert ((0, 0) not in img) and ((1, 1) not in img)
+
+
+# -- the Nichols algebra ---------------------------------------------------
+
+def _nichols_matches_symmetrizer(kernel, braiding, n):
+    """kernel(braiding, n) against the symmetrizer reference, degree by
+    degree.  A subspace has one reduced echelon basis (column_echelon_basis
+    gives it), so equal lists are equal subspaces, not only equal ranks."""
+    bases, space = kernel(braiding, n), braiding.space
+    assert len(bases) == n + 1
+    for d, basis in enumerate(bases):
+        sym = symmetrizer_image(d, braiding)
+        assert basis == column_echelon_basis(
+            [sym.column(w) for w in space.words(d)], space, d), d
+
+
+def _rational_diagonal():
+    return diagonal_braiding([[parse_scalar(e) for e in row] for row in
+                              [["(q^2+1)/(q+2)", "2/(q-3)"],
+                               ["2/(q-3)", "-q^-1"]]])
+
+
+# (braiding, degree): degree 5 at dim 2 and degree 4 at dim 3
+NICHOLS_BRAIDINGS = {
+    "deformed-flip": (lambda: exterior_braiding(2), 5),
+    "minus-deformed-flip-3": (lambda: negated(exterior_braiding(3)), 4),
+    "symbolic-diagonal": (lambda: symbolic_diagonal(2), 5),
+    "rational-diagonal": (_rational_diagonal, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NICHOLS_BRAIDINGS))
+def test_nichols_basis_matches_symmetrizer(name):
+    make, n = NICHOLS_BRAIDINGS[name]
+    _nichols_matches_symmetrizer(nichols_basis, make(), n)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_braidings())
+def test_nichols_basis_matches_symmetrizer_on_generated_braidings(b):
+    _nichols_matches_symmetrizer(nichols_basis, b, 4)
+
+
+def _root_heights(A):
+    """Heights of the positive roots of the finite root system of the
+    Cartan matrix A, grown from the simple roots by root strings:
+    beta + alpha_i is a root exactly when p > <beta, alpha_i^vee> =
+    sum_j a_ij c_j, where beta - p alpha_i ends the alpha_i-string down
+    from beta = sum_j c_j alpha_j."""
+    n = len(A)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots, layer = set(simple), simple
+    while layer:
+        grown = set()
+        for beta in layer:
+            for i in range(n):
+                p, down = 0, list(beta)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in roots:
+                        break
+                    p += 1
+                if p > sum(a * c for a, c in zip(A[i], beta)):
+                    grown.add(tuple(c + (j == i) for j, c in enumerate(beta)))
+        roots |= grown
+        layer = grown
+    return [sum(r) for r in roots]
+
+
+def _root_series(heights, n):
+    """The t^0..t^n coefficients of prod_h 1/(1 - t^h)."""
+    coeffs = [1] + [0] * n
+    for h in heights:
+        for k in range(h, n + 1):
+            coeffs[k] += coeffs[k - h]
+    return coeffs
+
+
+# (Cartan matrix, symmetrizer d, number of positive roots)
+CARTAN_TYPES = {
+    "A2": ([[2, -1], [-1, 2]], [1, 1], 3),
+    "B2": ([[2, -2], [-1, 2]], [1, 2], 4),
+    "G2": ([[2, -1], [-3, 2]], [3, 1], 6),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1], 6),
+}
+
+
+def _nichols_ranks_match_roots(kernel, name, n):
+    """Rosso's oracle: at generic q the Nichols algebra of a Cartan
+    braiding is U_q^+, whose degree-d part has the t^d coefficient of
+    prod over the positive roots of 1/(1 - t^{height})."""
+    A, d, count = CARTAN_TYPES[name]
+    heights = _root_heights(A)
+    assert len(heights) == count
+    b = diagonal_braiding(cartan_qmatrix(A, d))
+    assert [len(basis) for basis in kernel(b, n)] == \
+        _root_series(heights, n)
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN_TYPES))
+def test_nichols_ranks_match_positive_root_heights(name):
+    _nichols_ranks_match_roots(nichols_basis, name, 6)
+
+
+def test_nichols_checks_catch_a_dropped_letter():
+    mutant = _mutant_kernel("for e in letters for b",
+                            "for e in letters[1:] for b", nichols_basis)
+    with pytest.raises(AssertionError):
+        _nichols_matches_symmetrizer(mutant, symbolic_diagonal(2), 2)
+    with pytest.raises(AssertionError):
+        _nichols_ranks_match_roots(mutant, "A2", 2)
 
 
 def test_tensor_product_rows_shuffle():
