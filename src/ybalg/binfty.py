@@ -11,6 +11,10 @@ sum_r M_{r,k}((u*v)_r (x) w) = sum_r M_{i,r}(u (x) (v*w)_r), together
 with the vanishing of the reduced coproduct iterate one past the summation
 limit: structural, but still computed once per distinct head, the iterate
 running over the splits with both pairs nonempty.
+
+The quantum quasi-shuffle product of a YB base is the star product of the
+base's tower, whose only interior component is M_11 = the base product; the
+tower layer has that one product kernel.
 """
 
 from __future__ import annotations
@@ -251,7 +255,6 @@ class YBBase:
         if bad is not None:
             raise InvalidBase("base fails compatibility at %r"
                               % ((bad["identity"], bad["witness"][0]),))
-        self._memo = {}
 
     def qb_structure(self, degree_cap=6):
         """The induced structure whose only interior component is M_11."""
@@ -262,45 +265,13 @@ class YBBase:
 
 
 def quasi_shuffle(x, y, base):
-    """Three-term recursive product mixing the braiding with base.mult."""
-    return _bilinear(x, y, lambda u, v: _qsh_words(base, u, v),
-                     "quasi_shuffle")
-
-
-def _qsh_words(base, u, v):
-    key = (u, v)
-    cached = base._memo.get(key)
-    if cached is not None:
-        return cached
-    if not v:
-        res = Element.basis(u)
-    elif not u:
-        res = Element.basis(v)
-    else:
-        j, a = len(v), u[-1:]
-        res = Element()
-        # last letter of v split off before any braiding
-        t1 = _qsh_words(base, u, v[:-1])
-        for (wl, _), c in t1.terms.items():
-            res.add_term((wl + v[-1:], ()), c)
-        # beta_1j moves the last letter a of u past v; recurse on the rest
-        moved = apply_beta_letters(base.braiding, 1, j, a + v)
-        for (wl, _), c in moved.terms.items():
-            rec = _qsh_words(base, u[:-1], wl[:j])
-            for (rl, _), s in rec.terms.items():
-                res.add_term((rl + wl[j:], ()), s * c)
-        # beta_1,j-1 stops a one letter short; close with the base product
-        moved = apply_beta_letters(base.braiding, 1, j - 1, a + v[:-1])
-        for (wl, _), c in moved.terms.items():
-            prod = base.mult.apply_word(wl[j - 1:] + v[-1:])
-            if prod.is_zero():
-                continue
-            rec = _qsh_words(base, u[:-1], wl[:j - 1])
-            for (rl, _), s in rec.terms.items():
-                for (pl, _), t in prod.terms.items():
-                    res.add_term((rl + pl, ()), s * t * c)
-    base._memo[key] = res
-    return res
+    """The quantum quasi-shuffle product: the star product of the tower
+    base.qb_structure(cap), cap the sum of the operands' top degrees and at
+    least 2, so that M_11 = base.mult fits."""
+    if any(cuts for z in (x, y) for _, cuts in z.terms):
+        raise ValueError("quasi_shuffle expects uncut elements")
+    cap = max(2, sum(max(z.degrees(), default=0) for z in (x, y)))
+    return star_product(base.qb_structure(cap), x, y)
 
 
 # -- the two-product construction ------------------------------------------

@@ -46,8 +46,8 @@ class ValidationError(ValueError):
                          % (obj_name, axiom, witness))
 
 
-class UnknownTarget(KeyError):
-    pass
+class UnknownTarget(LookupError):
+    """A name or a kind of object the session does not declare."""
 
 
 class SuiteMismatch(ValueError):
@@ -63,7 +63,7 @@ class Session:
 
     def get(self, name):
         if name not in self.objects:
-            raise UnknownTarget(name)
+            raise UnknownTarget("no object named %r in the session" % name)
         return self.objects[name]
 
     def unique(self, kinds):
@@ -140,11 +140,15 @@ def _field(decl, key, form, default=None):
 
 
 def _ref(decl, key, session, kind):
-    """The session object that decl[key] names, which must be a `kind`."""
-    obj = session.get(_field(decl, key, str))
+    """The session object that decl[key] names, which must be declared
+    before it and be a `kind`."""
+    name = _field(decl, key, str)
+    if name not in session.objects:
+        raise FormatError(key, "names no declared object %r" % name)
+    obj = session.objects[name]
     if not isinstance(obj, kind):
         raise FormatError(key, "names %r, which is not a %s"
-                          % (decl[key], kind.__name__))
+                          % (name, kind.__name__))
     return obj
 
 

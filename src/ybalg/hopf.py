@@ -22,7 +22,7 @@ from .linear import (Element, FormatError, LinMap, Report, Singular, Space,
                      _checked, _leg_rows, _legs, _on_basis, _point, _program,
                      apply_at, element_from_obj, element_to_obj,
                      linmap_from_obj, linmap_to_obj, map_invert_exact,
-                     permute_legs, read_field, tensor_elements)
+                     read_field, tensor_elements)
 
 
 class InvalidYD(ValueError):
@@ -292,7 +292,7 @@ class RMatrix:
         for w in h.space.words(1):
             dx = h.comult.apply_word(w)
             lhs = _legwise_product(h, R, dx, 2)
-            rhs = _legwise_product(h, permute_legs(dx, [1, 0]), R, 2)
+            rhs = _legwise_product(h, _legs(dx, [1, 0]), R, 2)
             if lhs != rhs:
                 raise InvalidRMatrix(
                     "conjugation identity fails at %r" % (w,))

@@ -193,16 +193,6 @@ def apply_at(f, pos, x):
     return out
 
 
-def permute_legs(x, order):
-    """Reorder the letters of every term of x: letter t of the result is
-    letter order[t] of the input, so order is a permutation of
-    range(len(letters)).  Each term keeps its cuts."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        out.add_term((tuple(letters[i] for i in order), cuts), c)
-    return out
-
-
 def _point(x):
     """The arity-0 map inserting the element x as new legs."""
     return LinMap(0, {(): x})

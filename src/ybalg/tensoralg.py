@@ -6,9 +6,9 @@ braided coproduct of the pair algebra produces elements whose cut count
 doubles with each iteration.
 
 Every product on T(V) (concatenation, the quantum shuffle, and binfty's star
-product and quasi-shuffle) is the bilinear extension, by one kernel,
-`_bilinear`, of a function on pairs of words, and every other map given on
-words is the linear extension by `_linear`.
+product, of which the quasi-shuffle is a case) is the bilinear extension, by
+one kernel, `_bilinear`, of a function on pairs of words, and every other map
+given on words is the linear extension by `_linear`.
 
 Maps on whole tensor slots run as slot programs: chains of `apply_slots`
 steps, the graded-slot analogue of linear.apply_at, each summing its image

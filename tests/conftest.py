@@ -5,10 +5,11 @@ import itertools
 from hypothesis import strategies as st
 
 from ybalg.binfty import TwoYB, YBBase
-from ybalg.braid import Braiding, Perm, braid_lift_apply
+from ybalg.braid import Braiding, Perm, apply_beta_letters, braid_lift_apply
 from ybalg.catalog import diagonal_braiding
-from ybalg.linear import Element, LinMap, Space, apply_at, permute_legs
+from ybalg.linear import Element, LinMap, Space, apply_at
 from ybalg.scalars import Scalar
+from ybalg.tensoralg import _bilinear
 
 
 def symbolic_diagonal(n):
@@ -48,13 +49,46 @@ def negated(braiding):
 
 
 @st.composite
-def diagonal_braidings(draw):
-    """Diagonal braidings of dim 2-3 with entries +-q^a, a in -3..3."""
+def diagonal_matrices(draw):
+    """Braiding matrices of dim 2-3 with entries +-q^a, a in -3..3."""
     n = draw(st.integers(2, 3))
-    return diagonal_braiding([
-        [Scalar.q_power(draw(st.integers(-3, 3)),
-                        draw(st.sampled_from([1, -1])))
-         for _ in range(n)] for _ in range(n)])
+    return [[Scalar.q_power(draw(st.integers(-3, 3)),
+                            draw(st.sampled_from([1, -1])))
+             for _ in range(n)] for _ in range(n)]
+
+
+def diagonal_braidings():
+    """Diagonal braidings of dim 2-3 with entries +-q^a, a in -3..3."""
+    return diagonal_matrices().map(diagonal_braiding)
+
+
+@st.composite
+def diagonal_bases(draw):
+    """A base e_i e_j = c e_k, c = +-q^a, on a matrix of diagonal_matrices()
+    whose last letter k is made the weight of e_i e_j (i, j < k): row and
+    column k become q_kl = q_il q_jl and q_lk = q_li q_lj, the conditions
+    under which the product is compatible with the braiding."""
+    Q = draw(diagonal_matrices())
+    k = len(Q) - 1
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    for m in range(k):
+        Q[k][m] = Q[i][m] * Q[j][m]
+        Q[m][k] = Q[m][i] * Q[m][j]
+    Q[k][k] = Q[i][k] * Q[j][k]
+    c = Scalar.q_power(draw(st.integers(-3, 3)),
+                       draw(st.sampled_from([1, -1])))
+    return YBBase(LinMap(2, {(i, j): Element.basis((k,), coeff=c)}),
+                  diagonal_braiding(Q))
+
+
+def permute_legs(x, order):
+    """Reorder the letters of every term of x: letter t of the result is
+    letter order[t] of the input, so order is a permutation of
+    range(len(letters)).  Each term keeps its cuts."""
+    out = Element()
+    for (letters, cuts), c in x.terms.items():
+        out.add_term((tuple(letters[i] for i in order), cuts), c)
+    return out
 
 
 def legs_reference(x, *steps):
@@ -78,6 +112,50 @@ def flip_braiding(n):
 def zero_base(braiding):
     """Base with the zero product: quasi-shuffle collapses to the shuffle."""
     return YBBase(LinMap(2), braiding)
+
+
+def quasi_shuffle_reference(x, y, base):
+    """The quantum quasi-shuffle product by the three-term recursion on the
+    last letters (Jian-Rosso-Zhang, "Quantum quasi-shuffle algebras", Lett.
+    Math. Phys. 92, 2010), memoised within the call: the reference form of
+    the star product of base.qb_structure()."""
+    memo = {}
+
+    def words(u, v):
+        key = (u, v)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        if not v:
+            res = Element.basis(u)
+        elif not u:
+            res = Element.basis(v)
+        else:
+            j, a = len(v), u[-1:]
+            res = Element()
+            # last letter of v split off before any braiding
+            t1 = words(u, v[:-1])
+            for (wl, _), c in t1.terms.items():
+                res.add_term((wl + v[-1:], ()), c)
+            # beta_1j moves the last letter a of u past v; recurse on the rest
+            moved = apply_beta_letters(base.braiding, 1, j, a + v)
+            for (wl, _), c in moved.terms.items():
+                rec = words(u[:-1], wl[:j])
+                for (rl, _), s in rec.terms.items():
+                    res.add_term((rl + wl[j:], ()), s * c)
+            # beta_1,j-1 stops a one letter short; close with the base product
+            moved = apply_beta_letters(base.braiding, 1, j - 1, a + v[:-1])
+            for (wl, _), c in moved.terms.items():
+                prod = base.mult.apply_word(wl[j - 1:] + v[-1:])
+                if prod.is_zero():
+                    continue
+                rec = words(u[:-1], wl[:j - 1])
+                for (rl, _), s in rec.terms.items():
+                    for (pl, _), t in prod.terms.items():
+                        res.add_term((rl + pl, ()), s * t * c)
+        memo[key] = res
+        return res
+    return _bilinear(x, y, words, "quasi_shuffle_reference")
 
 
 def graded_base():

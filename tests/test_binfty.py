@@ -4,8 +4,10 @@ import inspect
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import (dual_numbers_twoyb, flip_braiding, graded_base,
+from conftest import (diagonal_bases, diagonal_braidings, dual_numbers_twoyb,
+                      flip_braiding, graded_base, quasi_shuffle_reference,
                       symbolic_diagonal, zero_base)
 from ybalg import binfty, tensoralg
 from ybalg.binfty import (QBStructure, TwoYB, YBBase, _apply_m_blocks,
@@ -92,25 +94,50 @@ def test_qb_validate_flags_incompatible_component():
 
 
 def test_quasi_shuffle_matches_star():
+    # the star product of the base's tower against the three-term reference
     base = graded_base()
     M = base.qb_structure(degree_cap=6)
     for u in words_upto(base.space, 2):
         for v in words_upto(base.space, 2):
             x, y = Element.basis(u), Element.basis(v)
-            assert quasi_shuffle(x, y, base) == star_product(M, x, y)
+            ref = quasi_shuffle_reference(x, y, base)
+            assert star_product(M, x, y) == ref
+            assert quasi_shuffle(x, y, base) == ref
+
+
+def _quasi_shuffle_agrees(base, bound, shuffle=False):
+    """quasi_shuffle against the three-term reference, and against the
+    quantum shuffle if `shuffle`, on every pair u | v with |u| + |v| <=
+    bound; the assertion names the first pair that differs."""
+    for letters in words_upto(base.space, bound):
+        for cut in range(len(letters) + 1):
+            x = Element.basis(letters[:cut])
+            y = Element.basis(letters[cut:])
+            got = quasi_shuffle(x, y, base)
+            assert got == quasi_shuffle_reference(x, y, base), (letters, cut)
+            if shuffle:
+                assert got == qshuffle_product(x, y, base.braiding), \
+                    (letters, cut)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_bases())
+def test_quasi_shuffle_matches_reference_on_generated_bases(base):
+    _quasi_shuffle_agrees(base, 4)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_braidings())
+def test_quasi_shuffle_of_generated_zero_base_is_shuffle(b):
+    _quasi_shuffle_agrees(zero_base(b), 4, shuffle=True)
 
 
 def test_quasi_shuffle_zero_base_is_shuffle():
-    """On a zero base the quasi-shuffle is the quantum shuffle, on every
-    word pair with |u| + |v| <= 5; the deformed flip is not diagonal."""
-    for name, b in (("flip", flip_braiding(2)),
-                    ("deformed flip", exterior_braiding(2))):
-        base = zero_base(b)
-        for u in words_upto(b.space, 5):
-            for v in words_upto(b.space, 5 - len(u)):
-                x, y = Element.basis(u), Element.basis(v)
-                assert quasi_shuffle(x, y, base) == \
-                    qshuffle_product(x, y, b), (name, u, v)
+    """On a zero base the quasi-shuffle is the quantum shuffle and the
+    three-term reference, on every word pair with |u| + |v| <= 5; the
+    deformed flip is not diagonal."""
+    for b in (flip_braiding(2), exterior_braiding(2)):
+        _quasi_shuffle_agrees(zero_base(b), 5, shuffle=True)
 
 
 # -- closed forms for the peeled components --------------------------------
@@ -360,6 +387,8 @@ def test_star_differential_catches_planted_fault(monkeypatch, old, new):
     monkeypatch.setattr(binfty, "_cofree_terms", namespace["_cofree_terms"])
     with pytest.raises(AssertionError):
         _star_agrees(graded_base().qb_structure(degree_cap=4), 4, 4)
+    with pytest.raises(AssertionError):
+        _quasi_shuffle_agrees(graded_base(), 4)
 
 
 def test_from_2yb_matches_stream_peeling():

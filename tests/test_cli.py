@@ -295,6 +295,27 @@ def test_parse_element_splits_outside_parentheses():
         - Element.basis((1,), coeff=parse_scalar("(q+1)/(q-1)"))
 
 
+def test_missing_or_ambiguous_object_is_named(tmp_path, capsys):
+    path = basic_session(tmp_path)
+    base = {"name": "base2", "kind": "yb-base", "braiding": "sigma",
+            "mult": linmap_to_obj(LinMap(2))}
+    two_bases = write_session(tmp_path, {"version": 1, "objects": [
+        SIGMA, dict(base, name="base"), base]}, "two_bases.json")
+    two_spaces = write_session(tmp_path, {"version": 1, "objects": [
+        SIGMA, {"name": "tau", "kind": "catalog", "address": "exterior:N=3"}
+    ]}, "two_spaces.json")
+    missing = "no object named 'nope' in the session"
+    for argv, message in (
+            (["verify", path, "nope"], missing),
+            (["compute", path, "quasishuffle(e1, e2, nope)"], missing),
+            (["compute", two_bases, "quasishuffle(e1, e2)"],
+             "expected exactly one YBBase in the session, found 2"),
+            (["compute", two_spaces, "coproduct(e1)"],
+             "expected a single underlying space, found 2")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_compute_parse_and_target_errors(tmp_path):
     session = load_session(basic_session(tmp_path))
     with pytest.raises(ParseError):
@@ -528,6 +549,9 @@ MALFORMED_FIELDS = [
         qb_map([0, 0], [1], "yb-base"),
         lambda s: s["objects"][1]["mult"].append(
             {"in": [0, 0], "out": []})), "mult"),
+    ("yb-base-braiding-undeclared", {"version": 1, "objects": [
+        {"name": "d", "kind": "yb-base", "braiding": "nope", "mult": []}]},
+     "braiding"),
 ] + [
     ("catalog-" + address, catalog_address(address), "address")
     for address in ("exterior", "qflip:n=2", "groupalgebra:N=2",

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import legs_reference
+from conftest import legs_reference, permute_legs
 from ybalg.linear import (DegreeMismatch, Element, LinMap, Singular, Space,
                           _legs, apply_at, column_echelon_basis,
                           element_from_obj, element_to_obj, in_span,
                           linmap_from_obj, linmap_to_obj, map_invert_exact,
-                          map_kernel_basis, permute_legs, tensor_elements,
-                          term_sort_key)
+                          map_kernel_basis, tensor_elements, term_sort_key)
 from ybalg.scalars import Scalar, parse_scalar
 
 
@@ -339,7 +338,8 @@ def test_apply_at_matches_kronecker_reference(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_permute_legs_matches_adjacent_flips(data):
-    # new leg t is old leg order[t]; reference: adjacent flips by apply_at
+    # new leg t is old leg order[t], in the reference and as one step of a
+    # leg program; reference: adjacent flips by apply_at
     sp = Space(["a", "b", "c"])
     n = data.draw(st.integers(1, 4))
     order = data.draw(st.permutations(range(n)))
@@ -353,6 +353,7 @@ def test_permute_legs_matches_adjacent_flips(data):
             ref = apply_at(tau, j - 1, ref)
             legs[j - 1], legs[j] = legs[j], legs[j - 1]
     assert permute_legs(x, order) == ref
+    assert _legs(x, list(order)) == ref
 
 
 # (in-degree, out-degree) of the maps a leg program may apply: arity-0

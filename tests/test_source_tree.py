@@ -1,5 +1,6 @@
 """Source-tree checks: every module-level private function and constant of
-the library has a caller in the library."""
+the library has a caller in the library, and every private attribute the
+library sets on an object is read by the library."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,10 @@ from pathlib import Path
 import ybalg
 
 SRC = Path(ybalg.__file__).parent
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
 
 
 def _private_defs(tree):
@@ -19,7 +24,7 @@ def _private_defs(tree):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+    return {n for n in names if _private(n)}
 
 
 def _references(module, tree, modules):
@@ -58,6 +63,46 @@ def unreferenced_private_names(root=SRC):
     return sorted("%s.%s" % d for d in defined - used)
 
 
+def _attribute_uses(tree, modules):
+    """The private attributes one module sets on an object, as (enclosing
+    class or None, name), and the private attribute names it reads.  A
+    read is a load of `obj._name`, or the string "_name" (as getattr
+    takes it); `sibling._name`, a module-level name, is neither."""
+    assigned, read = set(), set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Attribute) and _private(node.attr) and not (
+                isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            if isinstance(node.ctx, ast.Store):
+                assigned.add((cls, node.attr))
+            elif isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _private(node.value):
+            read.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+    visit(tree, None)
+    return assigned, read
+
+
+def unread_private_attributes(root=SRC):
+    """Sorted "module.Class.name" (or "module.name" outside a class) of
+    every private attribute that code under root sets on an object and no
+    code under root reads."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in root.glob("*.py")}
+    assigned, read = set(), set()
+    for m, t in trees.items():
+        sets, reads = _attribute_uses(t, trees)
+        assigned |= {(m, cls, name) for cls, name in sets}
+        read |= reads
+    return sorted(".".join(filter(None, a)) for a in assigned
+                  if a[2] not in read)
+
+
 def test_every_private_name_has_a_caller():
     assert unreferenced_private_names() == []
 
@@ -70,3 +115,21 @@ def test_unreferenced_private_name_is_reported(tmp_path):
     (tmp_path / "b.py").write_text(
         "from .a import _used\n\n\ndef f():\n    return _used()\n")
     assert unreferenced_private_names(tmp_path) == ["a._dead"]
+
+
+def test_every_private_attribute_is_read():
+    assert unread_private_attributes() == []
+
+
+def test_unread_private_attribute_is_reported(tmp_path):
+    # a memo left behind by its reader, beside one that is read, one read
+    # by getattr and a module-level name read as `a._memo`
+    (tmp_path / "a.py").write_text(
+        "_memo = {}\n\n\nclass Base:\n    def __init__(self):\n"
+        "        self._memo = {}\n        self._cache = {}\n"
+        "        self._hook = None\n\n    def get(self, key):\n"
+        "        return self._cache.get(key)\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\n\n\ndef f(base):\n"
+        "    return a._memo, getattr(base, '_hook')\n")
+    assert unread_private_attributes(tmp_path) == ["a.Base._memo"]
