@@ -19,12 +19,14 @@ tower layer has that one product kernel.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .braid import apply_beta_letters
 from .linear import (Element, FormatError, LinMap, Report, _checked,
                      _leg_rows, _legs, _on_basis, _point, apply_at,
                      linmap_from_obj, linmap_to_obj, tensor_elements)
 from .tensoralg import (DegreeCapExceeded, InvalidBase, _bilinear, _linear,
-                        _memo, _slot_rows, beta_slots, check_yb_algebra,
+                        _slot_rows, beta_slots, check_yb_algebra,
                         check_yb_product_rows, delta_beta_iter,
                         delta_beta_via_w, slot_bounds, triples)
 
@@ -206,7 +208,7 @@ def qb_validate(M, degree_bound=None):
                                 % (bound, M.degree_cap))
     space = M.space
     beta = beta_slots(M.braiding)
-    vanish = _memo(lambda key: delta_beta_iter(
+    vanish = cache(lambda key: delta_beta_iter(
         M.braiding, Element.basis(*key), len(key[0]), reduced=True))
     rows = Report()
     for (i, j, k) in triples(bound):

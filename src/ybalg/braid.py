@@ -105,14 +105,14 @@ def all_reduced_words(w):
 
 @cache
 def enumerate_shuffles(p, q):
-    """All (p,q)-shuffles in S_{p+q}, lexicographic on image sequences: one
-    tuple per (p, q), built on first use."""
+    """All (p,q)-shuffles in S_{p+q}, lexicographic on image sequences (the
+    order in which combinations yields their first p images): one tuple
+    per (p, q), built on first use."""
     n = p + q
     out = []
     for first in combinations(range(1, n + 1), p):
         rest = [v for v in range(1, n + 1) if v not in first]
         out.append(Perm(list(first) + rest))
-    out.sort(key=lambda w: w.images)
     return tuple(out)
 
 

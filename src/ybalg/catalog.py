@@ -14,8 +14,8 @@ from itertools import combinations
 from .braid import Braiding
 from .hopf import HopfPresentation
 from .linear import (Element, FormatError, LinMap, Report, Space, _checked,
-                     _on_basis, _point, _program, apply_at,
-                     column_echelon_basis, in_span, map_kernel_basis)
+                     _on_basis, _point, _program, column_echelon_basis,
+                     in_span, map_kernel_basis)
 from .scalars import Scalar, parse_scalar
 
 
@@ -51,7 +51,9 @@ def exterior_braiding(N):
 
     e_i (x) e_i is fixed; e_i (x) e_j (i < j) goes to q^{-1} e_j (x) e_i;
     e_i (x) e_j (i > j) picks up the extra rank-one term (1 - q^{-2})
-    e_i (x) e_j.  Satisfies (sigma - id)(sigma + q^{-2} id) = 0.
+    e_i (x) e_j.  The inverse is supplied as q^2 sigma - (q^2 - 1) id, so
+    the Braiding's right-inverse check sigma sigma^{-1} = id is exactly the
+    quadratic relation (sigma - id)(sigma + q^{-2} id) = 0.
     """
     space = Space(["e%d" % (i + 1) for i in range(N)])
     qinv = Scalar.q_power(-1)
@@ -67,17 +69,9 @@ def exterior_braiding(N):
                 cols[(i, j)] = (Element.basis((j, i), coeff=qinv)
                                 + Element.basis((i, j), coeff=extra))
     fwd = LinMap(2, cols)
-    b = Braiding(space, fwd)
-    # sigma^2 = (1 - q^{-2}) sigma + q^{-2} id, from the columns of sigma
-    report = Report()
-    report.check("quadratic relation", (
-        (w, apply_at(fwd, 0, fwd.column(w)),
-         fwd.column(w).scale(extra)
-         + Element.basis(w, (), Scalar.q_power(-2)))
-        for w in space.words(2)))
-    if not report.ok:
-        raise ValueError("quadratic relation fails for the deformed flip")
-    return b
+    q2 = Scalar.q_power(2)
+    return Braiding(space, fwd, fwd.scale(q2).add(
+        LinMap.identity(space, 2).scale(Scalar.one() - q2)))
 
 
 def exterior_relations_check(N):
@@ -281,11 +275,12 @@ def resolve_catalog(address):
     Supported kinds: exterior (Braiding), qflip (WedgeAlgebra), diagonal
     (Braiding from a JSON file of scalar strings), groupalgebra
     (HopfPresentation), cartan (the diagonal Braiding with entries
-    q^{d_i a_ij}, from a JSON file with "A" and "d").  An unknown kind, a
-    missing or malformed parameter, or a file whose JSON does not have its
-    kind's form raises linear.FormatError.
+    q^{d_i a_ij}, from a JSON file with "A" and "d").  An address that is
+    not a string, an unknown kind, a missing or malformed parameter, or a
+    file whose JSON does not have its kind's form raises
+    linear.FormatError.
     """
-    kind, _, rest = address.partition(":")
+    kind, _, rest = _checked(address, str).partition(":")
     params = {}
     if rest:
         for piece in rest.split(","):

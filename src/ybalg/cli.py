@@ -23,7 +23,7 @@ import sys
 
 from . import binfty, catalog, hopf, tensoralg
 from .braid import Braiding, apply_beta_letters
-from .linear import (Element, FormatError, Report, _fits,
+from .linear import (Element, FormatError, Report, _checked,
                      element_to_obj, linmap_from_obj, read_field)
 from .scalars import ScalarParseError, parse_scalar
 
@@ -131,18 +131,10 @@ def load_session(path):
     return session
 
 
-def _field(decl, key, form, default=None):
-    """decl[key] (or the default when absent), checked against a JSON form."""
-    value = decl.get(key, default)
-    if not _fits(value, form):
-        raise FormatError(key, "is missing or malformed")
-    return value
-
-
 def _ref(decl, key, session, kind):
     """The session object that decl[key] names, which must be declared
     before it and be a `kind`."""
-    name = _field(decl, key, str)
+    name = read_field(decl, key, _checked, str)
     if name not in session.objects:
         raise FormatError(key, "names no declared object %r" % name)
     obj = session.objects[name]
@@ -157,12 +149,11 @@ def _build_object(decl, session):
     by the library readers."""
     kind = decl.get("kind")
     if kind == "catalog":
-        _field(decl, "address", str)
         return read_field(decl, "address", catalog.resolve_catalog)
     if kind == "diagonal":
         return catalog.diagonal_braiding(
             [[parse_scalar(entry) for entry in row]
-             for row in _field(decl, "matrix", [[str]])])
+             for row in read_field(decl, "matrix", _checked, [[str]])])
     if kind in ("hopf", "yd"):
         read, validate = ((hopf.hopf_from_obj, hopf.hopf_validate)
                           if kind == "hopf" else
@@ -181,7 +172,8 @@ def _build_object(decl, session):
     if kind == "quasishuffle":
         base = _ref(decl, "base", session, binfty.YBBase)
         return base.qb_structure(
-            _field(decl, "degree_cap", int, session.degree_cap))
+            read_field(decl, "degree_cap", _checked, int)
+            if "degree_cap" in decl else session.degree_cap)
     if kind == "qb":
         return read_field(decl, "data", binfty.qb_from_obj,
                           _ref(decl, "braiding", session, Braiding))

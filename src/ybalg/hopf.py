@@ -48,15 +48,14 @@ class HopfPresentation:
     antipode: 1 -> 1.  The antipode inverse is computed on demand.
     """
 
-    def __init__(self, space, mult, unit, comult, counit, antipode,
-                 antipode_inv=None):
+    def __init__(self, space, mult, unit, comult, counit, antipode):
         self.space = space
         self.mult = mult
         self.unit = unit
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
-        self.antipode_inv = antipode_inv
+        self.antipode_inv = None
 
     def antipode_inverse(self):
         if self.antipode_inv is None:

@@ -58,12 +58,7 @@ class Space:
 
     def words(self, degree):
         """All basis words of the given degree, lexicographic order."""
-        if degree == 0:
-            return [()]
-        out = [()]
-        for _ in range(degree):
-            out = [w + (i,) for w in out for i in range(self.dim)]
-        return out
+        return list(itertools.product(range(self.dim), repeat=degree))
 
     def __repr__(self):
         return "Space(%r)" % (self.basis_names,)

@@ -57,13 +57,12 @@ class ScalarParseError(ValueError):
 class Poly:
     """Laurent polynomial in q over the integers."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
         self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
-        self._hash = None
 
     @staticmethod
     def zero():
@@ -117,9 +116,7 @@ class Poly:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self.coeffs.items())))
-        return self._hash
+        return hash(tuple(sorted(self.coeffs.items())))
 
     def __str__(self):
         if not self.coeffs:
@@ -245,24 +242,21 @@ _UNIT = {0: 1}
 class Scalar:
     """Canonical rational function num/den in q."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den, _normalized=False):
         if _normalized:
             self.num, self.den = num, den
-            self._hash = None
             return
         if den.is_zero():
             raise ZeroDenominator("denominator is the zero polynomial")
         if num.is_zero():
             self.num, self.den = Poly.zero(), Poly.one()
-            self._hash = None
             return
         # clear Laurent shifts: den becomes ordinary with nonzero constant
         mn, md = num.min_exp(), den.min_exp()
         n0, d0 = _cancel(_to_dense(num, mn), _to_dense(den, md))
         self.num, self.den = _content_free(n0, d0, mn - md)
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -348,9 +342,7 @@ class Scalar:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __str__(self):
         if self.den == Poly.one():

@@ -20,6 +20,7 @@ by Report.check.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .braid import (apply_beta_letters, braid_lift_apply, enumerate_shuffles,
                     perm_reduced_word, w_block)
@@ -50,12 +51,12 @@ def _bilinear(x, y, product, what):
     """The bilinear extension of a product of words: the sum over the terms
     a u of x and b v of y of (a b) product(u, v), where product returns an
     Element that is only read.  A term with cuts is refused with "<what>
-    expects uncut elements"."""
+    expects uncut elements", also when the other operand is zero."""
+    if any(cuts for z in (x, y) for _, cuts in z.terms):
+        raise ValueError("%s expects uncut elements" % what)
     out = Element()
-    for (u, uc), a in x.terms.items():
-        for (v, vc), b in y.terms.items():
-            if uc or vc:
-                raise ValueError("%s expects uncut elements" % what)
+    for (u, _), a in x.terms.items():
+        for (v, _), b in y.terms.items():
             out.add_scaled(product(u, v), a * b)
     return out
 
@@ -164,25 +165,18 @@ def beta_slots(braiding):
     """beta as a slot map on two slots: u | v -> beta_{ij}(u v), cut after
     the j = len(v) letters that come first.  Its images are kept on the
     braiding, one map per braiding, shared by every slot program on it."""
+    images = braiding._beta_slot_cache
+
     def beta(key):
-        letters, (i,) = key
-        j = len(letters) - i
-        img = apply_beta_letters(braiding, i, j, letters)
-        return Element({(w, (j,)): c for (w, _), c in img.terms.items()})
-    return _memo(beta, braiding._beta_slot_cache)
-
-
-def _memo(f, cache=None):
-    """The slot map f with each result kept, keyed on the input sub-tensor,
-    in cache or else for as long as the returned function lives."""
-    cache = {} if cache is None else cache
-
-    def memoised(key):
-        res = cache.get(key)
+        res = images.get(key)
         if res is None:
-            res = cache[key] = f(key)
+            letters, (i,) = key
+            j = len(letters) - i
+            img = apply_beta_letters(braiding, i, j, letters)
+            res = images[key] = Element({(w, (j,)): c
+                                        for (w, _), c in img.terms.items()})
         return res
-    return memoised
+    return beta
 
 
 def _slot_rows(report, space, degrees, label, rows):
@@ -402,7 +396,7 @@ def check_tensor_yb_product(product, braiding, i, j, k):
         return product(Element.basis(letters[:c]), Element.basis(letters[c:]))
 
     beta = beta_slots(braiding)
-    prod = _memo(split_product)
+    prod = cache(split_product)
     return _slot_rows(Report(), braiding.space, (i, j, k), tuple, [
         # beta(prod (x) id) = (id (x) prod) beta_1 beta_2
         ("row-1", [(prod, 2, 0), (beta, 2, 0)],
@@ -419,7 +413,7 @@ def check_tensor_yb_coproduct(braiding, p, q, r):
     Report entry "corow-1", each case named (x, y, p).
     """
     beta = beta_slots(braiding)
-    cop = _memo(lambda key: _unshuffle_component(braiding, key[0], p))
+    cop = cache(lambda key: _unshuffle_component(braiding, key[0], p))
     return _slot_rows(Report(), braiding.space, (p + q, r),
                       lambda ws: ws + (p,), [
         # sigma_1 sigma_2 (Delta (x) id) = (id (x) Delta) beta

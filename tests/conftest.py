@@ -2,6 +2,7 @@
 
 import itertools
 
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ybalg.binfty import TwoYB, YBBase
@@ -79,6 +80,33 @@ def diagonal_bases(draw):
                        draw(st.sampled_from([1, -1])))
     return YBBase(LinMap(2, {(i, j): Element.basis((k,), coeff=c)}),
                   diagonal_braiding(Q))
+
+
+def first_failure(strategy, check):
+    """Run check on the derandomized examples that the generated-input
+    properties draw from strategy (25, as they do), stopping at the first
+    that fails instead of shrinking it: how a planted fault is shown to be
+    caught."""
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              phases=[Phase.generate])
+    @given(strategy)
+    def run(example):
+        check(example)
+    run()
+
+
+def assert_associative(product, space, bound):
+    """(x y) z = x (y z) on every triple of basis words x | y | z, each
+    possibly empty, whose degrees add to 1..bound; the assertion names the
+    first triple that differs."""
+    for n in range(1, bound + 1):
+        for letters in space.words(n):
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    x, y, z = (Element.basis(w) for w in (
+                        letters[:i], letters[i:j], letters[j:]))
+                    assert (product(product(x, y), z)
+                            == product(x, product(y, z))), (letters, i, j)
 
 
 def permute_legs(x, order):

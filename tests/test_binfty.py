@@ -6,9 +6,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import (diagonal_bases, diagonal_braidings, dual_numbers_twoyb,
-                      flip_braiding, graded_base, quasi_shuffle_reference,
-                      symbolic_diagonal, zero_base)
+from conftest import (assert_associative, diagonal_bases, diagonal_braidings,
+                      dual_numbers_twoyb, first_failure, flip_braiding,
+                      graded_base, quasi_shuffle_reference, symbolic_diagonal,
+                      zero_base)
 from ybalg import binfty, tensoralg
 from ybalg.binfty import (QBStructure, TwoYB, YBBase, _apply_m_blocks,
                           _fold_dot, antipode, from_2yb, qb_from_obj,
@@ -58,6 +59,59 @@ def test_star_unital_and_associative():
                 lhs = star_product(M, star_product(M, x, y), z)
                 rhs = star_product(M, x, star_product(M, y, z))
                 assert lhs == rhs
+
+
+def _star_associative(base):
+    M = base.qb_structure(4)
+    assert_associative(lambda x, y: star_product(M, x, y), base.space, 4)
+
+
+def _star_top_degree_is_shuffle(base):
+    """The top degree of u * v is the quantum shuffle of u and v, on every
+    pair with |u| + |v| <= 4."""
+    M = base.qb_structure(4)
+    for letters in words_upto(base.space, 4):
+        for cut in range(len(letters) + 1):
+            x = Element.basis(letters[:cut])
+            y = Element.basis(letters[cut:])
+            assert (star_product(M, x, y).component(len(letters))
+                    == qshuffle_product(x, y, base.braiding)), (letters, cut)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_bases())
+def test_star_associative_on_generated_bases(base):
+    _star_associative(base)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_bases())
+def test_star_top_degree_is_shuffle_on_generated_bases(base):
+    _star_top_degree_is_shuffle(base)
+
+
+@pytest.mark.parametrize("check, old, new", [
+    (_star_associative, "ac = a * c",
+     "ac = a if (s, t) == (1, 1) else a * c"),
+    (_star_associative, "if f is None:", "if f is None or (s, t) == (0, 1):"),
+    (_star_top_degree_is_shuffle, "ac = a * c", "ac = a"),
+    (_star_top_degree_is_shuffle, "if f is None:",
+     "if f is None or (s, t) == (0, 1):"),
+], ids=["assoc-m11-braiding-scalar-dropped", "assoc-term-01-dropped",
+        "top-braiding-scalar-dropped", "top-term-01-dropped"])
+def test_generated_star_properties_catch_planted_faults(monkeypatch, check,
+                                                        old, new):
+    # dropping the braiding scalar of the M_11 terms leaves the top degree
+    # alone, and dropping every braiding scalar leaves the unbraided
+    # quasi-shuffle, which is associative: each property is shown a fault
+    # that the other misses, and both a dropped (0, 1) term
+    src = inspect.getsource(binfty._cofree_terms)
+    assert src.count(old) == 1
+    namespace = dict(vars(binfty))
+    exec(src.replace(old, new), namespace)
+    monkeypatch.setattr(binfty, "_cofree_terms", namespace["_cofree_terms"])
+    with pytest.raises(AssertionError):
+        first_failure(diagonal_bases(), check)
 
 
 def test_degree_cap_refused():

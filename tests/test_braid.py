@@ -47,6 +47,11 @@ def test_shuffle_count():
     for w in enumerate_shuffles(2, 3):
         assert list(w.images[:2]) == sorted(w.images[:2])
         assert list(w.images[2:]) == sorted(w.images[2:])
+    # lexicographic on image sequences, the order combinations yields
+    for p in range(7):
+        for q in range(7):
+            images = [w.images for w in enumerate_shuffles(p, q)]
+            assert images == sorted(images)
 
 
 def test_chi_images():

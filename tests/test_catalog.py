@@ -12,7 +12,7 @@ from ybalg.catalog import (NotSymmetrizable, WedgeAlgebra, ZeroEntry,
                            group_algebra_hopf, qflip_compat_check,
                            resolve_catalog, _flip_exponent)
 from ybalg.hopf import HopfPresentation
-from ybalg.linear import Element, LinMap
+from ybalg.linear import Element, FormatError, LinMap
 from ybalg.scalars import Scalar, parse_scalar
 from ybalg.tensoralg import nichols_basis
 
@@ -53,6 +53,22 @@ def test_exterior_quadratic_relation():
     quad = b.fwd.add(ident.scale(-Scalar.one())).compose(
         b.fwd.add(ident.scale(Scalar.q_power(-2))))
     assert quad.equals(LinMap(2), b.space, 2)
+
+
+def test_wrong_rank_one_term_fails_the_quadratic_relation():
+    # with the closed-form inverse supplied, Braiding's right-inverse check
+    # is the quadratic relation, which a wrong rank-one term breaks
+    b = exterior_braiding(2)
+    cols = dict(b.fwd.columns)
+    cols[(1, 0)] = (Element.basis((0, 1), coeff=Scalar.q_power(-1))
+                    + Element.basis((1, 0), coeff=Scalar.one()
+                                    - Scalar.q_power(-3)))
+    bad, q2 = LinMap(2, cols), Scalar.q_power(2)
+    inv = bad.scale(q2).add(
+        LinMap.identity(b.space, 2).scale(Scalar.one() - q2))
+    with pytest.raises(ValueError,
+                       match="^supplied inverse is not a right inverse$"):
+        Braiding(b.space, bad, inv)
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -182,6 +198,8 @@ def test_resolve_catalog_addresses(tmp_path):
     assert b.fwd.apply_word((1, 1)) == Element.basis(
         (1, 1), coeff=Scalar.q_power(2))
 
+    with pytest.raises(FormatError, match="^is missing or malformed$"):
+        resolve_catalog(123)
     with pytest.raises(ValueError):
         resolve_catalog("nonesuch:N=2")
     with pytest.raises(ValueError):

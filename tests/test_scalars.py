@@ -360,3 +360,22 @@ def test_product_by_one(x, p):
         assert y * one == y and one * y == y
         if y != one:
             assert y * one is y and one * y is y
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_scalars(), factors().filter(lambda y: not y.is_zero()),
+       laurent_polys())
+def test_equal_values_hash_equal(x, y, p):
+    # equal Scalars and Polys built by different routes: parsing, sums,
+    # Henrici products, q_power monomials and another dict order
+    monomials = sorted(p.coeffs.items(), reverse=True)
+    for a, b in ((x, parse_scalar(str(x))), (x, (x + y) - y),
+                 (x, (x * y) / y), (x, y * (x / y)),
+                 (Scalar(p, Poly.one()), parse_scalar(str(p))),
+                 (Scalar(p, Poly.one()),
+                  sum((Scalar.q_power(e, c) for e, c in monomials),
+                      Scalar.zero())),
+                 (p, Poly(dict(monomials))),
+                 (p, p * Poly.q(2) * Poly.q(-2))):
+        assert a == b
+        assert hash(a) == hash(b)

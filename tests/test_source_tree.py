@@ -1,6 +1,7 @@
 """Source-tree checks: every module-level private function and constant of
-the library has a caller in the library, and every private attribute the
-library sets on an object is read by the library."""
+the library has a caller in the library, every private attribute the
+library sets on an object is read by the library, and every name a library
+module imports is used by that module."""
 
 import ast
 from pathlib import Path
@@ -103,6 +104,28 @@ def unread_private_attributes(root=SRC):
                   if a[2] not in read)
 
 
+def unused_imports(root=SRC):
+    """Sorted "module.name" of every name that a module under root binds by
+    an import and never loads, bare or as `name.attr`; `from __future__`
+    imports bind no name."""
+    unused = []
+    for path in root.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.partition(".")[0]
+                          for a in node.names}
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        unused += ["%s.%s" % (path.stem, n) for n in bound - loaded]
+    return sorted(unused)
+
+
 def test_every_private_name_has_a_caller():
     assert unreferenced_private_names() == []
 
@@ -133,3 +156,20 @@ def test_unread_private_attribute_is_reported(tmp_path):
         "from . import a\n\n\ndef f(base):\n"
         "    return a._memo, getattr(base, '_hook')\n")
     assert unread_private_attributes(tmp_path) == ["a.Base._memo"]
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_unused_import_is_reported(tmp_path):
+    # a name left behind by its last caller, beside a module used by
+    # attribute, a dotted import, an import inside a function and an alias
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\nimport os.path\n"
+        "import re as regex\n\nfrom .b import apply_at, helper\n\n\n"
+        "def f(x: regex.Pattern):\n    from .b import _fits\n"
+        "    return helper(os.path.join(x)), _fits\n")
+    (tmp_path / "b.py").write_text(
+        "import json\n\n\ndef helper(x):\n    return x\n")
+    assert unused_imports(tmp_path) == ["a.apply_at", "b.json"]

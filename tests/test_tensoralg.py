@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (braid_lift, diagonal_braidings, flip_braiding,
-                      graded_base, negated, symbolic_diagonal,
-                      symmetrizer_image)
+from conftest import (assert_associative, braid_lift, diagonal_braidings,
+                      first_failure, flip_braiding, graded_base, negated,
+                      symbolic_diagonal, symmetrizer_image)
 from ybalg import tensoralg
 from ybalg.binfty import qb_validate, quasi_shuffle, star_product
 from ybalg.braid import (Braiding, apply_beta_letters, check_yang_baxter,
@@ -212,6 +212,26 @@ def test_shuffle_associative_exterior():
     assert lhs == rhs
 
 
+def _shuffle_associative(b):
+    assert_associative(lambda x, y: qshuffle_product(x, y, b), b.space, 4)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_braidings())
+def test_shuffle_associative_on_generated_braidings(b):
+    _shuffle_associative(b)
+
+
+def test_generated_shuffle_associativity_catches_a_dropped_shuffle(
+        monkeypatch):
+    # every (p, q)-shuffle product with p, q >= 1 loses its last shuffle
+    shuffles = tensoralg.enumerate_shuffles
+    monkeypatch.setattr(tensoralg, "enumerate_shuffles", lambda p, q: (
+        shuffles(p, q)[:-1] if p and q else shuffles(p, q)))
+    with pytest.raises(AssertionError):
+        first_failure(diagonal_braidings(), _shuffle_associative)
+
+
 def test_quantum_coproduct_counit():
     b = symbolic_diagonal(2)
     x = Element.basis((0, 1, 0))
@@ -407,7 +427,8 @@ def test_bilinear_products_refuse_cut_elements():
             ("qshuffle_product", lambda x, y: qshuffle_product(x, y, b)),
             ("star_product", lambda x, y: star_product(M, x, y)),
             ("quasi_shuffle", lambda x, y: quasi_shuffle(x, y, base))):
-        for x, y in ((cut, plain), (plain, cut)):
+        for x, y in ((cut, plain), (plain, cut), (cut, Element()),
+                     (Element(), cut)):
             with pytest.raises(ValueError) as e:
                 product(x, y)
             assert type(e.value) is ValueError
