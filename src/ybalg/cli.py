@@ -168,7 +168,7 @@ def _build_object(decl, session):
         braiding = _ref(decl, "braiding", session, Braiding)
         V = braiding.space
         return binfty.YBBase(
-            read_field(decl, "mult", linmap_from_obj, [V, V], V), braiding)
+            read_field(decl, "mult", linmap_from_obj, [V, V], [V]), braiding)
     if kind == "quasishuffle":
         base = _ref(decl, "base", session, binfty.YBBase)
         return base.qb_structure(
@@ -283,15 +283,8 @@ def _parse_element(text, space):
     stripped = text.strip()
     if not stripped or stripped[0] not in "+-":
         stripped = "+" + stripped
-    cuts, depth = [], 0
-    for i, ch in enumerate(stripped):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif (ch in "+-" and depth == 0
-              and (i == 0 or stripped[i - 1] not in "^*")):
-            cuts.append(i)
+    cuts = [i for i in _outside_parens(stripped, "+-")
+            if i == 0 or stripped[i - 1] not in "^*"]
     cuts.append(len(stripped))
     out = Element.zero()
     index = {n: i for i, n in enumerate(space.basis_names)}
@@ -326,25 +319,27 @@ def _parse_element(text, space):
     return out
 
 
-def _split_args(text):
-    """Top-level comma split of a parenthesized argument list."""
-    args = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            args.append("".join(cur).strip())
-            cur = []
-            continue
+def _outside_parens(text, marks):
+    """The positions in text of the characters of `marks` that stand
+    outside every parenthesis."""
+    found, depth = [], 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail or args:
-        args.append(tail)
-    return args
+        elif ch in marks and depth == 0:
+            found.append(i)
+    return found
+
+
+def _split_args(text):
+    """Top-level comma split of a parenthesized argument list; blank text
+    has no arguments."""
+    if not text.strip():
+        return []
+    cuts = [-1] + _outside_parens(text, ",") + [len(text)]
+    return [text[a + 1:b].strip() for a, b in zip(cuts, cuts[1:])]
 
 
 # the objects with an underlying braided space, held as their `.space`
@@ -499,9 +494,8 @@ def main(argv=None):
     pv = sub.add_parser("verify", help="run an identity suite on one object")
     pv.add_argument("session")
     pv.add_argument("target")
-    pv.add_argument("--suite", default="all",
-                    choices=["yb-algebra", "yb-coalgebra", "qb-infinity",
-                             "hopf", "yd", "all"])
+    pv.add_argument("--suite", default="all", choices=sorted(
+        {suite for _, suites, _ in _SUITES.values() for suite in suites}))
     pv.add_argument("--bound", type=int, default=4)
 
     pc = sub.add_parser("compute", help="evaluate an expression")

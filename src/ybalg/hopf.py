@@ -82,7 +82,6 @@ def hopf_validate(h):
     # m, Delta, epsilon, S and the unit in the usual notation
     sp, m, d, e, s = h.space, h.mult, h.comult, h.counit, h.antipode
     u = _point(h.unit)
-    one = Element.unit()
     report = Report()
 
     def check(name, degree, lhs, rhs):
@@ -97,10 +96,9 @@ def hopf_validate(h):
     # comultiplication is an algebra map: componentwise product with a flip
     check("comult-mult", 2, [(m, 0), (d, 0)],
           [(d, 1), (d, 0), [0, 2, 1, 3], (m, 2), (m, 0)])
-    report.record("comult-unit",
-                  _legs(one, (u, 0), (d, 0)) == _legs(one, (u, 0), (u, 0)))
+    check("comult-unit", 0, [(u, 0), (d, 0)], [(u, 0), (u, 0)])
     check("counit-mult", 2, [(m, 0), (e, 0)], [(e, 1), (e, 0)])
-    report.record("counit-unit", _legs(one, (u, 0), (e, 0)) == one)
+    check("counit-unit", 0, [(u, 0), (e, 0)], [])
     check("antipode-left", 1, [(d, 0), (s, 0), (m, 0)], [(e, 0), (u, 0)])
     check("antipode-right", 1, [(d, 0), (s, 1), (m, 0)], [(e, 0), (u, 0)])
     return report
@@ -230,34 +228,22 @@ def woronowicz_braiding(h, which):
     which = "F":  a (x) b -> a_(1) S(a_(3)) b (x) a_(2)
     which = "F'": a (x) b -> a_(1) b S(a_(2)) (x) a_(3)
 
-    Inverses use the closed formulas (S^{-1} where required); the braiding
-    constructor re-verifies both composition identities and the YBE.
+    Only the forward map is built: Braiding inverts it exactly, then checks
+    the inverse and the YBE.
     """
     if which not in ("T", "T'", "F", "F'"):
         raise ValueError("which must be one of T, T', F, F'")
-    m, d, S, Si = h.mult, h.comult, h.antipode, h.antipode_inverse()
-    # (forward, inverse) leg programs on a (x) b; the comultiplications
-    # split b (legs 1..3) or a (legs 0..2) into three Sweedler legs
+    m, d, S = h.mult, h.comult, h.antipode
+    # leg programs on a (x) b; the comultiplications split b (legs 1..3)
+    # or a (legs 0..2) into three Sweedler legs
     on_b, on_a = [(d, 1), (d, 1)], [(d, 0), (d, 0)]
     programs = {
-        # inverse: a (x) b -> b S^{-1}(a_(3)) a_(1) (x) a_(2)
-        "T": (on_b + [(S, 1), [2, 0, 1, 3], (m, 1), (m, 1)],
-              on_a + [(Si, 2), [3, 2, 0, 1], (m, 0), (m, 0)]),
-        # inverse: a (x) b -> a_(3) b S^{-1}(a_(2)) (x) a_(1)
-        "T'": (on_b + [(S, 2), [1, 2, 0, 3], (m, 1), (m, 1)],
-               on_a + [(Si, 1), [2, 3, 1, 0], (m, 0), (m, 0)]),
-        # F = T^{-1} over the opposite algebra, so invert back:
-        # a (x) b -> b_(2) (x) b_(3) S^{-1}(b_(1)) a
-        "F": (on_a + [(S, 2), [0, 2, 3, 1], (m, 0), (m, 0)],
-              on_b + [(Si, 1), [2, 3, 1, 0], (m, 1), (m, 1)]),
-        # F' = (T')^{-1} over the co-opposite coalgebra:
-        # a (x) b -> b_(3) (x) S^{-1}(b_(2)) a b_(1)
-        "F'": (on_a + [(S, 1), [0, 3, 1, 2], (m, 0), (m, 0)],
-               on_b + [(Si, 2), [3, 2, 0, 1], (m, 1), (m, 1)]),
+        "T": on_b + [(S, 1), [2, 0, 1, 3], (m, 1), (m, 1)],
+        "T'": on_b + [(S, 2), [1, 2, 0, 3], (m, 1), (m, 1)],
+        "F": on_a + [(S, 2), [0, 2, 3, 1], (m, 0), (m, 0)],
+        "F'": on_a + [(S, 1), [0, 3, 1, 2], (m, 0), (m, 0)],
     }
-    fwd, inv = programs[which]
-    return Braiding(h.space, _program_map(h.space, 2, *fwd),
-                    _program_map(h.space, 2, *inv))
+    return Braiding(h.space, _program_map(h.space, 2, *programs[which]))
 
 
 # -- quasi-triangular structures -------------------------------------------

@@ -567,10 +567,7 @@ def read_field(obj, key, read, *args):
 
 def _word(word, legs, what):
     """The word as a tuple, refused unless it has one letter, a basis
-    index, of each space of `legs`, or letters of `legs` when that is one
-    Space."""
-    if isinstance(legs, Space):
-        legs = [legs] * len(word)
+    index, of each space of the list `legs`."""
     if len(word) != len(legs):
         raise FormatError("", "has the %s %r, not of degree %d"
                           % (what, word, len(legs)))
@@ -627,8 +624,7 @@ def linmap_to_obj(f):
 
 def linmap_from_obj(obj, ins, outs):
     """The LinMap of a JSON list of {"in", "out"} columns from the tensor
-    product of the spaces `ins` to that of `outs`, or to words of any length
-    in `outs` when that is one Space."""
+    product of the spaces `ins` to that of the spaces `outs`."""
     from .scalars import parse_scalar
     cols = {}
     for entry in _checked(obj, _LINMAP):

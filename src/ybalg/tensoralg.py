@@ -263,22 +263,16 @@ def delta_beta_iter(braiding, x, n, reduced=False):
 
 
 def delta_beta_via_w(braiding, x, n):
-    """T^beta_{w_{n+1}} o (delta^{(n)})^{(x) 2} on a pair element."""
-    out = Element()
-    for (letters, cuts), c in x.terms.items():
-        if len(cuts) != 1:
-            raise ValueError("expects one cut")
-        cut = cuts[0]
-        u = Element.basis(letters[:cut], (), c)
-        v = Element.basis(letters[cut:])
-        du = delta_iter(u, n)
-        dv = delta_iter(v, n)
-        for (ul, uc), a in du.terms.items():
-            for (vl, vc), b in dv.terms.items():
-                word = ul + vl
-                cts = uc + (len(ul),) + tuple(p + len(ul) for p in vc)
-                out.add_term((word, cts), a * b)
-    return apply_block_lift(braiding, w_block(n + 1), out)
+    """T^beta_{w_{n+1}} o (delta^{(n)})^{(x) 2} on a pair element: each
+    slot of u | v is cut at every weak n-tuple of positions, v's first,
+    then the 2(n+1) slots are braided by apply_block_lift."""
+    if any(len(cuts) != 1 for _, cuts in x.terms):
+        raise ValueError("expects one cut")
+
+    def cut(key):
+        return _splits(key[0], n)
+    return apply_block_lift(braiding, w_block(n + 1),
+                            apply_slots(cut, 1, 0, apply_slots(cut, 1, 1, x)))
 
 
 # -- the Nichols algebra ---------------------------------------------------

@@ -1,10 +1,15 @@
 """Permutations, reduced words, braid lifts, and the Yang-Baxter check."""
 
+import inspect
+import textwrap
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import braid_lift, flip_braiding, sweedler_h4, symbolic_diagonal
+from conftest import (braid_lift, diagonal_braidings, first_failure,
+                      flip_braiding, sweedler_h4, symbolic_diagonal)
+from ybalg import braid
 from ybalg.braid import (Braiding, Perm, all_reduced_words,
                          apply_beta_letters, braid_lift_word,
                          check_yang_baxter, chi, enumerate_shuffles,
@@ -87,6 +92,78 @@ def test_braiding_rejects_a_wrong_inverse():
         Braiding(b.space, b.fwd, b.fwd)
 
 
+_FLIP = flip_braiding(2)
+
+
+@pytest.mark.parametrize("bad", [
+    LinMap(3, {w + (0,): Element.basis((w[1], w[0], 0))
+               for w in _FLIP.space.words(2)}),
+    LinMap(1, {(0,): Element.basis((1,)), (1,): Element.basis((0,))}),
+    LinMap(2, {**_FLIP.fwd.columns, (0, 1): Element.basis((1, 0, 0))}),
+    LinMap(2, {**_FLIP.fwd.columns, (0, 1): Element.basis((1, 2))}),
+], ids=["in-degree-3", "in-degree-1", "three-letter-out-word",
+        "letter-outside-v"])
+def test_braiding_refuses_a_map_off_v_v(bad):
+    sp = _FLIP.space
+    for role, args in (("map", (bad,)), ("inverse", (_FLIP.fwd, bad))):
+        with pytest.raises(ValueError, match=r"^braiding %s is not a map "
+                           r"V \(x\) V -> V \(x\) V$" % role):
+            Braiding(sp, *args)
+
+
+def _refusal(build):
+    """The message of the ValueError that build() raises, or None."""
+    try:
+        build()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _inverse_is_decided(b):
+    """An accepted braiding has inv o fwd = id, the left-inverse identity
+    that its construction no longer checks, and a copy of inv with any one
+    entry changed is refused as no right inverse."""
+    sp = b.space
+    assert b.inv.compose(b.fwd).equals(LinMap.identity(sp, 2), sp, 2)
+    for w, col in b.inv.columns.items():
+        for key in col.terms:
+            changed = dict(b.inv.columns)
+            changed[w] = col + Element({key: Scalar.one()})
+            assert _refusal(lambda: Braiding(sp, b.fwd, LinMap(2, changed))) \
+                == "supplied inverse is not a right inverse", (w, key)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_braidings())
+def test_generated_braidings_decide_their_inverse(b):
+    _inverse_is_decided(b)
+
+
+@pytest.mark.parametrize("build", [lambda: exterior_braiding(2),
+                                   lambda: WedgeAlgebra(2).braiding],
+                         ids=["exterior-2", "qflip-2"])
+def test_braidings_decide_their_inverse(build):
+    _inverse_is_decided(build())
+
+
+def test_inverse_property_catches_a_skipped_right_inverse_check(
+        monkeypatch):
+    # with the right-inverse check skipped, a changed inverse is accepted
+    src = textwrap.dedent(inspect.getsource(Braiding.__init__))
+    old = 'raise ValueError("supplied inverse is not a right inverse")'
+    assert src.count(old) == 1
+    namespace = dict(vars(braid))
+    exec(src.replace(old, "pass"), namespace)
+    monkeypatch.setattr(Braiding, "__init__", namespace["__init__"])
+    with pytest.raises(AssertionError):
+        first_failure(diagonal_braidings(), _inverse_is_decided)
+    for build in (lambda: exterior_braiding(2),
+                  lambda: WedgeAlgebra(2).braiding):
+        with pytest.raises(AssertionError):
+            _inverse_is_decided(build())
+
+
 def test_lift_respects_word_order():
     # sigma_{i_1} o ... o sigma_{i_l}: the rightmost generator acts first
     b = symbolic_diagonal(2)
@@ -142,7 +219,7 @@ def test_braiding_keeps_its_yang_baxter_report():
         "rational-2", "yd-adjoint-h4"])
 def test_inverse_braiding(build):
     # the inverse of a braiding is a braiding: it constructs, so its
-    # inverse compositions and its Yang-Baxter check pass
+    # inverse and Yang-Baxter checks pass
     b = build()
     ib = Braiding(b.space, b.inv, b.fwd)
     assert ib.ybe.ok

@@ -18,7 +18,7 @@ from ybalg.catalog import (WedgeAlgebra, diagonal_braiding,
 from ybalg.cli import (ParseError, Session, SuiteMismatch, UnknownTarget,
                        ValidationError, cmd_compute, cmd_verify,
                        compute_expression, format_element, load_session,
-                       main, _parse_element)
+                       main, _parse_element, _split_args)
 from ybalg.hopf import hopf_to_obj, yd_adjoint, yd_regular, yd_to_obj
 from ybalg.linear import (Element, FormatError, LinMap, Space,
                           element_from_obj, linmap_from_obj, linmap_to_obj)
@@ -295,6 +295,21 @@ def test_parse_element_splits_outside_parentheses():
         - Element.basis((1,), coeff=parse_scalar("(q+1)/(q-1)"))
 
 
+@pytest.mark.parametrize("text, args", [
+    ("", []),
+    ("   ", []),
+    ("e1", ["e1"]),
+    ("e1,,e2", ["e1", "", "e2"]),
+    ("e1, e2,", ["e1", "e2", ""]),
+    ("M, (1+q)/(q-(1-q)) e1, f(a, (b, c))", [
+        "M", "(1+q)/(q-(1-q)) e1", "f(a, (b, c))"]),
+    ("  M ,\te1*e2  ", ["M", "e1*e2"]),
+], ids=["empty", "blank", "one", "empty-between-commas", "trailing-comma",
+        "nested-parentheses", "surrounding-spaces"])
+def test_split_args_edge_cases(text, args):
+    assert _split_args(text) == args
+
+
 def test_missing_or_ambiguous_object_is_named(tmp_path, capsys):
     path = basic_session(tmp_path)
     base = {"name": "base2", "kind": "yb-base", "braiding": "sigma",
@@ -549,6 +564,7 @@ MALFORMED_FIELDS = [
         qb_map([0, 0], [1], "yb-base"),
         lambda s: s["objects"][1]["mult"].append(
             {"in": [0, 0], "out": []})), "mult"),
+    ("yb-base-out-word-leaves-v", qb_map([0, 0], [1, 1], "yb-base"), "mult"),
     ("yb-base-braiding-undeclared", {"version": 1, "objects": [
         {"name": "d", "kind": "yb-base", "braiding": "nope", "mult": []}]},
      "braiding"),
@@ -657,16 +673,16 @@ def test_qb_component_leaving_v_exits_2(tmp_path, capsys):
 
 def test_yb_base_product_leaving_v_exits_2(tmp_path, capsys):
     # the plain flip on one letter passes the compatibility rows for any
-    # product, so only the landing check refuses e1 e1 = e1 (x) e1
+    # product, so only the reader's degree check refuses e1 e1 = e1 (x) e1
     data = {"version": 1, "objects": [
         {"name": "s", "kind": "diagonal", "matrix": [["1"]]},
         {"name": "d", "kind": "yb-base", "braiding": "s",
          "mult": [{"in": [0, 0], "out": [{"word": [0, 0], "coeff": "1"}]}]}]}
     path = write_session(tmp_path, data)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError):
         load_session(path)
     assert main(["compute", path, "quasishuffle(e1, e1)"]) == 2
-    assert "outside V" in capsys.readouterr().err
+    assert "the out-word [0, 0], not of degree 1" in capsys.readouterr().err
 
 
 def graded_braiding():

@@ -2,10 +2,12 @@
 
 import pytest
 
+from conftest import sweedler_h4
 from ybalg.braid import check_yang_baxter
 from ybalg.catalog import group_algebra_hopf
 from ybalg.hopf import (HopfPresentation, InvalidRMatrix, InvalidYD, RMatrix,
-                        PredicateFailed, YDModule, hopf_from_obj, hopf_to_obj,
+                        PredicateFailed, YDModule, _program_map,
+                        hopf_from_obj, hopf_to_obj,
                         hopf_validate, rmatrix_yd, smash_structures,
                         woronowicz_braiding, yd_adjoint, yd_braiding,
                         yd_from_obj, yd_regular, yd_to_obj, yd_validate)
@@ -76,6 +78,39 @@ def test_woronowicz_braidings_validate(which, n):
     ident = LinMap.identity(b.space, 2)
     assert b.fwd.compose(b.inv).equals(ident, b.space, 2)
     assert b.inv.compose(b.fwd).equals(ident, b.space, 2)
+
+
+def closed_form_inverse(h, which):
+    """The closed formula for the inverse of woronowicz_braiding(h, which),
+    with S^{-1} where required, as a leg program on a (x) b; the
+    comultiplications split b (legs 1..3) or a (legs 0..2) into three
+    Sweedler legs."""
+    m, d, Si = h.mult, h.comult, h.antipode_inverse()
+    on_b, on_a = [(d, 1), (d, 1)], [(d, 0), (d, 0)]
+    programs = {
+        # a (x) b -> b S^{-1}(a_(3)) a_(1) (x) a_(2)
+        "T": on_a + [(Si, 2), [3, 2, 0, 1], (m, 0), (m, 0)],
+        # a (x) b -> a_(3) b S^{-1}(a_(2)) (x) a_(1)
+        "T'": on_a + [(Si, 1), [2, 3, 1, 0], (m, 0), (m, 0)],
+        # F = T^{-1} over the opposite algebra, so invert back:
+        # a (x) b -> b_(2) (x) b_(3) S^{-1}(b_(1)) a
+        "F": on_b + [(Si, 1), [2, 3, 1, 0], (m, 1), (m, 1)],
+        # F' = (T')^{-1} over the co-opposite coalgebra:
+        # a (x) b -> b_(3) (x) S^{-1}(b_(2)) a b_(1)
+        "F'": on_b + [(Si, 2), [3, 2, 0, 1], (m, 1), (m, 1)],
+    }
+    return _program_map(h.space, 2, *programs[which])
+
+
+@pytest.mark.parametrize("which", ["T", "T'", "F", "F'"])
+@pytest.mark.parametrize("build", [lambda: group_algebra_hopf(2),
+                                   lambda: group_algebra_hopf(3),
+                                   sweedler_h4], ids=["Z2", "Z3", "H4"])
+def test_woronowicz_inverse_is_the_closed_form(build, which):
+    # the exact inverse Braiding computes is the closed formula
+    h = build()
+    b = woronowicz_braiding(h, which)
+    assert b.inv.equals(closed_form_inverse(h, which), h.space, 2)
 
 
 def test_woronowicz_group_like_goldens():

@@ -1,7 +1,8 @@
 """Source-tree checks: every module-level private function and constant of
-the library has a caller in the library, every private attribute the
-library sets on an object is read by the library, and every name a library
-module imports is used by that module."""
+the library has a caller in the library, every public module-level function
+is used by the library or its tests, every private attribute the library
+sets on an object is read by the library, and every name a library module
+imports is used by that module."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ from pathlib import Path
 import ybalg
 
 SRC = Path(ybalg.__file__).parent
+# the project: the library under src/ and its tests under tests/
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _private(name):
@@ -28,18 +31,28 @@ def _private_defs(tree):
     return {n for n in names if _private(n)}
 
 
+def _imported(tree, modules):
+    """name -> (library module, name) for each name that one module binds
+    by `from .module import name` or, as a test does, `from
+    package.module import name`."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level <= 1 \
+                and node.module:
+            module = node.module.rpartition(".")[2]
+            if module in modules:
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = (module,
+                                                            alias.name)
+    return imported
+
+
 def _references(module, tree, modules):
     """(defining module, name) for each use of a module-level name in one
-    module: a bare name (its own or one imported from a sibling module) or
-    `sibling.name`.  A use inside the top-level function of the same name,
-    such as a recursive call, is not counted."""
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 \
-                and node.module in modules:
-            for alias in node.names:
-                imported[alias.asname or alias.name] = (node.module,
-                                                        alias.name)
+    module: a bare name (its own or one imported from a library module) or
+    `library_module.name`.  A use inside the top-level function of the same
+    name, such as a recursive call, is not counted."""
+    imported = _imported(tree, modules)
     refs = set()
     for top in tree.body:
         own = getattr(top, "name", None)
@@ -61,6 +74,23 @@ def unreferenced_private_names(root=SRC):
     used = set()
     for m, t in trees.items():
         used |= _references(m, t, trees)
+    return sorted("%s.%s" % d for d in defined - used)
+
+
+def unreferenced_public_functions(root=ROOT):
+    """Sorted "module.name" of every public module-level function of the
+    library under root/src that no code under root/src or root/tests
+    imports, loads or calls outside its own body."""
+    library = {p.stem: ast.parse(p.read_text())
+               for p in root.glob("src/*/*.py")}
+    defined = {(m, node.name) for m, t in library.items() for node in t.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    used = set()
+    for path in [*root.glob("src/*/*.py"), *root.glob("tests/*.py")]:
+        tree = ast.parse(path.read_text())
+        used |= _references(path.stem, tree, library)
+        used |= set(_imported(tree, library).values())
     return sorted("%s.%s" % d for d in defined - used)
 
 
@@ -138,6 +168,36 @@ def test_unreferenced_private_name_is_reported(tmp_path):
     (tmp_path / "b.py").write_text(
         "from .a import _used\n\n\ndef f():\n    return _used()\n")
     assert unreferenced_private_names(tmp_path) == ["a._dead"]
+
+
+def test_every_public_function_is_used():
+    assert unreferenced_public_functions() == []
+
+
+def test_unreferenced_public_function_is_reported(tmp_path):
+    # a function left behind by its last caller and one that only calls
+    # itself, beside one called by a sibling, one a test imports without
+    # calling, one a test calls as `module.name` and one a test imports
+    # inside a function
+    lib, tests = tmp_path / "src" / "pkg", tmp_path / "tests"
+    lib.mkdir(parents=True)
+    tests.mkdir()
+    (lib / "a.py").write_text(
+        "def dead():\n    return 1\n\n\n"
+        "def spin(n):\n    return spin(n - 1) if n else 0\n\n\n"
+        "def helper():\n    return 2\n\n\n"
+        "def imported():\n    return 3\n\n\n"
+        "def by_attribute():\n    return 4\n\n\n"
+        "def local():\n    return 5\n\n\n"
+        "def _private():\n    return 6\n")
+    (lib / "b.py").write_text(
+        "from .a import helper\n\n\ndef user():\n    return helper()\n")
+    (tests / "test_b.py").write_text(
+        "from pkg import a\nfrom pkg.a import imported\n"
+        "from pkg.b import user\n\n\ndef test_user():\n"
+        "    from pkg.a import local\n"
+        "    assert user() + a.by_attribute() == local() + 1\n")
+    assert unreferenced_public_functions(tmp_path) == ["a.dead", "a.spin"]
 
 
 def test_every_private_attribute_is_read():
