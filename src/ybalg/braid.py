@@ -1,8 +1,10 @@
 """Symmetric group combinatorics and braid lifts.
 
-Permutations are 1-indexed (images tuple), matching the standard two-row
-notation.  The canonical reduced word is derived from descent stripping,
-which is deterministic and linear in the inversion number.
+A permutation w of {1,...,n} is the tuple of its images (w(1), ..., w(n)),
+as in the second row of the two-row notation; by Matsumoto's theorem the
+lift T_w depends on nothing else.  The canonical reduced word comes from
+descent stripping, which is deterministic; each of its l(w) swaps restarts
+the scan for a descent, so it takes O(n l(w)) steps.
 """
 
 from __future__ import annotations
@@ -14,60 +16,12 @@ from .linear import (Element, Report, _on_basis, apply_at,
                      map_invert_exact)
 
 
-class Perm:
-    """Permutation of {1,...,n}, stored by its sequence of images."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError("not a permutation of 1..%d: %r" % (n, images))
-        self.images = images
-
-    @staticmethod
-    def identity(n):
-        return Perm(range(1, n + 1))
-
-    @staticmethod
-    def transposition(n, i):
-        """Adjacent transposition s_i in S_n."""
-        im = list(range(1, n + 1))
-        im[i - 1], im[i] = im[i], im[i - 1]
-        return Perm(im)
-
-    @property
-    def n(self):
-        return len(self.images)
-
-    def __call__(self, i):
-        return self.images[i - 1]
-
-    def __mul__(self, other):
-        """Composition: (self * other)(i) = self(other(i))."""
-        return Perm(self.images[other.images[i - 1] - 1]
-                    for i in range(1, self.n + 1))
-
-    def inverse(self):
-        im = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            im[v - 1] = i
-        return Perm(im)
-
-    def inversions(self):
-        im = self.images
-        return sum(1 for i in range(self.n) for j in range(i + 1, self.n)
-                   if im[i] > im[j])
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return "Perm%r" % (self.images,)
+def perm_inverse(w):
+    """The inverse of the permutation w, as its tuple of images."""
+    inv = [0] * len(w)
+    for i, v in enumerate(w, start=1):
+        inv[v - 1] = i
+    return tuple(inv)
 
 
 def perm_reduced_word(w):
@@ -76,7 +30,7 @@ def perm_reduced_word(w):
     Repeatedly strips the first descent: if w(i) > w(i+1) then
     w = (w s_i) s_i with l(w s_i) = l(w) - 1.
     """
-    images = list(w.images)
+    images = list(w)
     rev = []
     while True:
         for i in range(len(images) - 1):
@@ -89,47 +43,25 @@ def perm_reduced_word(w):
     return rev[::-1]
 
 
-def all_reduced_words(w):
-    """Every reduced expression of w (exhaustive, for Matsumoto checks)."""
-    if w.inversions() == 0:
-        return [[]]
-    out = []
-    n = w.n
-    for i in range(1, n):
-        if w(i) > w(i + 1):
-            shorter = w * Perm.transposition(n, i)
-            for word in all_reduced_words(shorter):
-                out.append(word + [i])
-    return out
-
-
 @cache
 def enumerate_shuffles(p, q):
     """All (p,q)-shuffles in S_{p+q}, lexicographic on image sequences (the
     order in which combinations yields their first p images): one tuple
     per (p, q), built on first use."""
-    n = p + q
-    out = []
-    for first in combinations(range(1, n + 1), p):
-        rest = [v for v in range(1, n + 1) if v not in first]
-        out.append(Perm(list(first) + rest))
-    return tuple(out)
+    points = range(1, p + q + 1)
+    return tuple(first + tuple(v for v in points if v not in first)
+                 for first in combinations(points, p))
 
 
 @cache
 def chi(i, j):
     """chi_{ij} in S_{i+j}: k -> k+j for k <= i, k -> k-i otherwise."""
-    return Perm([k + j for k in range(1, i + 1)]
-                + [k - i for k in range(i + 1, i + j + 1)])
+    return tuple(range(j + 1, i + j + 1)) + tuple(range(1, j + 1))
 
 
 def w_block(i):
     """w_i in S_{2i}: 1..i -> odd positions, i+1..2i -> even positions."""
-    im = [0] * (2 * i)
-    for k in range(1, i + 1):
-        im[k - 1] = 2 * k - 1
-        im[i + k - 1] = 2 * k
-    return Perm(im)
+    return tuple(range(1, 2 * i, 2)) + tuple(range(2, 2 * i + 1, 2))
 
 
 class Braiding:
@@ -174,7 +106,7 @@ def braid_lift_word(braiding, word, x):
 
 def braid_lift_apply(braiding, w, letters):
     """T_w applied to a single basis word, memoized per (braiding, w)."""
-    key = (w.images, letters)
+    key = (w, letters)
     cached = braiding._lift_cache.get(key)
     if cached is not None:
         return cached

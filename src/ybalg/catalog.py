@@ -184,7 +184,7 @@ class WedgeAlgebra:
         """Basis monomial for an index sequence, sorted with the sign rule."""
         I = tuple(I)
         if len(set(I)) != len(I):
-            return Element.zero()
+            return Element()
         inv = sum(1 for x in range(len(I)) for y in range(x + 1, len(I))
                   if I[x] > I[y])
         return Element.basis((self.index[tuple(sorted(I))],),

@@ -286,7 +286,7 @@ def _parse_element(text, space):
     cuts = [i for i in _outside_parens(stripped, "+-")
             if i == 0 or stripped[i - 1] not in "^*"]
     cuts.append(len(stripped))
-    out = Element.zero()
+    out = Element()
     index = {n: i for i, n in enumerate(space.basis_names)}
     for start, end in zip(cuts, cuts[1:]):
         sign, chunk = stripped[start], stripped[start + 1:end].strip()

@@ -29,10 +29,6 @@ class InvalidYD(ValueError):
     pass
 
 
-class AntipodeNotInvertible(ValueError):
-    pass
-
-
 class InvalidRMatrix(ValueError):
     pass
 
@@ -45,7 +41,7 @@ class HopfPresentation:
     """Hopf algebra on a finite basis, given by structure-constant maps.
 
     mult: degree 2 -> 1, comult: 1 -> 2, counit: 1 -> 0 (empty word),
-    antipode: 1 -> 1.  The antipode inverse is computed on demand.
+    antipode: 1 -> 1.
     """
 
     def __init__(self, space, mult, unit, comult, counit, antipode):
@@ -55,16 +51,6 @@ class HopfPresentation:
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
-        self.antipode_inv = None
-
-    def antipode_inverse(self):
-        if self.antipode_inv is None:
-            try:
-                self.antipode_inv = map_invert_exact(self.antipode, self.space)
-            except Singular:
-                raise AntipodeNotInvertible(
-                    "antipode is singular on this presentation")
-        return self.antipode_inv
 
 
 def _program_map(space, degree, *steps):

@@ -81,10 +81,6 @@ class Element:
                     self.terms[key] = c
 
     @staticmethod
-    def zero():
-        return Element()
-
-    @staticmethod
     def basis(letters, cuts=(), coeff=None):
         c = coeff if coeff is not None else Scalar.one()
         return Element({(tuple(letters), tuple(cuts)): c})
@@ -139,7 +135,7 @@ class Element:
 
     def scale(self, s):
         if s.is_zero():
-            return Element.zero()
+            return Element()
         return Element({k: c * s for k, c in self.terms.items()})
 
     def degrees(self):
@@ -151,9 +147,6 @@ class Element:
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

@@ -23,7 +23,7 @@ import itertools
 from functools import cache
 
 from .braid import (apply_beta_letters, braid_lift_apply, enumerate_shuffles,
-                    perm_reduced_word, w_block)
+                    perm_inverse, perm_reduced_word, w_block)
 from .linear import (Element, Report, _leg_rows, _point, _program,
                      column_echelon_basis)
 from .scalars import Scalar
@@ -115,7 +115,7 @@ def _unshuffle_component(braiding, letters, p):
     of T_{w^{-1}} over the (p, n-p)-shuffles w, cut after p letters."""
     out = Element()
     for w in enumerate_shuffles(p, len(letters) - p):
-        img = braid_lift_apply(braiding, w.inverse(), letters)
+        img = braid_lift_apply(braiding, perm_inverse(w), letters)
         for (iw, _), s in img.terms.items():
             out.add_term((iw, (p,)), s)
     return out
@@ -202,7 +202,7 @@ def _slot_rows(report, space, degrees, label, rows):
 
 
 def apply_block_lift(braiding, w, x):
-    """T^beta_w for w permuting the tensor slots of x (slot count = w.n)."""
+    """T^beta_w for w permuting the tensor slots of x, len(w) of them."""
     beta = beta_slots(braiding)
     for i in reversed(perm_reduced_word(w)):
         x = apply_slots(beta, 2, i - 1, x)
@@ -320,7 +320,7 @@ def power_coproduct(i, comult, braiding):
 
     def coprod(letters, coeff=None):
         x = run(Element.basis(letters, (), coeff))
-        return apply_letter_lift(braiding, w_block(i).inverse(), x)
+        return apply_letter_lift(braiding, perm_inverse(w_block(i)), x)
     return coprod
 
 

@@ -6,7 +6,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ybalg.binfty import TwoYB, YBBase
-from ybalg.braid import Braiding, Perm, apply_beta_letters, braid_lift_apply
+from ybalg.braid import Braiding, apply_beta_letters, braid_lift_apply
 from ybalg.catalog import diagonal_braiding
 from ybalg.linear import Element, LinMap, Space, apply_at
 from ybalg.scalars import Scalar
@@ -20,10 +20,33 @@ def symbolic_diagonal(n):
     return diagonal_braiding(Q)
 
 
+def compose(v, w):
+    """The composition v o w of two permutations given by their tuples of
+    images: (v o w)(k) = v(w(k))."""
+    return tuple(v[k - 1] for k in w)
+
+
+def inversions(w):
+    """The inversion number l(w): the pairs of positions i < j with
+    w(i) > w(j)."""
+    return sum(1 for i, a in enumerate(w) for b in w[i + 1:] if a > b)
+
+
+def all_reduced_words(w):
+    """Every reduced expression of w as a list of generator indices, found
+    by stripping each descent in turn: the exhaustive reference for
+    Matsumoto's theorem, that a braid lift is the same on all of them."""
+    descents = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
+    if not descents:
+        return [[]]
+    return [word + [i] for i in descents for word in all_reduced_words(
+        w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:])]
+
+
 def braid_lift(w, braiding):
-    """T_w tabulated as a LinMap on V^{(x) n}, n = w.n: the reference form
-    of a braid lift, one column per basis word."""
-    return LinMap.tabulate(braiding.space, w.n,
+    """T_w tabulated as a LinMap on V^{(x) n}, n = len(w): the reference
+    form of a braid lift, one column per basis word."""
+    return LinMap.tabulate(braiding.space, len(w),
                            lambda word: braid_lift_apply(braiding, w, word))
 
 
@@ -31,11 +54,9 @@ def symmetrizer_image(k, braiding):
     """The quantum symmetrizer sum_{w in S_k} T_w tabulated as a LinMap on
     V^{(x) k}: the reference form of the degree-k part of the Nichols
     algebra, lifting all k! permutations on every basis word."""
-    perms = [Perm(p) for p in itertools.permutations(range(1, k + 1))]
-
     def column(word):
         acc = Element()
-        for w in perms:
+        for w in itertools.permutations(range(1, k + 1)):
             acc.add_scaled(braid_lift_apply(braiding, w, word))
         return acc
     return LinMap.tabulate(braiding.space, k, column)

@@ -9,15 +9,14 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import (dual_numbers_twoyb, flip_braiding, graded_base,
-                      negated, quasi_shuffle_reference, symbolic_diagonal,
-                      zero_base)
+from conftest import (all_reduced_words, dual_numbers_twoyb, flip_braiding,
+                      graded_base, negated, quasi_shuffle_reference,
+                      symbolic_diagonal, zero_base)
 from test_hopf import sign_action, z2_rmatrix
 from test_tensoralg import UNIT_SPLIT_KEPT, _mutant_kernel
 from ybalg import tensoralg
 from ybalg.binfty import from_2yb, antipode, qb_validate, star_product
-from ybalg.braid import (Perm, all_reduced_words, braid_lift_word,
-                         check_yang_baxter)
+from ybalg.braid import braid_lift_word, check_yang_baxter
 from ybalg.catalog import (WedgeAlgebra, diagonal_braiding, exterior_braiding,
                            exterior_relations_check, group_algebra_hopf,
                            qflip_compat_check)
@@ -117,15 +116,14 @@ def test_criterion_03_lifts_independent_of_reduced_word(capsys):
     failures = []
     b = exterior_braiding(2)
     from itertools import permutations
-    for images in permutations(range(1, 5)):
-        w = Perm(images)
+    for w in permutations(range(1, 5)):
         words = all_reduced_words(w)
         for letters in b.space.words(4):
             x = Element.basis(letters)
             ref = braid_lift_word(b, words[0], x)
             for word in words[1:]:
                 if braid_lift_word(b, word, x) != ref:
-                    failures.append((images, word, letters))
+                    failures.append((w, word, letters))
     report(capsys, 3,
            "braid lifts agree across all reduced words of every w in S_4",
            failures)

@@ -7,67 +7,107 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from conftest import (braid_lift, diagonal_braidings, first_failure,
-                      flip_braiding, sweedler_h4, symbolic_diagonal)
+from conftest import (all_reduced_words, braid_lift, compose,
+                      diagonal_braidings, first_failure, flip_braiding,
+                      inversions, sweedler_h4, symbolic_diagonal)
 from ybalg import braid
-from ybalg.braid import (Braiding, Perm, all_reduced_words,
-                         apply_beta_letters, braid_lift_word,
+from ybalg.braid import (Braiding, apply_beta_letters, braid_lift_word,
                          check_yang_baxter, chi, enumerate_shuffles,
-                         perm_reduced_word, w_block)
+                         perm_inverse, perm_reduced_word, w_block)
 from ybalg.catalog import WedgeAlgebra, diagonal_braiding, exterior_braiding
 from ybalg.hopf import yd_adjoint, yd_braiding
 from ybalg.linear import Element, LinMap, Space, apply_at
 from ybalg.scalars import Scalar, parse_scalar
+from ybalg.tensoralg import apply_letter_lift
 
 
 def all_perms(n):
-    return [Perm(p) for p in permutations(range(1, n + 1))]
+    return list(permutations(range(1, n + 1)))
 
 
 def test_perm_basics():
-    w = Perm((2, 3, 1))
-    assert w(1) == 2
-    assert (w * w.inverse()) == Perm.identity(3)
-    assert w.inversions() == 2
+    w = (2, 3, 1)
+    assert compose(w, (1, 3, 2)) == (2, 1, 3)
+    assert perm_inverse(w) == (3, 1, 2)
+    assert inversions(w) == 2
 
 
 def test_reduced_word_is_reduced():
-    for w in all_perms(4):
-        word = perm_reduced_word(w)
-        assert len(word) == w.inversions()
-        rebuilt = Perm.identity(4)
-        for i in word:
-            rebuilt = rebuilt * Perm.transposition(4, i)
-        assert rebuilt == w
+    # every w in S_n, n <= 5: perm_inverse is a two-sided inverse, and the
+    # reduced word has l(w) letters and rebuilds w as s_{i_1} ... s_{i_l}
+    for n in range(6):
+        identity = tuple(range(1, n + 1))
+        for w in all_perms(n):
+            inv = perm_inverse(w)
+            assert compose(w, inv) == compose(inv, w) == identity
+            word = perm_reduced_word(w)
+            assert len(word) == inversions(w)
+            rebuilt = identity
+            for i in word:
+                rebuilt = compose(rebuilt, identity[:i - 1] + (i + 1, i)
+                                  + identity[i + 1:])
+            assert rebuilt == w
 
 
 def test_all_reduced_words_longest_element():
-    w0 = Perm((3, 2, 1))
-    words = all_reduced_words(w0)
+    words = all_reduced_words((3, 2, 1))
     assert sorted(map(tuple, words)) == [(1, 2, 1), (2, 1, 2)]
 
 
 def test_shuffle_count():
     assert len(enumerate_shuffles(2, 2)) == 6
     for w in enumerate_shuffles(2, 3):
-        assert list(w.images[:2]) == sorted(w.images[:2])
-        assert list(w.images[2:]) == sorted(w.images[2:])
+        assert list(w[:2]) == sorted(w[:2])
+        assert list(w[2:]) == sorted(w[2:])
     # lexicographic on image sequences, the order combinations yields
     for p in range(7):
         for q in range(7):
-            images = [w.images for w in enumerate_shuffles(p, q)]
-            assert images == sorted(images)
+            shuffles = list(enumerate_shuffles(p, q))
+            assert shuffles == sorted(shuffles)
 
 
 def test_chi_images():
-    assert chi(2, 1).images == (2, 3, 1)
-    assert chi(1, 2).images == (3, 1, 2)
-    assert chi(2, 2).inversions() == 4
+    assert chi(2, 1) == (2, 3, 1)
+    assert chi(1, 2) == (3, 1, 2)
+    assert inversions(chi(2, 2)) == 4
 
 
 def test_w_block_interleaves():
-    assert w_block(2).images == (1, 3, 2, 4)
-    assert w_block(3).images == (1, 3, 5, 2, 4, 6)
+    assert w_block(2) == (1, 3, 2, 4)
+    assert w_block(3) == (1, 3, 5, 2, 4, 6)
+
+
+def _inverse_lift_mismatches(b):
+    """The pairs (w, word) with w in S_n, n <= 4, on whose basis word the
+    lift of perm_inverse(w) does not undo the lift of w.  On an involutive
+    braiding the lifts form a representation of S_n, so there are none;
+    otherwise already T_{s_i} T_{s_i} = sigma^2 at legs i, i+1 is not the
+    identity."""
+    out = []
+    for n in range(5):
+        for w in all_perms(n):
+            for word in b.space.words(n):
+                x = Element.basis(word)
+                back = apply_letter_lift(b, perm_inverse(w),
+                                         apply_letter_lift(b, w, x))
+                if back != x:
+                    out.append((w, word))
+    return out
+
+
+@pytest.mark.parametrize("build", [lambda: flip_braiding(2),
+                                   lambda: WedgeAlgebra(2).braiding],
+                         ids=["flip-2", "qflip-2"])
+def test_inverse_lift_undoes_the_lift_when_involutive(build):
+    assert _inverse_lift_mismatches(build()) == []
+
+
+def test_inverse_lift_is_no_inverse_on_a_non_involutive_braiding():
+    # sigma^2 != id on the deformed flip, so the lift of perm_inverse(w),
+    # the braid s_{i_l} ... s_{i_1}, is not the inverse braid of T_w
+    mismatches = _inverse_lift_mismatches(exterior_braiding(2))
+    assert len(mismatches) == 318
+    assert ((2, 1), (0, 1)) in mismatches
 
 
 def test_flip_is_braiding():

@@ -1,6 +1,6 @@
 """Source-tree checks: every module-level private function and constant of
 the library has a caller in the library, every public module-level function
-is used by the library or its tests, every private attribute the library
+and class is used by the library or its tests, every private attribute the library
 sets on an object is read by the library, and every name a library module
 imports is used by that module."""
 
@@ -77,14 +77,14 @@ def unreferenced_private_names(root=SRC):
     return sorted("%s.%s" % d for d in defined - used)
 
 
-def unreferenced_public_functions(root=ROOT):
-    """Sorted "module.name" of every public module-level function of the
-    library under root/src that no code under root/src or root/tests
-    imports, loads or calls outside its own body."""
+def unreferenced_public_names(root=ROOT):
+    """Sorted "module.name" of every public module-level function or class
+    of the library under root/src that no code under root/src or
+    root/tests imports, loads or calls outside its own body."""
     library = {p.stem: ast.parse(p.read_text())
                for p in root.glob("src/*/*.py")}
     defined = {(m, node.name) for m, t in library.items() for node in t.body
-               if isinstance(node, ast.FunctionDef)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")}
     used = set()
     for path in [*root.glob("src/*/*.py"), *root.glob("tests/*.py")]:
@@ -171,7 +171,7 @@ def test_unreferenced_private_name_is_reported(tmp_path):
 
 
 def test_every_public_function_is_used():
-    assert unreferenced_public_functions() == []
+    assert unreferenced_public_names() == []
 
 
 def test_unreferenced_public_function_is_reported(tmp_path):
@@ -197,7 +197,31 @@ def test_unreferenced_public_function_is_reported(tmp_path):
         "from pkg.b import user\n\n\ndef test_user():\n"
         "    from pkg.a import local\n"
         "    assert user() + a.by_attribute() == local() + 1\n")
-    assert unreferenced_public_functions(tmp_path) == ["a.dead", "a.spin"]
+    assert unreferenced_public_names(tmp_path) == ["a.dead", "a.spin"]
+
+
+def test_unreferenced_public_class_is_reported(tmp_path):
+    # a class that only its own methods build and an exception class left
+    # behind by its last raiser, beside a class a sibling subclasses, one
+    # a sibling raises and one a test builds
+    lib, tests = tmp_path / "src" / "pkg", tmp_path / "tests"
+    lib.mkdir(parents=True)
+    tests.mkdir()
+    (lib / "a.py").write_text(
+        "class Perm:\n    @staticmethod\n    def identity(n):\n"
+        "        return Perm()\n\n\n"
+        "class NotInvertible(ValueError):\n    pass\n\n\n"
+        "class Base:\n    pass\n\n\n"
+        "class Refused(ValueError):\n    pass\n\n\n"
+        "class Built:\n    pass\n")
+    (lib / "b.py").write_text(
+        "from .a import Base, Refused\n\n\nclass Child(Base):\n"
+        "    def check(self):\n        raise Refused('no')\n")
+    (tests / "test_b.py").write_text(
+        "from pkg.a import Built\nfrom pkg.b import Child\n\n\n"
+        "def test_child():\n    Child(), Built()\n")
+    assert unreferenced_public_names(tmp_path) == ["a.NotInvertible",
+                                                   "a.Perm"]
 
 
 def test_every_private_attribute_is_read():

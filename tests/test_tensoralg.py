@@ -13,7 +13,7 @@ from conftest import (assert_associative, braid_lift, diagonal_braidings,
 from ybalg import tensoralg
 from ybalg.binfty import qb_validate, quasi_shuffle, star_product
 from ybalg.braid import (Braiding, apply_beta_letters, check_yang_baxter,
-                         w_block)
+                         perm_inverse, w_block)
 from ybalg.catalog import cartan_qmatrix, diagonal_braiding, exterior_braiding
 from ybalg.linear import (Element, LinMap, Space, column_echelon_basis,
                           tensor_elements)
@@ -244,13 +244,37 @@ def test_quantum_coproduct_counit():
     assert left == x
 
 
+def _delta_beta_forms_agree(b):
+    """Delta_beta^{(n)} by iteration and as T_{w_{n+1}} of the cut factors
+    agree on every one-cut basis word of degree <= 3, n in {1, 2}."""
+    for d in range(4):
+        for letters in b.space.words(d):
+            for cut in range(d + 1):
+                x = Element.basis(letters, cuts=(cut,))
+                for n in (1, 2):
+                    assert delta_beta_iter(b, x, n) \
+                        == delta_beta_via_w(b, x, n), (letters, cut, n)
+
+
 def test_delta_beta_matches_w_form():
-    b = symbolic_diagonal(2)
-    for letters in b.space.words(3):
-        for cut in range(4):
-            x = Element.basis(letters, cuts=(cut,))
-            for n in (1, 2):
-                assert delta_beta_iter(b, x, n) == delta_beta_via_w(b, x, n)
+    for b in (symbolic_diagonal(2), exterior_braiding(2)):
+        _delta_beta_forms_agree(b)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_braidings())
+def test_generated_delta_beta_matches_w_form(b):
+    _delta_beta_forms_agree(b)
+
+
+def test_delta_beta_forms_catch_an_unbraided_w_form(monkeypatch):
+    # w_{n+1} replaced by the identity: the w form then only cuts
+    monkeypatch.setattr(tensoralg, "w_block",
+                        lambda i: tuple(range(1, 2 * i + 1)))
+    with pytest.raises(AssertionError):
+        first_failure(diagonal_braidings(), _delta_beta_forms_agree)
+    with pytest.raises(AssertionError):
+        _delta_beta_forms_agree(exterior_braiding(2))
 
 
 def _reference_delta_beta(braiding, x):
@@ -408,7 +432,7 @@ def test_power_structures_match_lifted_tensor_maps(make, i):
     mult_i = reduce(LinMap.tensor, [mult] * i)
     comult_i = reduce(LinMap.tensor, [comult] * i)
     ref_prod = mult_i.compose(braid_lift(w_block(i), b))
-    ref_coprod = braid_lift(w_block(i).inverse(), b).compose(comult_i)
+    ref_coprod = braid_lift(perm_inverse(w_block(i)), b).compose(comult_i)
     for w in b.space.words(2 * i):
         assert prod(w) == ref_prod.column(w)
         assert prod(w, q) == ref_prod.column(w).scale(q)
