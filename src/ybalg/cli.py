@@ -17,6 +17,7 @@ refusals as the CLI.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -204,6 +205,12 @@ def _suite_entries(session, target, suite, bound):
                             % type(obj).__name__)
     if suite not in suites:
         raise SuiteMismatch("suite %r does not apply to %s" % (suite, what))
+    if suites == _BRAIDING_SUITES and bound > session.degree_cap:
+        # a braiding's rows run over dim^bound cases per triple: the
+        # session's cap bounds them, as a tower's own cap bounds qb_validate
+        raise tensoralg.DegreeCapExceeded(
+            "--bound %d exceeds the session's degree cap %d"
+            % (bound, session.degree_cap))
     return [{"identity": e["identity"], "ok": bool(e["ok"]),
              "witness": _witness_obj(e["witness"])}
             for e in run(obj, suite, bound).entries]
@@ -487,7 +494,10 @@ def cmd_compute(session, expression, fmt="text", cap=None):
     return 0, format_element(x, space)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The `ybalg` argument parser, built on the first call and reused by
+    every later request in the process; it holds no request's state."""
     parser = argparse.ArgumentParser(prog="ybalg")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -503,8 +513,13 @@ def main(argv=None):
     pc.add_argument("expression")
     pc.add_argument("--format", default="text", choices=["text", "json"])
     pc.add_argument("--cap", type=int, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    """One `ybalg` request; returns its exit code.  Only the parser is kept
+    between calls, so each request loads its session and runs cold."""
+    args = _parser().parse_args(argv)
     try:
         session = load_session(args.session)
         if args.command == "verify":

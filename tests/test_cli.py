@@ -1,5 +1,6 @@
 """Session loading, verification suites, and the expression evaluator."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -433,18 +434,66 @@ def test_compute_refuses_a_cancelled_top_degree_over_cap(tmp_path, capsys):
     assert capsys.readouterr().err == "error: degree 2 exceeds cap 1\n"
 
 
-def test_main_subprocess(tmp_path):
-    path = basic_session(tmp_path)
-    # the child imports ybalg from where these tests did
+def run_alone(argv):
+    """(exit code, stdout, stderr) of one request made in a fresh process,
+    which imports ybalg from where these tests did."""
     root = str(Path(ybalg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ybalg.cli", "compute", path,
-         "coproduct(e1)"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "1|e1 + e1|1"
+    proc = subprocess.run([sys.executable, "-m", "ybalg.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_subprocess(tmp_path):
+    code, out, _ = run_alone(["compute", basic_session(tmp_path),
+                              "coproduct(e1)"])
+    assert code == 0
+    assert out.strip() == "1|e1 + e1|1"
+
+
+def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
+    # every call of one process prints what the same call prints alone:
+    # no option of one call reaches the next, and a usage error leaves the
+    # parser fit for the next call
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    path = basic_session(tmp_path)
+    calls = [
+        ["compute", path, "shuffle(e1, e2*e1)", "--format", "json"],
+        ["compute", path, "shuffle(e1, e2*e1)"],
+        ["verify", path, "sigma", "--bound", "3", "--suite", "yb-algebra"],
+        ["verify", path, "sigma"],
+        ["verify", path, "sigma", "--suite", "nope"],
+        ["compute", path, "coproduct(e1*e2)"],
+    ]
+    seen = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        seen.append((code,) + tuple(capsys.readouterr()))
+    assert [s[0] for s in seen] == [0, 0, 0, 0, 2, 0]
+    report = json.loads(seen[3][1])
+    assert (report["bound"], report["suite"]) == (4, "all")
+    assert seen[4][2].startswith("usage: ybalg verify ")
+    for argv, got in zip(calls, seen):
+        assert got == run_alone(argv), argv
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    path = basic_session(tmp_path)
+    assert main(["compute", path, "shuffle(e1, e2)"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["compute", path, "shuffle(e1, e2)", "--format", "json"]) == 0
+    assert main(["verify", path, "sigma", "--bound", "3"]) == 0
+    assert built == []
 
 
 SIGMA = {"name": "sigma", "kind": "catalog", "address": "exterior:N=2"}
@@ -821,6 +870,36 @@ def test_main_verify_bound_above_tower_cap_exits_2(tmp_path, capsys):
                  "--bound", "6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "degree cap 5" in err
+
+
+def test_main_verify_bound_above_session_cap_exits_2(tmp_path, capsys,
+                                                    monkeypatch):
+    # a braiding's rows grow as dim^bound, so its bound is capped by the
+    # session before any triple is built; the signed flip shares its suites
+    data = {"version": 1, "degree_cap": 3, "objects": [
+        SIGMA,
+        {"name": "W", "kind": "catalog", "address": "qflip:N=2"},
+        {"name": "H", "kind": "catalog", "address": "groupalgebra:n=2"},
+        {"name": "base", "kind": "yb-base", "braiding": "sigma",
+         "mult": []},
+        {"name": "M", "kind": "quasishuffle", "base": "base",
+         "degree_cap": 4},
+    ]}
+    path = write_session(tmp_path, data)
+
+    def refuse(bound):
+        raise AssertionError("triples built for bound %d" % bound)
+    for target in ("sigma", "W"):
+        with monkeypatch.context() as m:
+            m.setattr(tensoralg, "triples", refuse)
+            assert main(["verify", path, target, "--bound", "4"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --bound 4 exceeds the session's degree cap 3\n"
+        assert main(["verify", path, target, "--bound", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["bound"] == 3
+    # a Hopf algebra takes no bound, and a tower keeps its own cap
+    assert main(["verify", path, "H", "--bound", "4"]) == 0
+    assert main(["verify", path, "M", "--bound", "4"]) == 0
 
 
 GOLDEN = Path(__file__).with_name("verify_reports_golden.json")
