@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from functools import cache
 
-from .braid import apply_beta_letters
 from .linear import (Element, FormatError, LinMap, Report, _checked,
                      _leg_rows, _legs, _on_basis, _point, apply_at,
                      linmap_from_obj, linmap_to_obj, tensor_elements)
@@ -110,8 +109,7 @@ def _cofree_terms(M, letters, cut):
             f = M.component(s, t)
             if f is None:
                 continue
-            img = apply_beta_letters(M.braiding, cut - s, t,
-                                     letters[s:cut + t])
+            img = beta_slots(M.braiding)((letters[s:cut + t], (cut - s,)))
             for (mw, _), c in img.terms.items():
                 head = f.apply_word(u[:s] + mw[:t]).terms.items()
                 if not head:

@@ -1,10 +1,11 @@
 """Symmetric group combinatorics and braid lifts.
 
 A permutation w of {1,...,n} is the tuple of its images (w(1), ..., w(n)),
-as in the second row of the two-row notation; by Matsumoto's theorem the
-lift T_w depends on nothing else.  The canonical reduced word comes from
-descent stripping, which is deterministic; each of its l(w) swaps restarts
-the scan for a descent, so it takes O(n l(w)) steps.
+as in the second row; a Braiding solves the YBE, so by Matsumoto's theorem
+T_w depends on nothing else and T_{vw} = T_v T_w when l(vw) = l(v) + l(w),
+which makes tensoralg's hexagon-built beta_{ij} equal to T_{chi_ij}.  The
+canonical reduced word, from descent stripping, is deterministic; each of
+its l(w) swaps restarts the scan for a descent: O(n l(w)) steps.
 """
 
 from __future__ import annotations
@@ -51,12 +52,6 @@ def enumerate_shuffles(p, q):
     points = range(1, p + q + 1)
     return tuple(first + tuple(v for v in points if v not in first)
                  for first in combinations(points, p))
-
-
-@cache
-def chi(i, j):
-    """chi_{ij} in S_{i+j}: k -> k+j for k <= i, k -> k-i otherwise."""
-    return tuple(range(j + 1, i + j + 1)) + tuple(range(1, j + 1))
 
 
 def w_block(i):
@@ -114,13 +109,6 @@ def braid_lift_apply(braiding, w, letters):
     res = braid_lift_word(braiding, perm_reduced_word(w), x)
     braiding._lift_cache[key] = res
     return res
-
-
-def apply_beta_letters(braiding, i, j, letters):
-    """beta_{ij} applied to a single concatenated word of degree i+j."""
-    if i == 0 or j == 0:
-        return Element.basis(letters)
-    return braid_lift_apply(braiding, chi(i, j), tuple(letters))
 
 
 def check_yang_baxter(sigma, space):

@@ -23,7 +23,7 @@ import re
 import sys
 
 from . import binfty, catalog, hopf, tensoralg
-from .braid import Braiding, apply_beta_letters
+from .braid import Braiding
 from .linear import (Element, FormatError, Report, _checked,
                      element_to_obj, linmap_from_obj, read_field)
 from .scalars import ScalarParseError, parse_scalar
@@ -216,10 +216,22 @@ def _suite_entries(session, target, suite, bound):
             for e in run(obj, suite, bound).entries]
 
 
+CASE_BUDGET = 100000  # the most row cases a braiding's verify runs
+
+
 def _braiding_report(b, suite, bound):
     """The shuffle-product and unshuffle-coproduct rows up to the bound,
     each suite opening with its own Yang-Baxter entry, which the braiding's
-    construction-time check decided."""
+    construction-time check decided, and one memo of its shuffles or
+    unshuffle components for all triples.  The C(n-1, 2) triples of degree
+    n run dim^n cases per row, counted before any row runs."""
+    rows, cases = 2 * (suite != "yb-coalgebra") + (suite != "yb-algebra"), 0
+    for n in range(3, bound + 1):
+        cases += rows * (n - 1) * (n - 2) // 2 * b.space.dim ** n
+        if cases > CASE_BUDGET:
+            raise tensoralg.DegreeCapExceeded(
+                "--bound %d needs more than the budget of %d row cases: %d "
+                "by degree %d" % (bound, CASE_BUDGET, cases, n))
     triples = tensoralg.triples(bound)
     report = Report()
 
@@ -232,16 +244,19 @@ def _braiding_report(b, suite, bound):
 
     if suite in ("yb-algebra", "all"):
         report.entries += [dict(e) for e in b.ybe.entries]
+        shuffle = functools.cache(lambda key: tensoralg.qshuffle_product(
+            Element.basis(key[0][:key[1][0]]),
+            Element.basis(key[0][key[1][0]:]), b))
         for i, j, k in triples:
             record("shuffle-product %d,%d,%d" % (i, j, k),
-                   tensoralg.check_tensor_yb_product(
-                       lambda x, y: tensoralg.qshuffle_product(x, y, b),
-                       b, i, j, k))
+                   tensoralg.check_tensor_yb_product(shuffle, b, i, j, k))
     if suite in ("yb-coalgebra", "all"):
         report.entries += [dict(e) for e in b.ybe.entries]
+        components = functools.cache(lambda p, key: (
+            tensoralg._unshuffle_component(b, key[0], p)))
         for p, q, r in triples:
             record("unshuffle-coproduct %d,%d,%d" % (p, q, r),
-                   tensoralg.check_tensor_yb_coproduct(b, p, q, r))
+                   tensoralg.check_tensor_yb_coproduct(components, b, p, q, r))
     return report
 
 
@@ -448,8 +463,9 @@ def _operation(session, op, args):
             if x.degrees() not in ([], [i + j]):
                 raise ParseError("braid(%d, %d) expects an element of "
                                  "degree %d" % (i, j, i + j))
-            return tensoralg._linear(
-                x, lambda u: apply_beta_letters(b, i, j, u), "braid")
+            beta = tensoralg.beta_slots(b)
+            y = tensoralg._linear(x, lambda u: beta((u, (i,))), "braid")
+            return Element({(w, ()): c for (w, _), c in y.terms.items()})
         return b.space, args[3:], run
     raise ParseError("unknown operation %r" % op)
 

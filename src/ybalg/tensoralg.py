@@ -13,18 +13,20 @@ given on words is the linear extension by `_linear`.
 Maps on whole tensor slots run as slot programs: chains of `apply_slots`
 steps, the graded-slot analogue of linear.apply_at, each summing its image
 terms in place; a braiding keeps one beta slot map, shared by all of them.
-The Def 2.1 rows on V and on T(V) are pairs of leg or slot programs checked
-by Report.check.
+Its images, built by the hexagon steps, are T_{chi_ij} exactly: the lengths
+of each step's two factors add, and sigma solves the YBE (Matsumoto).  The
+Def 2.1 rows on V and on T(V) are pairs of leg or slot programs checked by
+Report.check.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import partial
 
-from .braid import (apply_beta_letters, braid_lift_apply, enumerate_shuffles,
-                    perm_inverse, perm_reduced_word, w_block)
-from .linear import (Element, Report, _leg_rows, _point, _program,
+from .braid import (braid_lift_apply, enumerate_shuffles, perm_inverse,
+                    perm_reduced_word, w_block)
+from .linear import (Element, Report, _leg_rows, _point, _program, apply_at,
                      column_echelon_basis)
 from .scalars import Scalar
 
@@ -164,18 +166,35 @@ def apply_slots(f, arity, pos, x):
 def beta_slots(braiding):
     """beta as a slot map on two slots: u | v -> beta_{ij}(u v), cut after
     the j = len(v) letters that come first.  Its images are kept on the
-    braiding, one map per braiding, shared by every slot program on it."""
+    braiding, and each is built in a loop up from the longest image kept:
+        beta_{ij}(u | v a) = (id (x) beta_{i1})(beta_{i,j-1}(u | v) (x) a),
+        beta_{i1}(b u | a) = (sigma (x) id)(b (x) beta_{i-1,1}(u | a))."""
     images = braiding._beta_slot_cache
 
     def beta(key):
-        res = images.get(key)
-        if res is None:
+        steps = []
+        while key not in images:
+            letters, (i,) = key
+            if not 0 < i < len(letters):
+                images[key] = Element.basis(letters, (len(letters) - i,))
+            else:
+                steps.append(key)
+                key = ((letters[:-1], (i,)) if len(letters) - i > 1
+                       else (letters[1:], (i - 1,)))
+        for key in reversed(steps):
             letters, (i,) = key
             j = len(letters) - i
-            img = apply_beta_letters(braiding, i, j, letters)
-            res = images[key] = Element({(w, (j,)): c
-                                        for (w, _), c in img.terms.items()})
-        return res
+            if j == 1:
+                prev = images[(letters[1:], (i - 1,))].terms.items()
+                images[key] = apply_at(braiding.fwd, 0, Element(
+                    {(letters[:1] + w, (1,)): c for (w, _), c in prev}))
+                continue
+            res = images[key] = Element()
+            for (w, _), c in images[(letters[:-1], (i,))].terms.items():
+                tail = beta((w[j - 1:] + letters[-1:], (i,)))
+                for (x, _), d in tail.terms.items():
+                    res.add_term((w[:j - 1] + x, (j,)), d * c)
+        return images[key]
     return beta
 
 
@@ -201,14 +220,6 @@ def _slot_rows(report, space, degrees, label, rows):
     return report
 
 
-def apply_block_lift(braiding, w, x):
-    """T^beta_w for w permuting the tensor slots of x, len(w) of them."""
-    beta = beta_slots(braiding)
-    for i in reversed(perm_reduced_word(w)):
-        x = apply_slots(beta, 2, i - 1, x)
-    return x
-
-
 # -- braided coproduct on the pair coalgebra ------------------------------
 
 def delta_beta(braiding, x):
@@ -228,6 +239,7 @@ def _first_factor_delta_beta(braiding, x, reduced):
     with both pairs u1|v1 and u2|v2 nonempty, leaving out the unit splits
     1_C (x) u|v and u|v (x) 1_C; on the empty pair, where those are one
     split, it is Delta - 1_C (x) x - x (x) 1_C = -1_C (x) 1_C."""
+    beta = beta_slots(braiding)
     out = Element()
     for (letters, cuts), c in x.terms.items():
         cut, rest = cuts[0], cuts[1:]
@@ -244,8 +256,7 @@ def _first_factor_delta_beta(braiding, x, reduced):
                                          or a == cut and b == end)):
                         out.add_term((letters, ncuts), c)
                     continue
-                img = apply_beta_letters(braiding, cut - a, b - cut,
-                                         letters[a:b])
+                img = beta((letters[a:b], (cut - a,)))
                 for (mw, _), s in img.terms.items():
                     out.add_term((letters[:a] + mw + letters[b:], ncuts),
                                  s * c)
@@ -265,14 +276,16 @@ def delta_beta_iter(braiding, x, n, reduced=False):
 def delta_beta_via_w(braiding, x, n):
     """T^beta_{w_{n+1}} o (delta^{(n)})^{(x) 2} on a pair element: each
     slot of u | v is cut at every weak n-tuple of positions, v's first,
-    then the 2(n+1) slots are braided by apply_block_lift."""
+    then the 2(n+1) slots are braided by T^beta_{w_{n+1}}."""
     if any(len(cuts) != 1 for _, cuts in x.terms):
         raise ValueError("expects one cut")
 
     def cut(key):
         return _splits(key[0], n)
-    return apply_block_lift(braiding, w_block(n + 1),
-                            apply_slots(cut, 1, 0, apply_slots(cut, 1, 1, x)))
+    x = apply_slots(cut, 1, 0, apply_slots(cut, 1, 1, x))
+    for i in reversed(perm_reduced_word(w_block(n + 1))):
+        x = apply_slots(beta_slots(braiding), 2, i - 1, x)
+    return x
 
 
 # -- the Nichols algebra ---------------------------------------------------
@@ -378,19 +391,15 @@ def triples(bound):
             if sum(t) <= bound]
 
 
-def check_tensor_yb_product(product, braiding, i, j, k):
+def check_tensor_yb_product(prod, braiding, i, j, k):
     """Def 2.1 product rows for a (possibly inhomogeneous) product on T(V).
 
-    `product` maps two plain Elements to a plain Element.  The rows are
-    slot programs on u | v | w with deg (i, j, k), so both sides carry one
-    cut; Report entries "row-1" and "row-2", each case named (u, v, w).
+    `prod` is the product as a slot map on two slots, u | v -> u v.  The
+    rows are slot programs on u | v | w with deg (i, j, k), so both sides
+    carry one cut; Report entries "row-1" and "row-2", each case named
+    (u, v, w).
     """
-    def split_product(key):
-        letters, (c,) = key
-        return product(Element.basis(letters[:c]), Element.basis(letters[c:]))
-
     beta = beta_slots(braiding)
-    prod = cache(split_product)
     return _slot_rows(Report(), braiding.space, (i, j, k), tuple, [
         # beta(prod (x) id) = (id (x) prod) beta_1 beta_2
         ("row-1", [(prod, 2, 0), (beta, 2, 0)],
@@ -400,14 +409,13 @@ def check_tensor_yb_product(product, braiding, i, j, k):
          [(beta, 2, 0), (beta, 2, 1), (prod, 2, 0)])])
 
 
-def check_tensor_yb_coproduct(braiding, p, q, r):
+def check_tensor_yb_coproduct(components, braiding, p, q, r):
     """Def 2.1 coalgebra row for the quantum coproduct on T(V).
 
-    Checks its (p, q) component against beta on x | y with deg (p+q, r): a
-    Report entry "corow-1", each case named (x, y, p).
+    Checks its (p, q) component, components(p, key), against beta on x | y
+    with deg (p+q, r): a Report entry "corow-1", each case named (x, y, p).
     """
-    beta = beta_slots(braiding)
-    cop = cache(lambda key: _unshuffle_component(braiding, key[0], p))
+    beta, cop = beta_slots(braiding), partial(components, p)
     return _slot_rows(Report(), braiding.space, (p + q, r),
                       lambda ws: ws + (p,), [
         # sigma_1 sigma_2 (Delta (x) id) = (id (x) Delta) beta

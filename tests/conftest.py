@@ -1,16 +1,17 @@
 """Shared fixtures: small braided spaces and algebra bases used across tests."""
 
 import itertools
+from functools import cache
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ybalg.binfty import TwoYB, YBBase
-from ybalg.braid import Braiding, apply_beta_letters, braid_lift_apply
+from ybalg.braid import Braiding, braid_lift_apply
 from ybalg.catalog import diagonal_braiding
 from ybalg.linear import Element, LinMap, Space, apply_at
 from ybalg.scalars import Scalar
-from ybalg.tensoralg import _bilinear
+from ybalg.tensoralg import _bilinear, _unshuffle_component
 
 
 def symbolic_diagonal(n):
@@ -41,6 +42,32 @@ def all_reduced_words(w):
         return [[]]
     return [word + [i] for i in descents for word in all_reduced_words(
         w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:])]
+
+
+def chi(i, j):
+    """chi_{ij} in S_{i+j}: k -> k+j for k <= i, k -> k-i otherwise."""
+    return tuple(range(j + 1, i + j + 1)) + tuple(range(1, j + 1))
+
+
+def beta_lift(braiding, i, j, letters):
+    """beta_{ij} = T_{chi_ij} on one word of degree i+j, as plain words,
+    lifted from chi_ij's reduced word: the reference for the hexagon-built
+    images of tensoralg.beta_slots, which it does not go through."""
+    return braid_lift_apply(braiding, chi(i, j), tuple(letters))
+
+
+def split_product(product):
+    """A product of plain Elements as the slot map u | v -> product(u, v)
+    that check_tensor_yb_product takes, each image computed once."""
+    return cache(lambda key: product(Element.basis(key[0][:key[1][0]]),
+                                     Element.basis(key[0][key[1][0]:])))
+
+
+def unshuffle_components(braiding):
+    """The components of the quantum coproduct as check_tensor_yb_coproduct
+    takes them: (p, key) -> the (p, n-p) component of the word key[0], each
+    computed once."""
+    return cache(lambda p, key: _unshuffle_component(braiding, key[0], p))
 
 
 def braid_lift(w, braiding):
@@ -187,13 +214,13 @@ def quasi_shuffle_reference(x, y, base):
             for (wl, _), c in t1.terms.items():
                 res.add_term((wl + v[-1:], ()), c)
             # beta_1j moves the last letter a of u past v; recurse on the rest
-            moved = apply_beta_letters(base.braiding, 1, j, a + v)
+            moved = beta_lift(base.braiding, 1, j, a + v)
             for (wl, _), c in moved.terms.items():
                 rec = words(u[:-1], wl[:j])
                 for (rl, _), s in rec.terms.items():
                     res.add_term((rl + wl[j:], ()), s * c)
             # beta_1,j-1 stops a one letter short; close with the base product
-            moved = apply_beta_letters(base.braiding, 1, j - 1, a + v[:-1])
+            moved = beta_lift(base.braiding, 1, j - 1, a + v[:-1])
             for (wl, _), c in moved.terms.items():
                 prod = base.mult.apply_word(wl[j - 1:] + v[-1:])
                 if prod.is_zero():

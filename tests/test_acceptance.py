@@ -11,7 +11,8 @@ import pytest
 
 from conftest import (all_reduced_words, dual_numbers_twoyb, flip_braiding,
                       graded_base, negated, quasi_shuffle_reference,
-                      symbolic_diagonal, zero_base)
+                      split_product, symbolic_diagonal, unshuffle_components,
+                      zero_base)
 from test_hopf import sign_action, z2_rmatrix
 from test_tensoralg import UNIT_SPLIT_KEPT, _mutant_kernel
 from ybalg import tensoralg
@@ -82,14 +83,15 @@ def test_criterion_02_shuffle_algebra_rows(capsys):
     for name, b in (("deformed flip N=2", exterior_braiding(2)),
                     ("diagonal dim 2", symbolic_diagonal(2))):
         prod = lambda x, y, bb=b: qshuffle_product(x, y, bb)
+        shuffle, components = split_product(prod), unshuffle_components(b)
         for i, j, k in iproduct(range(1, 4), repeat=3):
             if i + j + k > 5:
                 continue
-            rep = check_tensor_yb_product(prod, b, i, j, k)
+            rep = check_tensor_yb_product(shuffle, b, i, j, k)
             if not rep.ok:
                 failures.append((name, "product rows", (i, j, k),
                                  rep.failures()[0]))
-            rep = check_tensor_yb_coproduct(b, i, j, k)
+            rep = check_tensor_yb_coproduct(components, b, i, j, k)
             if not rep.ok:
                 failures.append((name, "coproduct rows", (i, j, k),
                                  rep.failures()[0]))

@@ -7,18 +7,18 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from conftest import (all_reduced_words, braid_lift, compose,
+from conftest import (all_reduced_words, braid_lift, chi, compose,
                       diagonal_braidings, first_failure, flip_braiding,
                       inversions, sweedler_h4, symbolic_diagonal)
 from ybalg import braid
-from ybalg.braid import (Braiding, apply_beta_letters, braid_lift_word,
-                         check_yang_baxter, chi, enumerate_shuffles,
-                         perm_inverse, perm_reduced_word, w_block)
+from ybalg.braid import (Braiding, braid_lift_word, check_yang_baxter,
+                         enumerate_shuffles, perm_inverse, perm_reduced_word,
+                         w_block)
 from ybalg.catalog import WedgeAlgebra, diagonal_braiding, exterior_braiding
 from ybalg.hopf import yd_adjoint, yd_braiding
 from ybalg.linear import Element, LinMap, Space, apply_at
 from ybalg.scalars import Scalar, parse_scalar
-from ybalg.tensoralg import apply_letter_lift
+from ybalg.tensoralg import apply_letter_lift, beta_slots
 
 
 def all_perms(n):
@@ -227,7 +227,7 @@ def test_beta_unit_components_are_identity():
     b = symbolic_diagonal(2)
     assert braid_lift(chi(0, 2), b).equals(LinMap.identity(b.space, 2),
                                            b.space, 2)
-    assert apply_beta_letters(b, 2, 0, (0, 1)) == Element.basis((0, 1))
+    assert beta_slots(b)(((0, 1), (2,))) == Element.basis((0, 1), (0,))
 
 
 def test_beta_diagonal_scalar():
@@ -235,9 +235,9 @@ def test_beta_diagonal_scalar():
     # beta_{11} = sigma
     assert braid_lift(chi(1, 1), b).equals(b.fwd, b.space, 2)
     # on a diagonal braiding, beta_{ij} is the block flip times the product
-    res = apply_beta_letters(b, 2, 1, (0, 1, 0))
+    res = beta_slots(b)(((0, 1, 0), (2,)))
     coeff = Scalar.q_power(1) * Scalar.q_power(3)  # q_{00} q_{10}
-    assert res == Element.basis((0, 0, 1), coeff=coeff)
+    assert res == Element.basis((0, 0, 1), (1,), coeff=coeff)
 
 
 def test_braiding_keeps_its_yang_baxter_report():

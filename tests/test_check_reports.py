@@ -11,7 +11,8 @@ import json
 from pathlib import Path
 
 from conftest import (dual_numbers_twoyb, flip_braiding, graded_base,
-                      symbolic_diagonal, sweedler_h4, zero_base)
+                      split_product, symbolic_diagonal, sweedler_h4,
+                      unshuffle_components, zero_base)
 from ybalg.binfty import QBStructure, TwoYB, YBBase, qb_validate
 from ybalg.braid import Braiding, check_yang_baxter
 from ybalg.catalog import (WedgeAlgebra, diagonal_braiding,
@@ -95,18 +96,20 @@ def _cases():
     shuffles = [("exterior-2", ext, 4), ("forced", forced, 4),
                 ("diagonal-2", symbolic_diagonal(2), 4)]
     for name, b, bound in shuffles:
-        prod = lambda x, y, b=b: qshuffle_product(x, y, b)
+        prod = split_product(lambda x, y, b=b: qshuffle_product(x, y, b))
+        components = unshuffle_components(b)
         for t in _triples(bound):
             label = "%s/%d,%d,%d" % ((name,) + t)
             cases["tensor-product/" + label] = \
                 lambda b=b, prod=prod, t=t: check_tensor_yb_product(
                     prod, b, *t)
             cases["tensor-coproduct/" + label] = \
-                lambda b=b, t=t: check_tensor_yb_coproduct(b, *t)
+                lambda b=b, c=components, t=t: check_tensor_yb_coproduct(
+                    c, b, *t)
+    mismatched = split_product(_mismatched_shuffle())
     for t in _triples(4):
         cases["tensor-product/mismatched/%d,%d,%d" % t] = \
-            lambda t=t: check_tensor_yb_product(_mismatched_shuffle(), ext,
-                                                *t)
+            lambda t=t: check_tensor_yb_product(mismatched, ext, *t)
 
     g = graded_base()
     sd = symbolic_diagonal(2)

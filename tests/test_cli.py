@@ -5,15 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ybalg
-from conftest import braid_lift
+from conftest import braid_lift, chi
 from ybalg import binfty, braid, cli, hopf, tensoralg
 from ybalg.binfty import QBStructure, YBBase, qb_from_obj, qb_to_obj
-from ybalg.braid import Braiding, check_yang_baxter, chi
+from ybalg.braid import Braiding, check_yang_baxter
 from ybalg.catalog import (WedgeAlgebra, diagonal_braiding,
                            exterior_braiding, group_algebra_hopf)
 from ybalg.cli import (ParseError, Session, SuiteMismatch, UnknownTarget,
@@ -21,7 +22,7 @@ from ybalg.cli import (ParseError, Session, SuiteMismatch, UnknownTarget,
                        compute_expression, format_element, load_session,
                        main, _parse_element, _split_args)
 from ybalg.hopf import hopf_to_obj, yd_adjoint, yd_regular, yd_to_obj
-from ybalg.linear import (Element, FormatError, LinMap, Space,
+from ybalg.linear import (Element, FormatError, LinMap, Report, Space,
                           element_from_obj, linmap_from_obj, linmap_to_obj)
 from ybalg.scalars import Scalar, parse_scalar
 
@@ -206,9 +207,15 @@ def test_compute_braid_golden(tmp_path):
 
 
 def test_compute_braid_lifts_only_the_operand_words(tmp_path):
+    # beta_33 is built for the operand word alone, from shorter images,
+    # not tabulated on the 2^6 words of degree 6, and lifts no permutation
     session = load_session(basic_session(tmp_path))
     compute_expression(session, "braid(sigma, 3, 3, e1*e2*e1*e2*e1*e2)")
-    assert len(session.get("sigma")._lift_cache) == 1
+    sigma = session.get("sigma")
+    assert [key for key in sigma._beta_slot_cache if len(key[0]) == 6] == \
+        [((0, 1, 0, 1, 0, 1), (3,))]
+    assert len(sigma._beta_slot_cache) < 2 ** 6
+    assert not sigma._lift_cache
 
 
 @pytest.mark.parametrize("i, j", [(40, 0), (20, 20)])
@@ -216,7 +223,8 @@ def test_compute_braid_of_zero_lifts_nothing(tmp_path, i, j):
     session = load_session(basic_session(tmp_path))
     assert cmd_compute(session, "braid(sigma, %d, %d, 0)" % (i, j)) == \
         (0, "0")
-    assert not session.get("sigma")._lift_cache
+    sigma = session.get("sigma")
+    assert not sigma._beta_slot_cache and not sigma._lift_cache
 
 
 BRAID_DIFFERENTIAL = [
@@ -257,10 +265,11 @@ def test_compute_braid_matches_tabulated_beta(make):
 
 
 def test_compute_braid_differential_catches_swapped_degrees(monkeypatch):
-    apply_beta_letters = cli.apply_beta_letters
-    monkeypatch.setattr(cli, "apply_beta_letters",
-                        lambda b, i, j, letters: apply_beta_letters(
-                            b, j, i, letters))
+    # beta_ji where beta_ij is asked for: the cut moved to len(u v) - i
+    beta_slots = tensoralg.beta_slots
+    monkeypatch.setattr(tensoralg, "beta_slots",
+                        lambda b: lambda key: beta_slots(b)(
+                            (key[0], (len(key[0]) - key[1][0],))))
     for _, make in BRAID_DIFFERENTIAL:
         assert _braid_mismatches(make)
 
@@ -402,7 +411,7 @@ OVER_CAP = [
     ("star(M, e1*e2*e1, e1*e2*e1)", 6, binfty, "star_product"),
     ("antipode(M, e1*e2*e1*e2*e1)", 5, binfty, "antipode"),
     ("coproduct(e1*e2*e1*e2*e1, sigma)", 5, tensoralg, "deconcatenate"),
-    ("braid(sigma, 3, 3, e1*e2*e1*e2*e1*e2)", 6, cli, "apply_beta_letters"),
+    ("braid(sigma, 3, 3, e1*e2*e1*e2*e1*e2)", 6, tensoralg, "beta_slots"),
 ]
 
 
@@ -900,6 +909,111 @@ def test_main_verify_bound_above_session_cap_exits_2(tmp_path, capsys,
     # a Hopf algebra takes no bound, and a tower keeps its own cap
     assert main(["verify", path, "H", "--bound", "4"]) == 0
     assert main(["verify", path, "M", "--bound", "4"]) == 0
+
+
+# a braiding's suites at bound 4 on dim 2: the triples of degree 3 and 4
+# hold 8 + 3 * 16 = 56 cases for each row, two product rows and one
+# coproduct row
+SUITE_CASES = {"all": 168, "yb-algebra": 112, "yb-coalgebra": 56}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_CASES))
+def test_verify_counts_its_cases_against_the_budget(tmp_path, capsys,
+                                                     monkeypatch, suite):
+    path = write_session(tmp_path, {"version": 1, "objects": [SIGMA]})
+    argv = ["verify", path, "sigma", "--suite", suite, "--bound", "4"]
+    cases = SUITE_CASES[suite]
+    # the count is the number of cases the rows then run
+    ran = []
+    check = Report.check
+    session = load_session(path)
+    with monkeypatch.context() as m:
+        m.setattr(Report, "check", lambda self, identity, it: check(
+            self, identity, ran.append(list(it)) or ran[-1]))
+        assert cmd_verify(session, "sigma", suite, 4)[0] == 0
+    assert sum(map(len, ran)) == cases
+    # a count at the budget runs, one above it is refused
+    monkeypatch.setattr(cli, "CASE_BUDGET", cases)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "CASE_BUDGET", cases - 1)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: --bound 4 needs more than the budget of %d row cases: "
+        "%d by degree 4\n" % (cases - 1, cases))
+
+
+def test_verify_over_the_case_budget_exits_2_before_any_row(tmp_path, capsys,
+                                                            monkeypatch):
+    # the session's cap allows bound 40, whose rows would run some 10^15
+    # cases on dim 2: the count passes the budget at degree 10
+    path = write_session(tmp_path, {"version": 1, "degree_cap": 40,
+                                    "objects": [SIGMA]})
+
+    def refuse(bound):
+        raise AssertionError("triples built for bound %d" % bound)
+    monkeypatch.setattr(tensoralg, "triples", refuse)
+    start = time.perf_counter()
+    assert main(["verify", path, "sigma", "--bound", "40"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: --bound 40 needs more than the budget of %d row cases: "
+        "178152 by degree 10\n" % cli.CASE_BUDGET)
+    assert cli.CASE_BUDGET == 100000
+
+
+# a dim-2 diagonal braiding and the deformed flip; each suite's rows at
+# bound 4 need 20 distinct split shuffles (4 of degrees (1, 1), 8 each of
+# (1, 2) and (2, 1)) and 20 distinct unshuffle components (4 of (1, 1), 8
+# each of (1, 2) and (2, 1)), where its triples ask for 44 and 24
+REUSE_BRAIDINGS = {
+    "diagonal": {"kind": "diagonal", "matrix": [["q", "-q^2"],
+                                                ["q^-1", "-1"]]},
+    "exterior": {"kind": "catalog", "address": "exterior:N=2"}}
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_BRAIDINGS))
+def test_verify_computes_each_shuffle_and_unshuffle_component_once(
+        tmp_path, monkeypatch, name):
+    path = write_session(tmp_path, {"version": 1, "objects": [
+        dict(REUSE_BRAIDINGS[name], name="s")]})
+    session = load_session(path)
+    b = session.get("s")
+    attributes = set(vars(b))
+    shuffles, components = [], []
+    shuffle, component = (tensoralg.qshuffle_product,
+                          tensoralg._unshuffle_component)
+    monkeypatch.setattr(tensoralg, "qshuffle_product", lambda x, y, br: (
+        shuffles.append((tuple(x.terms), tuple(y.terms)))
+        or shuffle(x, y, br)))
+    monkeypatch.setattr(tensoralg, "_unshuffle_component",
+                        lambda br, letters, p: components.append(
+                            (letters, p)) or component(br, letters, p))
+    # a second report on the same braiding computes them all again: the
+    # memos live for one report and are kept on no object
+    for _ in range(2):
+        assert cmd_verify(session, "s", "all", 4)[0] == 0
+        assert len(shuffles) == len(set(shuffles)) == 20
+        assert len(components) == len(set(components)) == 20
+        shuffles.clear()
+        components.clear()
+    assert set(vars(b)) == attributes
+
+
+def test_compute_braid_of_long_blocks_needs_no_recursion(tmp_path, capsys):
+    # beta_{i1} and beta_{1j} with i, j past the interpreter's recursion
+    # limit: each hexagon step is one turn of a loop
+    n = sys.getrecursionlimit() + 10
+    path = write_session(tmp_path, {"version": 1, "objects": [
+        {"name": "s", "kind": "diagonal", "matrix": [["-1", "q"],
+                                                     ["q", "-1"]]}]})
+    word = "*".join(["e1"] * n)
+    for i, j, out in ((n, 1, "q^%d e2*%s" % (n, word)),
+                      (1, n, "q^%d %s*e2" % (n, word))):
+        operand = "e2*" + word if i == 1 else word + "*e2"
+        assert main(["compute", path, "braid(s, %d, %d, %s)" % (i, j, operand),
+                     "--cap", str(n + 1)]) == 0
+        assert capsys.readouterr().out == out + "\n"
 
 
 GOLDEN = Path(__file__).with_name("verify_reports_golden.json")

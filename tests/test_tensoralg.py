@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_associative, braid_lift, diagonal_braidings,
-                      first_failure, flip_braiding, graded_base, negated,
-                      symbolic_diagonal, symmetrizer_image)
+from conftest import (assert_associative, beta_lift, braid_lift,
+                      diagonal_braidings, first_failure, flip_braiding,
+                      graded_base, negated, split_product, symbolic_diagonal,
+                      symmetrizer_image, unshuffle_components)
 from ybalg import tensoralg
 from ybalg.binfty import qb_validate, quasi_shuffle, star_product
-from ybalg.braid import (Braiding, apply_beta_letters, check_yang_baxter,
-                         perm_inverse, w_block)
-from ybalg.catalog import cartan_qmatrix, diagonal_braiding, exterior_braiding
+from ybalg.braid import Braiding, check_yang_baxter, perm_inverse, w_block
+from ybalg.catalog import (WedgeAlgebra, cartan_qmatrix, diagonal_braiding,
+                           exterior_braiding)
 from ybalg.linear import (Element, LinMap, Space, column_echelon_basis,
                           tensor_elements)
 from ybalg.scalars import Scalar, parse_scalar
@@ -154,8 +155,61 @@ def test_apply_slots_edge_cases():
 def _rekeyed_beta(braiding, key):
     letters, (i,) = key
     j = len(letters) - i
-    img = apply_beta_letters(braiding, i, j, letters)
+    img = beta_lift(braiding, i, j, letters)
     return Element({(w, (j,)): c for (w, _), c in img.terms.items()})
+
+
+def _beta_mismatches(braiding, kernel=beta_slots, bound=5):
+    """The slot keys (u v, (i,)) with i + j <= bound on which the kernel's
+    beta differs from the lift reference T_{chi_ij}, re-keyed.  Degrees run
+    downwards, so the first image of each degree is built from sigma's
+    columns alone and later ones also from the images it kept."""
+    beta = kernel(braiding)
+    return [key for n in range(bound, -1, -1)
+            for w in braiding.space.words(n) for key in
+            [(w, (i,)) for i in range(n + 1)]
+            if beta(key) != _rekeyed_beta(braiding, key)]
+
+
+BETA_DIFFERENTIAL = {"exterior-2": lambda: exterior_braiding(2),
+                     "exterior-3": lambda: exterior_braiding(3),
+                     "qflip-2": lambda: WedgeAlgebra(2).braiding}
+
+
+@pytest.mark.parametrize("name", sorted(BETA_DIFFERENTIAL))
+def test_beta_slots_match_the_lift_reference(name):
+    assert _beta_mismatches(BETA_DIFFERENTIAL[name]()) == []
+
+
+def test_beta_slots_match_the_lift_reference_on_generated_braidings():
+    def check(b):
+        assert _beta_mismatches(b) == []
+    first_failure(diagonal_braidings(), check)
+
+
+# beta_{ij}(u | v a) with the two hexagon factors composed in the wrong
+# order, (beta_{i,j-1} (x) id)(id (x) beta_{i1}) on the word u v a
+HEXAGON_STEP = (
+    "for (w, _), c in images[(letters[:-1], (i,))].terms.items():\n"
+    "                tail = beta((w[j - 1:] + letters[-1:], (i,)))\n"
+    "                for (x, _), d in tail.terms.items():\n"
+    "                    res.add_term((w[:j - 1] + x, (j,)), d * c)")
+HEXAGON_SWAPPED = (
+    "for (w, _), c in beta((letters[j - 1:], (i,))).terms.items():\n"
+    "                w = letters[:j - 1] + w\n"
+    "                for (x, _), d in beta((w[:-1], (i,))).terms.items():\n"
+    "                    res.add_term((x + w[-1:], (j,)), d * c)")
+
+
+def test_beta_differential_catches_swapped_hexagon_factors():
+    mutant = _mutant_kernel(HEXAGON_STEP, HEXAGON_SWAPPED, beta_slots)
+
+    def check(b):
+        assert _beta_mismatches(b, mutant) == []
+    with pytest.raises(AssertionError):
+        first_failure(diagonal_braidings(), check)
+    for make in BETA_DIFFERENTIAL.values():
+        assert _beta_mismatches(make(), mutant)
 
 
 def test_beta_slot_map_is_shared_per_braiding():
@@ -163,12 +217,12 @@ def test_beta_slot_map_is_shared_per_braiding():
     # beta slot map of their braiding, and none of them mutates its images
     M = graded_base().qb_structure(3)
     b = M.braiding
-    assert check_tensor_yb_product(
-        lambda x, y: qshuffle_product(x, y, b), b, 1, 1, 1).ok
+    assert check_tensor_yb_product(split_product(
+        lambda x, y: qshuffle_product(x, y, b)), b, 1, 1, 1).ok
     memo = b._beta_slot_cache
     snapshot = {key: dict(img.terms) for key, img in memo.items()}
     assert snapshot
-    assert check_tensor_yb_coproduct(b, 1, 1, 1).ok
+    assert check_tensor_yb_coproduct(unshuffle_components(b), b, 1, 1, 1).ok
     assert qb_validate(M, 3).ok
     for key in snapshot:
         assert beta_slots(b)(key) is memo[key]
@@ -180,7 +234,8 @@ def test_beta_slot_map_is_shared_per_braiding():
     # the inverse braiding keeps its own map, of inverse images
     inv = Braiding(b.space, b.inv, b.fwd)
     assert inv._beta_slot_cache is not memo
-    assert check_tensor_yb_coproduct(inv, 1, 1, 1).ok
+    assert check_tensor_yb_coproduct(unshuffle_components(inv), inv,
+                                     1, 1, 1).ok
     assert inv._beta_slot_cache
     fresh_inv = Braiding(b.space, b.inv, b.fwd)
     for key, img in inv._beta_slot_cache.items():
@@ -287,7 +342,7 @@ def _reference_delta_beta(braiding, x):
             u1, u2 = u[:a], u[a:]
             for bpos in range(len(v) + 1):
                 v1, v2 = v[:bpos], v[bpos:]
-                img = apply_beta_letters(braiding, len(u2), len(v1), u2 + v1)
+                img = beta_lift(braiding, len(u2), len(v1), u2 + v1)
                 for (mw, _), s in img.terms.items():
                     ncuts = (len(u1), len(u1) + len(v1),
                              len(u1) + len(v1) + len(u2))
@@ -588,11 +643,11 @@ def test_nichols_checks_catch_a_dropped_letter():
 
 def test_tensor_product_rows_shuffle():
     b = exterior_braiding(2)
-    rep = check_tensor_yb_product(
-        lambda x, y: qshuffle_product(x, y, b), b, 1, 2, 1)
+    rep = check_tensor_yb_product(split_product(
+        lambda x, y: qshuffle_product(x, y, b)), b, 1, 2, 1)
     assert rep.ok
 
 
 def test_tensor_coproduct_rows():
     b = exterior_braiding(2)
-    assert check_tensor_yb_coproduct(b, 1, 1, 2).ok
+    assert check_tensor_yb_coproduct(unshuffle_components(b), b, 1, 1, 2).ok
