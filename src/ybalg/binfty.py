@@ -19,7 +19,7 @@ tower layer has that one product kernel.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .linear import (Element, FormatError, LinMap, Report, _checked,
                      _leg_rows, _legs, _on_basis, _point, apply_at,
@@ -153,35 +153,57 @@ def _star_pair_word(M, letters, cut, form):
 def star_product(M, x, y, form="reduced"):
     """The induced product on T(V), evaluated exactly.
 
-    `form` selects between the cofree recursion ("reduced") and the
-    block-braid expansion; the two agree (cross-checked in the test suite).
+    `form` is the cofree recursion ("reduced") or the block-braid
+    expansion ("via_w"), which agree (cross-checked in the test suite).
     """
+    if form not in ("reduced", "via_w"):
+        raise ValueError("star_product form %r is neither 'reduced' nor "
+                         "'via_w'" % (form,))
     return _bilinear(x, y, lambda u, v: _star_pair_word(
         M, u + v, len(u), form), "star_product")
 
 
 # -- validation ------------------------------------------------------------
 
-def _eq5_side(M, letters, i, j, k, left):
-    """One side of the associativity condition on the basis word u v w of
-    degrees (i, j, k), in star form: sum_r M_{r,k}((u*v)_r (x) w) if `left`,
-    otherwise sum_r M_{i,r}(u (x) (v*w)_r).
+def _eq5_side(M, x, i, j, k, left):
+    """One side of the associativity condition, in star form, on each term
+    of x, a basis word u v w of degrees (i, j, k), its cuts kept as a leg
+    program keeps them: sum_r M_{r,k}((u*v)_r (x) w) if `left`, otherwise
+    sum_r M_{i,r}(u (x) (v*w)_r).
 
     The degree r of a word of the star product is its length, since every
     component lands in V.
     """
-    if left:
-        prod = _star_pair_word(M, letters[:i + j], i, "reduced")
-        tail = letters[i + j:]
-    else:
-        prod = _star_pair_word(M, letters[i:], j, "reduced")
-        tail = letters[:i]
     out = Element()
-    for (w, _), c in prod.terms.items():
-        f = M.component(len(w), k) if left else M.component(i, len(w))
-        if f is not None:
-            out.add_scaled(f.apply_word(w + tail if left else tail + w), c)
+    for (letters, cuts), a in x.terms.items():
+        if left:
+            prod = _star_pair_word(M, letters[:i + j], i, "reduced")
+            tail = letters[i + j:]
+        else:
+            prod = _star_pair_word(M, letters[i:], j, "reduced")
+            tail = letters[:i]
+        for (w, _), c in prod.terms.items():
+            f = M.component(len(w), k) if left else M.component(i, len(w))
+            if f is not None:
+                ca = c * a
+                for (v, _), b in f.apply_word(
+                        w + tail if left else tail + w).terms.items():
+                    out.add_term((v, cuts), b * ca)
     return out
+
+
+def _tagged(image, x):
+    """The sum over the terms c (u, tag) of x of c image(u), the tag paired
+    with each image key: image, given on words, as a side of Report.check."""
+    out = Element()
+    for (u, tag), c in x.terms.items():
+        for key, s in image(u).terms.items():
+            out.add_term((key, tag), s * c)
+    return out
+
+
+def _zero(x):
+    return Element()
 
 
 def qb_validate(M, degree_bound=None):
@@ -206,8 +228,10 @@ def qb_validate(M, degree_bound=None):
                                 % (bound, M.degree_cap))
     space = M.space
     beta = beta_slots(M.braiding)
-    vanish = cache(lambda key: delta_beta_iter(
-        M.braiding, Element.basis(*key), len(key[0]), reduced=True))
+    vanish = cache(lambda a, u: delta_beta_iter(
+        M.braiding, Element.basis(u, (a,)), len(u), reduced=True))
+    # the iterate on the heads cut after a letters
+    heads = {a: partial(_tagged, partial(vanish, a)) for a in range(1, bound)}
     rows = Report()
     for (i, j, k) in triples(bound):
         # slot programs on z_1 | z_2, each case named by the word z_1 z_2:
@@ -223,13 +247,13 @@ def qb_validate(M, degree_bound=None):
             _slot_rows(rows, space, degrees, lambda ws: ws[0] + ws[1], [
                 ((name, (i, j, k)), [(m, 1, pos), (beta, 2, 0)],
                  [(beta, 2, 0), (m, 1, 1 - pos)])])
-        rows.check(("assoc", (i, j, k)), (
-            (z, _eq5_side(M, z, i, j, k, True),
-             _eq5_side(M, z, i, j, k, False))
-            for z in space.words(i + j + k)))
-        rows.check(("assoc-vanishing", (i, j, k)), (
-            (head, vanish((head, (a,))), Element())
-            for a, b in ((i, j), (j, k)) for head in space.words(a + b)))
+        sides = [partial(_eq5_side, M, i=i, j=j, k=k, left=left)
+                 for left in (True, False)]
+        rows.check(("assoc", (i, j, k)), [
+            (z, (z, ()), *sides) for z in space.words(i + j + k)])
+        rows.check(("assoc-vanishing", (i, j, k)), [
+            (head, (head, ()), heads[a], _zero)
+            for a, b in ((i, j), (j, k)) for head in space.words(a + b)])
     report = Report()
     for e in sorted(rows.entries, key=lambda e: e["identity"]):
         name, triple = e["identity"]

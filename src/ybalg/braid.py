@@ -13,8 +13,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
-from .linear import (Element, Report, _on_basis, apply_at,
-                     map_invert_exact)
+from .linear import Element, Report, _leg_rows, apply_at, map_invert_exact
 
 
 def perm_inverse(w):
@@ -80,9 +79,9 @@ class Braiding:
         self.space = space
         self.fwd = fwd
         self.inv = inv if inv is not None else map_invert_exact(fwd, space)
-        # fwd(inv(w)) = w on each basis word, from the columns of inv
-        if any(apply_at(fwd, 0, self.inv.column(w)) != Element.basis(w)
-               for w in space.words(2)):
+        # fwd(inv(w)) = w on each basis word
+        if not _leg_rows(Report(), [space] * 2, [
+                ("right-inverse", [(self.inv, 0), (fwd, 0)], [])]).ok:
             raise ValueError("supplied inverse is not a right inverse")
         self.ybe = check_yang_baxter(self.fwd, space)
         if not self.ybe.ok:
@@ -115,8 +114,6 @@ def check_yang_baxter(sigma, space):
     """Exact YBE check on V^{(x)3}: sigma_1 sigma_2 sigma_1 = sigma_2
     sigma_1 sigma_2, a Report with one entry "yang-baxter" whose witness is
     (word, lhs_image, rhs_image)."""
-    report = Report()
-    report.check("yang-baxter", _on_basis([space] * 3, (
-        [(sigma, 0), (sigma, 1), (sigma, 0)],
-        [(sigma, 1), (sigma, 0), (sigma, 1)])))
-    return report
+    return _leg_rows(Report(), [space] * 3, [(
+        "yang-baxter", [(sigma, 0), (sigma, 1), (sigma, 0)],
+        [(sigma, 1), (sigma, 0), (sigma, 1)])])

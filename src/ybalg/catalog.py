@@ -14,8 +14,7 @@ from itertools import combinations
 from .braid import Braiding
 from .hopf import HopfPresentation
 from .linear import (Element, FormatError, LinMap, Report, Space, _checked,
-                     _on_basis, _point, _program, column_echelon_basis,
-                     map_kernel_basis)
+                     _on_basis, _point, column_echelon_basis, map_kernel_basis)
 from .scalars import Scalar, parse_scalar
 
 
@@ -206,20 +205,12 @@ def qflip_compat_check(wa):
     report = Report()
 
     def check(identity, degree, bystander, lhs, rhs):
-        lhs, rhs = _program(lhs), _program(rhs)
-
         # a case is named by the index sets of its letters
-        def cases():
-            for letters in wa.space.words(degree):
-                rest = 0
-                for t, a in enumerate(letters):
-                    if t != bystander:
-                        rest |= masks[a]
-                if not masks[letters[bystander]] & rest:
-                    x = Element.basis(letters)
-                    yield (tuple(wa.subsets[a] for a in letters), lhs(x),
-                           rhs(x))
-        report.check(identity, cases())
+        report.check(identity, [
+            (tuple(wa.subsets[a] for a in w), key, lhs, rhs)
+            for w, key, lhs, rhs in _on_basis([wa.space] * degree, (lhs, rhs))
+            if not any(masks[w[bystander]] & masks[a]
+                       for t, a in enumerate(w) if t != bystander)])
 
     check("wedge-left", 3, 0, [(sig, 0), (sig, 1), (wedge, 0)],
           [(wedge, 1), (sig, 0)])

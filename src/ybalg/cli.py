@@ -216,7 +216,33 @@ def _suite_entries(session, target, suite, bound):
             for e in run(obj, suite, bound).entries]
 
 
-CASE_BUDGET = 100000  # the most row cases a braiding's verify runs
+CASE_BUDGET = 100000  # the most row cases one verify runs
+
+
+def _within_budget(bound, cases_of_degree):
+    """Refuse, before any row runs, a bound whose rows run more than
+    CASE_BUDGET cases, cases_of_degree(n) on the triples of degree n."""
+    cases = 0
+    for n in range(3, bound + 1):
+        cases += cases_of_degree(n)
+        if cases > CASE_BUDGET:
+            raise tensoralg.DegreeCapExceeded(
+                "--bound %d needs more than the budget of %d row cases: %d "
+                "by degree %d" % (bound, CASE_BUDGET, cases, n))
+
+
+def _tower_report(M, suite, bound):
+    """qb_validate within the case budget: on a triple (i, j, k), yb-left
+    where M_ij is nonzero, yb-right where M_jk is and assoc run on
+    dim^(i+j+k) words, assoc-vanishing on dim^(i+j) + dim^(j+k) heads."""
+    d, comp = M.space.dim, M.component
+    if bound <= M.degree_cap:  # else qb_validate refuses the bound
+        _within_budget(bound, lambda n: sum(
+            d ** n * (1 + (comp(i, j) is not None)
+                      + (comp(j, n - i - j) is not None))
+            + d ** (i + j) + d ** (n - i)
+            for i in range(1, n - 1) for j in range(1, n - i)))
+    return binfty.qb_validate(M, bound)
 
 
 def _braiding_report(b, suite, bound):
@@ -224,14 +250,10 @@ def _braiding_report(b, suite, bound):
     each suite opening with its own Yang-Baxter entry, which the braiding's
     construction-time check decided, and one memo of its shuffles or
     unshuffle components for all triples.  The C(n-1, 2) triples of degree
-    n run dim^n cases per row, counted before any row runs."""
-    rows, cases = 2 * (suite != "yb-coalgebra") + (suite != "yb-algebra"), 0
-    for n in range(3, bound + 1):
-        cases += rows * (n - 1) * (n - 2) // 2 * b.space.dim ** n
-        if cases > CASE_BUDGET:
-            raise tensoralg.DegreeCapExceeded(
-                "--bound %d needs more than the budget of %d row cases: %d "
-                "by degree %d" % (bound, CASE_BUDGET, cases, n))
+    n run dim^n cases per row."""
+    rows = 2 * (suite != "yb-coalgebra") + (suite != "yb-algebra")
+    _within_budget(bound, lambda n: (
+        rows * (n - 1) * (n - 2) // 2 * b.space.dim ** n))
     triples = tensoralg.triples(bound)
     report = Report()
 
@@ -270,8 +292,7 @@ def _qflip_report(w, suite, bound):
 _BRAIDING_SUITES = ("yb-algebra", "yb-coalgebra", "all")
 _SUITES = {
     Braiding: ("a braiding", _BRAIDING_SUITES, _braiding_report),
-    binfty.QBStructure: ("a tower", ("qb-infinity", "all"),
-                         lambda M, suite, bound: binfty.qb_validate(M, bound)),
+    binfty.QBStructure: ("a tower", ("qb-infinity", "all"), _tower_report),
     hopf.HopfPresentation: ("a Hopf algebra", ("hopf", "all"),
                             lambda h, suite, bound: hopf.hopf_validate(h)),
     hopf.YDModule: ("a YD module", ("yd", "all"),

@@ -15,8 +15,6 @@ braiding.
 
 from __future__ import annotations
 
-import itertools
-
 from .braid import Braiding
 from .linear import (Element, FormatError, LinMap, Report, Singular, Space,
                      _checked, _leg_rows, _legs, _on_basis, _point, _program,
@@ -117,10 +115,9 @@ def yd_validate(m):
     report = Report()
 
     # g.(h.v) = (gh).v and 1.v = v
-    report.check("module", itertools.chain(
-        _on_basis([hs, hs, sp],
-                  ([(a, 1), (a, 0)], [(mu, 0), (a, 0)])),
-        _on_basis([sp], ([(u, 0), (a, 0)], []))))
+    report.check("module", _on_basis(
+        [hs, hs, sp], ([(a, 1), (a, 0)], [(mu, 0), (a, 0)]))
+        + _on_basis([sp], ([(u, 0), (a, 0)], [])))
     # (Delta (x) id) rho = (id (x) rho) rho and (eps (x) id) rho = id
     report.check("comodule", _on_basis(
         [sp], ([(co, 0), (d, 0)], [(co, 0), (co, 1)]),
@@ -135,17 +132,14 @@ def yd_validate(m):
         uv = _point(unit_v)
         # h.(vw) = (h_(1).v)(h_(2).w) and h.1 = eps(h) 1; then rho is an
         # algebra map into H (x) V
-        report.check("module-algebra", itertools.chain(
-            _on_basis([hs, sp, sp], (
-                [(mult_v, 1), (a, 0)],
-                [(d, 0), [0, 2, 1, 3], (a, 0), (a, 1), (mult_v, 0)])),
-            _on_basis([hs], ([(uv, 1), (a, 0)], [(e, 0), (uv, 0)]))))
-        report.check("comodule-algebra", itertools.chain(
-            _on_basis([sp, sp], (
-                [(mult_v, 0), (co, 0)],
-                [(co, 0), (co, 2), [0, 2, 1, 3], (mu, 0), (mult_v, 1)])),
-            _on_basis([], ([(uv, 0), (co, 0)],
-                           [(uv, 0), (u, 0)]))))
+        report.check("module-algebra", _on_basis([hs, sp, sp], (
+            [(mult_v, 1), (a, 0)],
+            [(d, 0), [0, 2, 1, 3], (a, 0), (a, 1), (mult_v, 0)]))
+            + _on_basis([hs], ([(uv, 1), (a, 0)], [(e, 0), (uv, 0)])))
+        report.check("comodule-algebra", _on_basis([sp, sp], (
+            [(mult_v, 0), (co, 0)],
+            [(co, 0), (co, 2), [0, 2, 1, 3], (mu, 0), (mult_v, 1)]))
+            + _on_basis([], ([(uv, 0), (co, 0)], [(uv, 0), (u, 0)])))
 
     if m.coalgebra_on_V is not None:
         comult_v, counit_v = m.coalgebra_on_V

@@ -18,9 +18,10 @@ Exact elimination is one kernel, `_row_reduce`, a sparse Gauss-Jordan on
 rows {column: Scalar} that never multiplies a zero entry; the inverse,
 kernel and echelon bases and span membership (by rank) read its result.
 
-Every two-sided identity is checked by one kernel, `Report.check`: it takes
-(case, lhs, rhs) triples, typically two programs run on the basis elements
-that `_on_basis` enumerates, and records the first case whose sides differ.
+Every two-sided identity is decided by one kernel, `Report.check`, on its
+whole basis in one pass: each side runs once on all the cases, their terms
+tagged apart, and only on a mismatch are the cases scanned one by one for
+the first failing case, its witness.
 
 The readers (`element_from_obj`, `linmap_from_obj`, and on them those of
 hopf and binfty) own the JSON session format: each checks the shape of what
@@ -32,6 +33,7 @@ the CLI prints.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 from .scalars import Scalar
 
@@ -240,15 +242,14 @@ def _legs(x, *steps):
 
 
 def _on_basis(spaces, *sides):
-    """(word, lhs(x), rhs(x)) cases over the basis words x of the tensor
-    product of `spaces`, for (lhs, rhs) pairs of leg programs given as
-    lists of steps, each resolved once; each word runs every pair in
-    turn."""
+    """The cases of Report.check for (lhs, rhs) pairs of leg programs, each
+    a list of steps resolved once, on the basis words w of the tensor
+    product of `spaces`: (w, key of w, lhs, rhs), each word taking every
+    pair in turn."""
     sides = [(_program(lhs), _program(rhs)) for lhs, rhs in sides]
-    for w in itertools.product(*(range(sp.dim) for sp in spaces)):
-        x = Element.basis(w)
-        for lhs, rhs in sides:
-            yield w, lhs(x), rhs(x)
+    return [(w, (w, ()), lhs, rhs)
+            for w in itertools.product(*(range(sp.dim) for sp in spaces))
+            for lhs, rhs in sides]
 
 
 def _leg_rows(report, spaces, rows):
@@ -273,14 +274,29 @@ class Report:
         self.entries.append({"identity": identity, "ok": ok,
                              "witness": witness})
 
-    def check(self, identity, cases):
-        """Record `identity` from (case, lhs, rhs) triples, stopping at the
-        first case whose sides differ."""
-        for w, lhs, rhs in cases:
-            if lhs != rhs:
-                self.record(identity, False, (w, lhs, rhs))
+    def check(self, identity, cases, tag=lambda key, t: (key[0], t)):
+        """Record `identity`, lhs(x) = rhs(x) on every case (name, key, lhs,
+        rhs), x the basis element of key.  The cases sharing their sides
+        run at once, case t as the key tag(key, t) (by default t in the
+        cuts field, which leg programs keep), so no two can cancel, and the
+        identity holds exactly when both images are equal.  Only otherwise
+        are the cases scanned in order for the first failing one, its
+        witness (name, lhs, rhs)."""
+        one, batches = Scalar.one(), defaultdict(Element)
+        for t, (_, key, lhs, rhs) in enumerate(cases):
+            batches[lhs, rhs].terms[tag(key, t)] = one
+        if all(lhs(x).terms == rhs(x).terms
+               for (lhs, rhs), x in batches.items()):
+            self.record(identity, True)
+            return
+        for name, key, lhs, rhs in cases:
+            x = Element({key: one})
+            left, right = lhs(x), rhs(x)
+            if left != right:
+                self.record(identity, False, (name, left, right))
                 return
-        self.record(identity, True)
+        raise AssertionError("%r fails on its cases at once but on none "
+                             "alone" % (identity,))
 
     @property
     def ok(self):

@@ -15,8 +15,9 @@ steps, the graded-slot analogue of linear.apply_at, each summing its image
 terms in place; a braiding keeps one beta slot map, shared by all of them.
 Its images, built by the hexagon steps, are T_{chi_ij} exactly: the lengths
 of each step's two factors add, and sigma solves the YBE (Matsumoto).  The
-Def 2.1 rows on V and on T(V) are pairs of leg or slot programs checked by
-Report.check.
+Def 2.1 rows on V and on T(V) are pairs of leg or slot programs that
+Report.check runs on all their cases at once, a slot program's cases
+tagged by one extra last slot, which no step reaches.
 """
 
 from __future__ import annotations
@@ -202,21 +203,21 @@ def _slot_rows(report, space, degrees, label, rows):
     """Check (identity, lhs, rhs) pairs of slot programs, each a list of
     (f, arity, pos) steps of apply_slots, on the basis elements of
     V^{(x) d_1} (x) ... (x) V^{(x) d_m} inside T(V)^{(x) m}; label maps the
-    slot words of a case to its name in a witness."""
-    cuts = tuple(itertools.accumulate(degrees))[:-1]
+    slot words of a case to its name in a witness.  Case t is tagged by
+    one more slot, after the others, holding the letter t."""
+    cuts, n = tuple(itertools.accumulate(degrees))[:-1], sum(degrees)
 
-    def run(x, steps):
+    def run(steps, x):
         for f, arity, pos in steps:
             x = apply_slots(f, arity, pos, x)
         return x
 
-    def cases(lhs, rhs):
-        for ws in itertools.product(*(space.words(d) for d in degrees)):
-            x = Element.basis(sum(ws, ()), cuts)
-            yield label(ws), run(x, lhs), run(x, rhs)
-
+    cases = [(label(ws), (sum(ws, ()), cuts))
+             for ws in itertools.product(*(space.words(d) for d in degrees))]
     for identity, lhs, rhs in rows:
-        report.check(identity, cases(lhs, rhs))
+        lhs, rhs = partial(run, lhs), partial(run, rhs)
+        report.check(identity, [(name, key, lhs, rhs) for name, key in cases],
+                     lambda key, t: (key[0] + (t,), cuts + (n,)))
     return report
 
 

@@ -34,7 +34,10 @@ def test_star_forms_agree():
         for v in words_upto(M.space, 2):
             x, y = Element.basis(u), Element.basis(v)
             assert star_product(M, x, y, form="reduced") == \
-                star_product(M, x, y, form="word")
+                star_product(M, x, y, form="via_w")
+    # only the two forms are accepted
+    with pytest.raises(ValueError, match="'word' is neither"):
+        star_product(M, Element.basis((0,)), Element.basis((1,)), form="word")
 
 
 def test_star_of_zero_base_is_shuffle():
@@ -419,7 +422,7 @@ def _star_agrees(M, bound, via_w_bound):
             got = star_product(M, x, y)
             assert got == _stream_star(M, letters, cut), (letters, cut)
             if len(letters) <= via_w_bound:
-                assert got == star_product(M, x, y, "word"), (letters, cut)
+                assert got == star_product(M, x, y, "via_w"), (letters, cut)
 
 
 def test_star_recursion_matches_stream_and_via_w():

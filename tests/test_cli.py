@@ -923,13 +923,13 @@ def test_verify_counts_its_cases_against_the_budget(tmp_path, capsys,
     path = write_session(tmp_path, {"version": 1, "objects": [SIGMA]})
     argv = ["verify", path, "sigma", "--suite", suite, "--bound", "4"]
     cases = SUITE_CASES[suite]
-    # the count is the number of cases the rows then run
+    # the count is the number of cases the rows' batches then hold
     ran = []
     check = Report.check
     session = load_session(path)
     with monkeypatch.context() as m:
-        m.setattr(Report, "check", lambda self, identity, it: check(
-            self, identity, ran.append(list(it)) or ran[-1]))
+        m.setattr(Report, "check", lambda self, identity, batch, *tag: check(
+            self, identity, ran.append(batch) or batch, *tag))
         assert cmd_verify(session, "sigma", suite, 4)[0] == 0
     assert sum(map(len, ran)) == cases
     # a count at the budget runs, one above it is refused
@@ -960,6 +960,62 @@ def test_verify_over_the_case_budget_exits_2_before_any_row(tmp_path, capsys,
         "error: --bound 40 needs more than the budget of %d row cases: "
         "178152 by degree 10\n" % cli.CASE_BUDGET)
     assert cli.CASE_BUDGET == 100000
+
+
+# the quasi-shuffle tower of the dim-2 base e1 e1 = e2 with weights (1, 2),
+# whose one interior component is M_11; at bound 4 its rows hold 3 * 8 +
+# 4 + 4 cases at degree 3 and (2 * 16 + 4 + 8) + (16 + 8 + 8) + (2 * 16 +
+# 8 + 4) at degree 4, yb-left and yb-right running only at M_11
+TOWER = [{"name": "sigma", "kind": "diagonal",
+          "matrix": [["q", "q^2"], ["q^2", "q^4"]]},
+         {"name": "base", "kind": "yb-base", "braiding": "sigma",
+          "mult": [{"in": [0, 0], "out": [{"word": [1], "coeff": "1"}]}]},
+         {"name": "M", "kind": "quasishuffle", "base": "base",
+          "degree_cap": 40}]
+TOWER_CASES = 32 + 120
+
+
+def test_tower_verify_counts_its_cases_against_the_budget(tmp_path, capsys,
+                                                          monkeypatch):
+    path = write_session(tmp_path, {"version": 1, "objects": TOWER})
+    argv = ["verify", path, "M", "--suite", "qb-infinity", "--bound", "4"]
+    # the count is the number of cases the rows' batches then hold
+    ran = []
+    check = Report.check
+    session = load_session(path)
+    with monkeypatch.context() as m:
+        m.setattr(Report, "check", lambda self, identity, batch, *tag: check(
+            self, identity, ran.append(batch) or batch, *tag))
+        assert cmd_verify(session, "M", "qb-infinity", 4)[0] == 0
+    assert sum(map(len, ran)) == TOWER_CASES
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "CASE_BUDGET", TOWER_CASES)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+    monkeypatch.setattr(cli, "CASE_BUDGET", TOWER_CASES - 1)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: --bound 4 needs more than the budget of %d row cases: "
+        "%d by degree 4\n" % (TOWER_CASES - 1, TOWER_CASES))
+
+
+def test_tower_verify_over_the_case_budget_exits_2_before_any_row(
+        tmp_path, capsys, monkeypatch):
+    # the tower's cap allows bound 40; without a budget this request ran
+    # past 10 s with no output
+    path = write_session(tmp_path, {"version": 1, "objects": TOWER})
+
+    def refuse(M, bound):
+        raise AssertionError("qb_validate ran to bound %d" % bound)
+    monkeypatch.setattr(binfty, "qb_validate", refuse)
+    start = time.perf_counter()
+    assert main(["verify", path, "M", "--suite", "qb-infinity",
+                 "--bound", "40"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bound 40 needs more than the budget of "
+                          "100000 row cases: ")
 
 
 # a dim-2 diagonal braiding and the deformed flip; each suite's rows at
