@@ -172,14 +172,15 @@ def apply_at(f, pos, x):
     of x, summing the image terms in place.
 
     f may change the number of letters (a counit drops one, a
-    comultiplication adds one); each term keeps its cuts.
+    comultiplication adds one); each term keeps its cuts.  A term's
+    coefficient that is the Scalar.one() object scales nothing.
     """
-    out = Element()
+    out, one = Element(), Scalar.one()
     end = pos + f.in_degree
     for (letters, cuts), c in x.terms.items():
         head, tail = letters[:pos], letters[end:]
         for (mid, _), a in f.apply_word(letters[pos:end]).terms.items():
-            out.add_term((head + mid + tail, cuts), a * c)
+            out.add_term((head + mid + tail, cuts), a if c is one else a * c)
     return out
 
 
@@ -196,7 +197,8 @@ def _program(steps):
     i_t.  The function runs each term of its argument through every step
     as a list of (letters, coeff) pairs, read straight from the columns of
     the maps, and sums the images once, at the end: a term keeps its cuts,
-    a key whose sum is zero is dropped.
+    a key whose sum is zero is dropped.  A running coefficient that is the
+    Scalar.one() object scales nothing.
     """
     # a permutation is kept as (None, order, 0)
     resolved = [(None, tuple(step), 0) if isinstance(step, list)
@@ -204,7 +206,7 @@ def _program(steps):
                 for step in steps]
 
     def run(x):
-        out = Element()
+        out, one = Element(), Scalar.one()
         terms = out.terms
         for (letters, cuts), c in x.terms.items():
             cur = [(letters, c)]
@@ -219,7 +221,8 @@ def _program(steps):
                     if col is not None:
                         head, tail = w[:pos], w[end:]
                         for (mid, _), b in col.terms.items():
-                            add((head + mid + tail, b * a))
+                            add((head + mid + tail,
+                                 b if a is one else b * a))
                 cur = nxt
             for w, a in cur:
                 key = (w, cuts)

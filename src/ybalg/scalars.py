@@ -21,7 +21,9 @@ products of such scalars stay Laurent, so `+`, `-` and `*` on two den = 1
 operands skip normalisation; negation never renormalises.
 
 No product runs the general normaliser.  A product by 1 is the other operand
-itself, whatever its denominator.  Any other product with a non-Laurent
+itself, whatever its denominator.  Of two Laurent polynomials, one a monomial,
+the product is the other shifted and scaled, no coefficient zero, so it is
+built as such with no zero filter.  Any other product with a non-Laurent
 operand follows Henrici (Knuth TAOCP vol. 2 4.5.1): of n1/d1 * n2/d2, both
 canonical, only g1 = gcd(n1, d2) and g2 = gcd(n2, d1) can cancel, so
 (n1/g1)(n2/g2) over (d1/g2)(d2/g1) is coprime, and dividing out the integer
@@ -30,11 +32,12 @@ positive leading coefficient, so the denominator keeps a positive leading
 coefficient, and q divides no denominator, so the Laurent shifts of the
 numerators add.
 
-Every other result (a sum with a non-Laurent operand, an inverse, a parsed
-or constructed scalar) is normalised by a primitive polynomial remainder
-sequence over the integers (pseudo-remainders divided by their content,
-Knuth TAOCP vol. 2 4.6.1; Collins 1967), stopping as soon as a remainder
-is a nonzero constant, followed by exact integer division by the gcd.
+Every other result (a sum with a non-Laurent operand, an inverse, a
+constructed scalar, a parsed one whose denominator is not exactly 1) is
+normalised by a primitive polynomial remainder sequence over the integers
+(pseudo-remainders divided by their content, Knuth TAOCP vol. 2 4.6.1;
+Collins 1967), stopping as soon as a remainder is a nonzero constant,
+followed by exact integer division by the gcd.
 """
 
 from __future__ import annotations
@@ -105,6 +108,19 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        # a monomial factor shifts and scales the other: nothing cancels
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            out = Poly.__new__(Poly)
+            (e1, c1), = a.items()
+            if len(b) == 1:
+                (e2, c2), = b.items()
+                out.coeffs = {e1 + e2: c1 * c2}
+            else:
+                out.coeffs = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
+            return out
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -535,4 +551,4 @@ def parse_scalar(text):
             "%r... is nested too deeply" % text[:20]) from None
     if den.is_zero():
         raise ScalarParseError("division by zero in %r" % (text,))
-    return Scalar(num, den)
+    return Scalar(num, den, den.coeffs == _UNIT)

@@ -139,9 +139,10 @@ def apply_slots(f, arity, pos, x):
     its cuts relative to it, and returns an Element with any number of
     slots; the other slots keep their letters, and the cuts after the
     replaced slots shift with their new length.  Image terms are summed in
-    place into the result (no zero kept); f's results are only read.
+    place into the result (no zero kept); f's results are only read.  A
+    term's coefficient that is the Scalar.one() object scales nothing.
     """
-    out = Element()
+    out, one = Element(), Scalar.one()
     acc, last = out.terms, pos + arity - 1
     for (letters, cuts), c in x.terms.items():
         lo = cuts[pos - 1] if pos else 0
@@ -150,17 +151,23 @@ def apply_slots(f, arity, pos, x):
         if lo:
             inner = tuple([p - lo for p in inner])
         head, tail, width = cuts[:pos], cuts[last:], hi - lo
+        pre, post = letters[:lo], letters[hi:]
         for (mid, mc), a in f((letters[lo:hi], inner)).terms.items():
             shift = len(mid) - width
-            key = (letters[:lo] + mid + letters[hi:],
+            key = (pre + mid + post,
                    head + (tuple([lo + p for p in mc]) if lo else mc)
                    + (tuple([p + shift for p in tail]) if shift else tail))
-            cur = acc.get(key)
-            s = a * c if cur is None else cur + a * c
-            if cur is None or not s.is_zero():
-                acc[key] = s
-            else:
-                del acc[key]
+            if c is not one:
+                a = a * c
+            # one hash for a new key: it grows the dict
+            n = len(acc)
+            cur = acc.setdefault(key, a)
+            if len(acc) == n:
+                s = cur + a
+                if s.is_zero():
+                    del acc[key]
+                else:
+                    acc[key] = s
     return out
 
 
@@ -173,6 +180,9 @@ def beta_slots(braiding):
     images = braiding._beta_slot_cache
 
     def beta(key):
+        img = images.get(key)
+        if img is not None:
+            return img
         steps = []
         while key not in images:
             letters, (i,) = key

@@ -10,8 +10,25 @@ from ybalg.binfty import TwoYB, YBBase
 from ybalg.braid import Braiding, braid_lift_apply
 from ybalg.catalog import diagonal_braiding
 from ybalg.linear import Element, LinMap, Space, apply_at
-from ybalg.scalars import Scalar
+from ybalg.scalars import Scalar, parse_scalar
 from ybalg.tensoralg import _bilinear, _unshuffle_component
+
+
+# 1 as objects other than Scalar.one(): the kernels skip a product by the
+# Scalar.one() object only, and multiply by these
+OTHER_ONES = (parse_scalar("1"), Scalar.q_power(1) * Scalar.q_power(-1))
+
+
+def kernel_coefficients():
+    """Coefficients for the kernel references: c q^e, built afresh, and a
+    few fixed objects, among them 1 as the Scalar.one() object and as the
+    OTHER_ONES.  Two draws of a fixed object are the same object, so an
+    image coefficient is often the very object a result already holds."""
+    return st.one_of(
+        st.sampled_from((Scalar.one(),) + OTHER_ONES
+                        + (Scalar.from_int(-1), Scalar.q_power(1))),
+        st.builds(lambda c, e: Scalar.from_int(c) * Scalar.q_power(e),
+                  st.integers(-2, 2), st.integers(-2, 2)))
 
 
 def symbolic_diagonal(n):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import legs_reference, permute_legs
+from conftest import (OTHER_ONES, kernel_coefficients, legs_reference,
+                      permute_legs)
 from ybalg.linear import (DegreeMismatch, Element, LinMap, Singular, Space,
                           _legs, apply_at, column_echelon_basis,
                           element_from_obj, element_to_obj, in_span,
@@ -305,13 +306,12 @@ def test_linearity_of_apply(data):
 
 @st.composite
 def combinations_of(draw, words):
-    """A random element: up to three terms with coefficients c q^e."""
+    """A random element: up to three terms with kernel_coefficients."""
     x = Element()
-    for w, c, e in draw(st.lists(st.tuples(st.sampled_from(words),
-                                           st.integers(-2, 2),
-                                           st.integers(-2, 2)),
-                                 max_size=3)):
-        x.add_term((w, ()), Scalar.from_int(c) * Scalar.q_power(e))
+    for w, c in draw(st.lists(st.tuples(st.sampled_from(words),
+                                        kernel_coefficients()),
+                              max_size=3)):
+        x.add_term((w, ()), c)
     return x
 
 
@@ -365,13 +365,15 @@ _LEG_MAPS = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
 def leg_programs(draw):
     """(x, steps): an element on 0-3 legs of a dim-2 space whose terms
     share cuts, and a leg program of 1-4 steps that fits its legs (at most
-    4).  Coefficients are +-1 and +-q.  On one leg or more, x is c u - c v
-    for two words u, v; each map of arity 1 or 2 leaves out at most one
-    column and draws the others, of 0-3 terms, from a pool of two, so u and
-    v often meet and cancel in the final sum."""
+    4).  Coefficients are +-1 and +-q, 1 also as the OTHER_ONES, each a
+    fixed object, so paths often meet holding the same coefficient object.
+    On one leg or more, x is c u - c v for two words u, v; each map of
+    arity 1 or 2 leaves out at most one column and draws the others, of 0-3
+    terms, from a pool of two, so u and v often meet and cancel in the
+    final sum."""
     sp = Space(["a", "b"])
     coeffs = [Scalar.one(), Scalar.from_int(-1), Scalar.q_power(1),
-              Scalar.q_power(1, -1)]
+              Scalar.q_power(1, -1), *OTHER_ONES]
 
     def combination(words, least=0):
         x = Element()
@@ -418,9 +420,20 @@ _CANCELLING = (
               1)])
 
 
+# a b and b b, each by the Scalar.one() object, sent by one map to the
+# same key holding the same object q, then by 1 that is another object
+_Q = Scalar.q_power(1)
+_MERGING = (
+    Element({((0, 1), ()): Scalar.one(), ((1, 1), ()): Scalar.one()}),
+    [(LinMap(1, {(0,): Element.basis((0,), (), _Q),
+                 (1,): Element.basis((0,), (), _Q)}), 0),
+     (LinMap(1, {(1,): Element.basis((0,), (), OTHER_ONES[1])}), 1)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(leg_programs())
 @example(_CANCELLING)
+@example(_MERGING)
 def test_legs_matches_step_by_step_reference(program):
     # one pass per term, summed at the end, against one Element per step
     x, steps = program

@@ -13,6 +13,10 @@ from ybalg.scalars import (DivisionByZero, Poly, Scalar, ScalarParseError,
 
 def test_cancellation_to_polynomial():
     assert parse_scalar("(q^2-1)/(q-1)") == parse_scalar("q+1")
+    # a denominator other than exactly 1 is normalised
+    for text, want in (("6/3", "2"), ("(2q+4)/2", "q+2"), ("q/-1", "-q"),
+                       ("q/(2q)", "1/2")):
+        assert str(parse_scalar(text)) == want
 
 
 def test_q_power_and_from_int_are_canonical():
@@ -24,7 +28,8 @@ def test_q_power_and_from_int_are_canonical():
 
 
 def test_zero_canonical():
-    assert parse_scalar("0") == Scalar.zero()
+    for text in ("0", "0/1", "0/(q+1)"):
+        assert canonical(parse_scalar(text)) == ({}, {0: 1})
     assert parse_scalar("q-q").is_zero()
     assert (parse_scalar("q") - parse_scalar("q")).is_zero()
 
@@ -210,9 +215,9 @@ def _ref_normalize(num, den):
             {i: c for i, c in enumerate(d0) if c})
 
 
-def laurent_polys(min_size=0):
-    return st.dictionaries(st.integers(-3, 3), st.integers(-5, 5),
-                           min_size=min_size, max_size=4).map(Poly)
+def laurent_polys(min_size=0, max_size=4, bound=5):
+    return st.dictionaries(st.integers(-3, 3), st.integers(-bound, bound),
+                           min_size=min_size, max_size=max_size).map(Poly)
 
 
 def ordinary_polys():
@@ -379,3 +384,75 @@ def test_equal_values_hash_equal(x, y, p):
                  (p, p * Poly.q(2) * Poly.q(-2))):
         assert a == b
         assert hash(a) == hash(b)
+
+
+# -- Poly products with a monomial factor against the double loop --------
+
+def _ref_poly_mul(a, b):
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_factors():
+    """Monomials, the zero polynomial and Laurent polynomials of two to
+    four terms, with coefficients up to 10^6 in size."""
+    return st.one_of(laurent_polys(1, 1, 10**6), st.just(Poly()),
+                     laurent_polys(2, 4, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_factors(), poly_factors())
+@example(Poly({-2: 10**6}), Poly({3: -10**6}))
+@example(Poly({1: -1}), Poly({-1: 1, 0: -1, 2: 7}))
+@example(Poly(), Poly({-3: 5}))
+def test_poly_product_matches_double_loop(a, b):
+    # one, both or neither factor a monomial; the product is a new dict
+    # and its factors are only read
+    before = dict(a.coeffs), dict(b.coeffs)
+    for x, y in ((a, b), (b, a), (a, a)):
+        p = x * y
+        assert p.coeffs == _ref_poly_mul(x, y)
+        assert p.coeffs is not x.coeffs and p.coeffs is not y.coeffs
+    assert (a.coeffs, b.coeffs) == before
+
+
+# -- parsed literals over 1 are built canonical --------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys(0, 4, 10**6),
+       st.sampled_from(["", "/1", "/(1)", "/q^0", "/(q+1-q)"]))
+def test_parse_over_one_is_canonical(p, den):
+    x = parse_scalar("(%s)%s" % (p, den))
+    assert canonical(x) == canonical(Scalar(p, Poly.one()))
+    assert canonical(x) == _ref_normalize(p, Poly.one())
+
+
+# -- the call tracer's contract: the flag is always positional ------------
+
+def test_scalars_are_built_with_the_flag_positional(monkeypatch):
+    # the benchmark's trace counts normalisations by wrapping
+    # Scalar.__init__ and reads the flag as its fourth positional argument
+    calls = []
+    init = Scalar.__init__
+
+    def traced(*args, **kwargs):
+        calls.append((args, kwargs))
+        init(*args, **kwargs)
+
+    m, n = Scalar.q_power(2, -3), Scalar.q_power(-1)
+    p = parse_scalar("q^-1+3q^2")
+    r, s = parse_scalar("(q+1)/(2q-1)"), parse_scalar("(q^2-1)/(q+3)")
+    monkeypatch.setattr(Scalar, "__init__", traced)
+    for op, flag in ((lambda: Scalar.one() * r, None),
+                     (lambda: m * n, True),
+                     (lambda: m * p, True), (lambda: p * p, True),
+                     (lambda: r * s, True), (lambda: p + m, True),
+                     (lambda: parse_scalar("2q^-1+q"), True),
+                     (lambda: parse_scalar("(q+1)/2"), False)):
+        del calls[:]
+        op()
+        assert [(len(args), args[-1], kwargs) for args, kwargs in calls] \
+            == ([] if flag is None else [(4, flag, {})])

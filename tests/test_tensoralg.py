@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_associative, beta_lift, braid_lift,
-                      diagonal_braidings, first_failure, flip_braiding,
-                      graded_base, negated, split_product, symbolic_diagonal,
+from conftest import (OTHER_ONES, assert_associative, beta_lift,
+                      braid_lift, diagonal_braidings, first_failure,
+                      flip_braiding, graded_base, kernel_coefficients,
+                      negated, split_product, symbolic_diagonal,
                       symmetrizer_image, unshuffle_components)
 from ybalg import tensoralg
 from ybalg.binfty import qb_validate, quasi_shuffle, star_product
@@ -71,7 +72,11 @@ def test_apply_slots_matches_sliced_reference(data):
     # shorten words, so later cuts move
     base = graded_base()
     b = base.braiding
+    k = data.draw(kernel_coefficients())
     arity, f = data.draw(st.sampled_from([
+        # 1 -> 1: u -> k times its first letter, so images of two terms
+        # often meet holding the same object k
+        (1, lambda key: Element.basis(key[0][:1], (), k)),
         # 1 -> 2: the quantum coproduct
         (1, lambda key: quantum_coproduct(Element.basis(key[0]), b)),
         # 2 -> 1: the quasi-shuffle product, inhomogeneous in degree
@@ -84,12 +89,17 @@ def test_apply_slots_matches_sliced_reference(data):
         (1, lambda key: base.mult.apply_word(key[0]))]))
     m = data.draw(st.integers(arity, arity + 2))
     pos = data.draw(st.integers(0, m - arity))
-    x = Element()
+    x, slots = Element(), None
     for _ in range(data.draw(st.integers(1, 3))):
-        slots = [tuple(data.draw(st.lists(st.integers(0, 1), max_size=2)))
-                 for _ in range(m)]
-        c = Scalar.from_int(data.draw(st.integers(-2, 2))) \
-            * Scalar.q_power(data.draw(st.integers(-2, 2)))
+        new = [tuple(data.draw(st.lists(st.integers(0, 1), max_size=2)))
+               for _ in range(m)]
+        # a later term may keep the other slots and the coefficient object
+        # of the term before, so that their images often meet
+        if slots and data.draw(st.booleans()):
+            new[:pos], new[pos + arity:] = slots[:pos], slots[pos + arity:]
+        else:
+            c = data.draw(kernel_coefficients())
+        slots = new
         x = x + reduce(_join, [Element.basis(w) for w in slots]).scale(c)
     assert apply_slots(f, arity, pos, x) == _sliced_reference(f, arity,
                                                               pos, x)
@@ -142,6 +152,12 @@ def test_apply_slots_edge_cases():
         # kept and grown slot lengths, later cuts shifted or not
         (grow, 1, 1, _slots((0,), (1, 0), (1,)) + _slots((0,), (), (0,))),
         (grow, 1, 0, _slots((0, 1), (1,), ())),
+        # images meeting on one key holding the very object the result
+        # holds (Element.basis's Scalar.one()), the terms scaled by the
+        # Scalar.one() object or by 1 that is another object
+        (first, 1, 0, _slots((0, 1), (1,)) + _slots((0, 0), (1,))),
+        (first, 1, 0, _slots((0, 1), (1,), coeff=OTHER_ONES[0])
+         + _slots((0, 0), (1,), coeff=OTHER_ONES[1])),
     ]
     for f, arity, pos, x in cases:
         got = apply_slots(f, arity, pos, x)
@@ -150,6 +166,11 @@ def test_apply_slots_edge_cases():
     got = apply_slots(first, 1, 0, cancel)
     assert ((0, 1), (1,)) not in got.terms
     assert got == _slots((1,), (0,), coeff=q)
+    assert all(c == Scalar.one() and c is not Scalar.one()
+               for c in OTHER_ONES)
+    for f, arity, pos, x in cases[-2:]:
+        assert apply_slots(f, arity, pos, x) == _slots(
+            (0,), (1,), coeff=Scalar.from_int(2))
 
 
 def _rekeyed_beta(braiding, key):
