@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .linear import (Element, FormatError, LinMap, Report, _checked,
-                     _leg_rows, _legs, _on_basis, _point, apply_at,
+                     _leg_rows, _legs, _on_basis, _point,
                      linmap_from_obj, linmap_to_obj, tensor_elements)
 from .tensoralg import (DegreeCapExceeded, InvalidBase, _bilinear, _linear,
                         _slot_rows, beta_slots, check_yb_algebra,
@@ -381,7 +381,7 @@ def _peeled_column(a, M, z, p):
     # term; the top-level pair bypasses the star memo, and the shorter
     # products it memoises reach only components that are complete
     shorter = _cofree_terms(M, z, p)
-    return (apply_at(a.star, 0, tensor_elements(left, right))
+    return (_legs(tensor_elements(left, right), (a.star, 0))
             - _fold_dot(a, shorter))
 
 

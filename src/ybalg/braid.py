@@ -1,19 +1,17 @@
-"""Symmetric group combinatorics and braid lifts.
+"""Symmetric group combinatorics and braidings.
 
 A permutation w of {1,...,n} is the tuple of its images (w(1), ..., w(n)),
 as in the second row; a Braiding solves the YBE, so by Matsumoto's theorem
 T_w depends on nothing else and T_{vw} = T_v T_w when l(vw) = l(v) + l(w),
-which makes tensoralg's hexagon-built beta_{ij} equal to T_{chi_ij}.  The
-canonical reduced word, from descent stripping, is deterministic; each of
-its l(w) swaps restarts the scan for a descent: O(n l(w)) steps.
+which makes tensoralg's hexagon-built beta_{ij} equal to T_{chi_ij} and
+each lift there a chain of its crossings.  The canonical reduced word,
+from descent stripping, is deterministic; each of its l(w) swaps restarts
+the scan for a descent: O(n l(w)) steps.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations
-
-from .linear import Element, Report, _leg_rows, apply_at, map_invert_exact
+from .linear import Report, _leg_rows, map_invert_exact
 
 
 def perm_inverse(w):
@@ -41,16 +39,6 @@ def perm_reduced_word(w):
         else:
             break
     return rev[::-1]
-
-
-@cache
-def enumerate_shuffles(p, q):
-    """All (p,q)-shuffles in S_{p+q}, lexicographic on image sequences (the
-    order in which combinations yields their first p images): one tuple
-    per (p, q), built on first use."""
-    points = range(1, p + q + 1)
-    return tuple(first + tuple(v for v in points if v not in first)
-                 for first in combinations(points, p))
 
 
 def w_block(i):
@@ -87,27 +75,7 @@ class Braiding:
         if not self.ybe.ok:
             raise ValueError("Yang-Baxter equation fails at %r"
                              % (self.ybe.entries[0]["witness"],))
-        self._lift_cache = {}
         self._beta_slot_cache = {}  # tensoralg.beta_slots images
-
-
-def braid_lift_word(braiding, word, x):
-    """Apply sigma_{i_1} o ... o sigma_{i_l} for an explicit generator word."""
-    for i in reversed(word):
-        x = apply_at(braiding.fwd, i - 1, x)
-    return x
-
-
-def braid_lift_apply(braiding, w, letters):
-    """T_w applied to a single basis word, memoized per (braiding, w)."""
-    key = (w, letters)
-    cached = braiding._lift_cache.get(key)
-    if cached is not None:
-        return cached
-    x = Element.basis(letters)
-    res = braid_lift_word(braiding, perm_reduced_word(w), x)
-    braiding._lift_cache[key] = res
-    return res
 
 
 def check_yang_baxter(sigma, space):

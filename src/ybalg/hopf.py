@@ -18,7 +18,7 @@ from __future__ import annotations
 from .braid import Braiding
 from .linear import (Element, FormatError, LinMap, Report, Singular, Space,
                      _checked, _leg_rows, _legs, _on_basis, _point, _program,
-                     apply_at, element_from_obj, element_to_obj,
+                     element_from_obj, element_to_obj,
                      linmap_from_obj, linmap_to_obj, map_invert_exact,
                      read_field, tensor_elements)
 
@@ -254,21 +254,20 @@ class RMatrix:
         if _legwise_product(h, R, R_inv, 2) != unit2 \
                 or _legwise_product(h, R_inv, R, 2) != unit2:
             raise InvalidRMatrix("R and R_inv are not mutually inverse")
-        for w in h.space.words(1):
-            dx = h.comult.apply_word(w)
-            lhs = _legwise_product(h, R, dx, 2)
-            rhs = _legwise_product(h, _legs(dx, [1, 0]), R, 2)
-            if lhs != rhs:
-                raise InvalidRMatrix(
-                    "conjugation identity fails at %r" % (w,))
+        # R Delta(w) = Delta^op(w) R, the legs interleaved and multiplied
+        r, m = _point(R), [(h.mult, 0), (h.mult, 1)]
+        report = _leg_rows(Report(), [h.space], [(
+            "conjugation", [(h.comult, 0), (r, 0), [0, 2, 1, 3], *m],
+            [(h.comult, 0), (r, 2), [1, 2, 0, 3], *m])])
+        if not report.ok:
+            raise InvalidRMatrix("conjugation identity fails at %r"
+                                 % (report.entries[0]["witness"][0],))
         # R_13, R_23 and R_12 in H^{(x)3}: the unit fills the missing leg
         r13, r23, r12 = (_legs(R, (u, t)) for t in (1, 0, 2))
-        lhs = apply_at(h.comult, 0, R)
-        if lhs != _legwise_product(h, r13, r23, 3):
+        if _legs(R, (h.comult, 0)) != _legwise_product(h, r13, r23, 3):
             raise InvalidRMatrix(
                 "comultiplication expansion on the first leg fails",)
-        lhs = apply_at(h.comult, 1, R)
-        if lhs != _legwise_product(h, r13, r12, 3):
+        if _legs(R, (h.comult, 1)) != _legwise_product(h, r13, r12, 3):
             raise InvalidRMatrix(
                 "comultiplication expansion on the second leg fails")
 

@@ -9,10 +9,10 @@ in place; a single term by `add_term`.
 Elements may carry "cuts": a tuple of split positions marking how the word is
 distributed over tensor factors of T(V) (one cut for T(V) x T(V), more for
 iterated coproducts).  The map machinery here works on the plain letters:
-`apply_at` applies a map at given letters ("legs") and keeps each term's
-cuts, and `_legs` runs a leg program, a chain of such steps and leg
-permutations.  Maps on whole tensor slots, which move the cuts, are the
-slot programs of tensoralg.
+a leg program is a chain of steps, each a map applied at given letters
+("legs") or a leg permutation, and one kernel, `_program`, runs it, each
+term keeping its cuts; `_legs` runs one on an Element.  Maps on whole
+tensor slots, which move the cuts, are the slot programs of tensoralg.
 
 Exact elimination is one kernel, `_row_reduce`, a sparse Gauss-Jordan on
 rows {column: Scalar} that never multiplies a zero entry; the inverse,
@@ -164,23 +164,6 @@ def tensor_elements(x, y):
         n = len(lw)
         for (rw, rc), b in y.terms.items():
             out.add_term((lw + rw, lc + tuple(p + n for p in rc)), a * b)
-    return out
-
-
-def apply_at(f, pos, x):
-    """Apply the map f to its f.in_degree letters at `pos` of every term
-    of x, summing the image terms in place.
-
-    f may change the number of letters (a counit drops one, a
-    comultiplication adds one); each term keeps its cuts.  A term's
-    coefficient that is the Scalar.one() object scales nothing.
-    """
-    out, one = Element(), Scalar.one()
-    end = pos + f.in_degree
-    for (letters, cuts), c in x.terms.items():
-        head, tail = letters[:pos], letters[end:]
-        for (mid, _), a in f.apply_word(letters[pos:end]).terms.items():
-            out.add_term((head + mid + tail, cuts), a if c is one else a * c)
     return out
 
 

@@ -11,10 +11,12 @@ one kernel, `_bilinear`, of a function on pairs of words, and every other map
 given on words is the linear extension by `_linear`.
 
 Maps on whole tensor slots run as slot programs: chains of `apply_slots`
-steps, the graded-slot analogue of linear.apply_at, each summing its image
-terms in place; a braiding keeps one beta slot map, shared by all of them.
-Its images, built by the hexagon steps, are T_{chi_ij} exactly: the lengths
-of each step's two factors add, and sigma solves the YBE (Matsumoto).  The
+steps, the graded-slot analogue of a leg program's steps, each summing its
+image terms in place; a braiding keeps one beta slot map, shared by all of
+them.  Its images, built by the hexagon steps, are T_{chi_ij} exactly: the
+lengths of each step's two factors add, and sigma solves the YBE
+(Matsumoto).  The quantum shuffle, the unshuffle and the Prop 2.2 power
+lifts are chains of its crossings, so beta is the one braid kernel.  The
 Def 2.1 rows on V and on T(V) are pairs of leg or slot programs that
 Report.check runs on all their cases at once, a slot program's cases
 tagged by one extra last slot, which no step reaches.
@@ -25,9 +27,8 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .braid import (braid_lift_apply, enumerate_shuffles, perm_inverse,
-                    perm_reduced_word, w_block)
-from .linear import (Element, Report, _leg_rows, _point, _program, apply_at,
+from .braid import perm_inverse, perm_reduced_word, w_block
+from .linear import (Element, Report, _leg_rows, _point, _program,
                      column_echelon_basis)
 from .scalars import Scalar
 
@@ -94,12 +95,25 @@ def _splits(letters, n):
 
 
 def qshuffle_product(x, y, braiding):
-    """Quantum shuffle product: sum of braid lifts over (i,j)-shuffles."""
+    """Quantum shuffle product: the sum of T_w over the (i, j)-shuffles w
+    of u v (Rosso).  u's letters are placed last first, each crossing
+    k = 0..c of the letters after it by beta_{1k}, c the crossing of the
+    letter placed before and kept in the cut field, so equal states merge;
+    the crossings' lengths add, so each chain is T_w (Matsumoto)."""
+    beta = beta_slots(braiding)
+
     def shuffles(u, v):
-        out = Element()
-        for w in enumerate_shuffles(len(u), len(v)):
-            out.add_scaled(braid_lift_apply(braiding, w, u + v))
-        return out
+        # the letter placed last, u's first, leaves no cut
+        state = Element.basis(u + v, (len(v),) if u else ())
+        for m in reversed(range(len(u))):
+            nxt = Element()
+            for (w, (c,)), a in state.terms.items():
+                for k in range(c + 1):
+                    end, cut = m + k + 1, (k,) if m else ()
+                    for (mid, _), b in beta((w[m:end], (1,))).terms.items():
+                        nxt.add_term((w[:m] + mid + w[end:], cut), b * a)
+            state = nxt
+        return state
     return _bilinear(x, y, shuffles, "qshuffle_product")
 
 
@@ -115,13 +129,23 @@ def quantum_coproduct(x, braiding):
 
 def _unshuffle_component(braiding, letters, p):
     """The (p, n-p) component of the quantum coproduct on one word: the sum
-    of T_{w^{-1}} over the (p, n-p)-shuffles w, cut after p letters."""
-    out = Element()
-    for w in enumerate_shuffles(p, len(letters) - p):
-        img = braid_lift_apply(braiding, perm_inverse(w), letters)
-        for (iw, _), s in img.terms.items():
-            out.add_term((iw, (p,)), s)
-    return out
+    of T_{w^{-1}} over the (p, n-p)-shuffles w, cut after p letters.  Read
+    first to last into states x | y, each letter ends y or, crossing y by
+    beta_{|y|,1}, ends x; equal states merge, and each chain of crossings
+    is T_{w^{-1}}, as their lengths add (Matsumoto)."""
+    beta, q = beta_slots(braiding), len(letters) - p
+    state = Element.basis((), (0,))
+    for a in zip(letters):  # the one-letter words
+        nxt = Element()
+        for (w, (i,)), c in state.terms.items():
+            if len(w) - i < q:
+                nxt.add_term((w + a, (i,)), c)
+            if i < p:
+                img = beta((w[i:] + a, (len(w) - i,)))
+                for (mid, _), b in img.terms.items():
+                    nxt.add_term((w[:i] + mid, (i + 1,)), b * c)
+        state = nxt
+    return state
 
 
 # -- slot programs on tensor powers of T(V) -------------------------------
@@ -177,7 +201,7 @@ def beta_slots(braiding):
     braiding, and each is built in a loop up from the longest image kept:
         beta_{ij}(u | v a) = (id (x) beta_{i1})(beta_{i,j-1}(u | v) (x) a),
         beta_{i1}(b u | a) = (sigma (x) id)(b (x) beta_{i-1,1}(u | a))."""
-    images = braiding._beta_slot_cache
+    images, sigma = braiding._beta_slot_cache, braiding.fwd
 
     def beta(key):
         img = images.get(key)
@@ -195,12 +219,14 @@ def beta_slots(braiding):
         for key in reversed(steps):
             letters, (i,) = key
             j = len(letters) - i
-            if j == 1:
-                prev = images[(letters[1:], (i - 1,))].terms.items()
-                images[key] = apply_at(braiding.fwd, 0, Element(
-                    {(letters[:1] + w, (1,)): c for (w, _), c in prev}))
-                continue
             res = images[key] = Element()
+            if j == 1:
+                prev = images[(letters[1:], (i - 1,))]
+                for (w, _), c in prev.terms.items():
+                    head = sigma.column(letters[:1] + w[:1])
+                    for (x, _), d in head.terms.items():
+                        res.add_term((x + w[1:], (1,)), d * c)
+                continue
             for (w, _), c in images[(letters[:-1], (i,))].terms.items():
                 tail = beta((w[j - 1:] + letters[-1:], (i,)))
                 for (x, _), d in tail.terms.items():
@@ -294,9 +320,24 @@ def delta_beta_via_w(braiding, x, n):
     def cut(key):
         return _splits(key[0], n)
     x = apply_slots(cut, 1, 0, apply_slots(cut, 1, 1, x))
-    for i in reversed(perm_reduced_word(w_block(n + 1))):
-        x = apply_slots(beta_slots(braiding), 2, i - 1, x)
+    return _braid_slots(braiding, w_block(n + 1), x)
+
+
+def _braid_slots(braiding, w, x):
+    """T^beta_w on the slots of x: beta at slots i-1, i for each letter i
+    of w's reduced word, the last letter first."""
+    beta = beta_slots(braiding)
+    for i in reversed(perm_reduced_word(w)):
+        x = apply_slots(beta, 2, i - 1, x)
     return x
+
+
+def _braid_letters(braiding, w, x):
+    """T_w on the plain element x: beta steps on one-letter slots."""
+    cuts = tuple(range(1, len(w)))
+    x = _braid_slots(braiding, w, Element(
+        {(u, cuts): c for (u, _), c in x.terms.items()}))
+    return Element({(u, ()): c for (u, _), c in x.terms.items()})
 
 
 # -- the Nichols algebra ---------------------------------------------------
@@ -325,7 +366,7 @@ class InvalidBase(ValueError):
 
 def power_product(i, mult, braiding):
     """Product on A^{(x) i}: multiply componentwise after the w_i braid,
-    the leg program T_{w_i}, (m, 0), (m, 1), ..., (m, i-1).
+    T_{w_i}, the leg program (m, 0), (m, 1), ..., (m, i-1).
 
     Returns a function on plain words of degree 2i (concatenated pair).
     """
@@ -333,7 +374,7 @@ def power_product(i, mult, braiding):
 
     def prod(letters, coeff=None):
         x = Element.basis(letters, (), coeff)
-        return run(apply_letter_lift(braiding, w_block(i), x))
+        return run(_braid_letters(braiding, w_block(i), x))
     return prod
 
 
@@ -344,14 +385,8 @@ def power_coproduct(i, comult, braiding):
 
     def coprod(letters, coeff=None):
         x = run(Element.basis(letters, (), coeff))
-        return apply_letter_lift(braiding, perm_inverse(w_block(i)), x)
+        return _braid_letters(braiding, perm_inverse(w_block(i)), x)
     return coprod
-
-
-def apply_letter_lift(braiding, w, x):
-    """T^sigma_w at the letter level on plain elements."""
-    return _linear(x, lambda u: braid_lift_apply(braiding, w, u),
-                   "apply_letter_lift")
 
 
 # -- Def 2.1 checks --------------------------------------------------------

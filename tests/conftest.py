@@ -7,9 +7,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ybalg.binfty import TwoYB, YBBase
-from ybalg.braid import Braiding, braid_lift_apply
+from ybalg.braid import Braiding, perm_reduced_word
 from ybalg.catalog import diagonal_braiding
-from ybalg.linear import Element, LinMap, Space, apply_at
+from ybalg.linear import Element, LinMap, Space
 from ybalg.scalars import Scalar, parse_scalar
 from ybalg.tensoralg import _bilinear, _unshuffle_component
 
@@ -61,16 +61,49 @@ def all_reduced_words(w):
         w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:])]
 
 
+def enumerate_shuffles(p, q):
+    """All (p,q)-shuffles in S_{p+q}, lexicographic on image sequences (the
+    order in which combinations yields their first p images)."""
+    points = range(1, p + q + 1)
+    return [first + tuple(v for v in points if v not in first)
+            for first in itertools.combinations(points, p)]
+
+
 def chi(i, j):
     """chi_{ij} in S_{i+j}: k -> k+j for k <= i, k -> k-i otherwise."""
     return tuple(range(j + 1, i + j + 1)) + tuple(range(1, j + 1))
+
+
+def apply_leg(f, pos, x):
+    """The map f applied at the legs pos..pos+f.in_degree-1 of every term of
+    x, each term keeping its cuts, summed into a new Element: the one-step
+    reference for the library's leg programs."""
+    out, end = Element(), pos + f.in_degree
+    for (letters, cuts), c in x.terms.items():
+        for (mid, _), a in f.column(letters[pos:end]).terms.items():
+            out.add_term((letters[:pos] + mid + letters[end:], cuts), a * c)
+    return out
+
+
+def lift_word(braiding, word, x):
+    """sigma_{i_1} o ... o sigma_{i_l} on x for a generator word i_1 ... i_l,
+    the rightmost generator first, one apply_leg per letter."""
+    for i in reversed(word):
+        x = apply_leg(braiding.fwd, i - 1, x)
+    return x
+
+
+def lift(braiding, w, x):
+    """T_w on x, lifted from w's canonical reduced word letter by letter:
+    the reference braid lift, independent of the library's beta kernel."""
+    return lift_word(braiding, perm_reduced_word(w), x)
 
 
 def beta_lift(braiding, i, j, letters):
     """beta_{ij} = T_{chi_ij} on one word of degree i+j, as plain words,
     lifted from chi_ij's reduced word: the reference for the hexagon-built
     images of tensoralg.beta_slots, which it does not go through."""
-    return braid_lift_apply(braiding, chi(i, j), tuple(letters))
+    return lift(braiding, chi(i, j), Element.basis(letters))
 
 
 def split_product(product):
@@ -91,7 +124,7 @@ def braid_lift(w, braiding):
     """T_w tabulated as a LinMap on V^{(x) n}, n = len(w): the reference
     form of a braid lift, one column per basis word."""
     return LinMap.tabulate(braiding.space, len(w),
-                           lambda word: braid_lift_apply(braiding, w, word))
+                           lambda word: lift(braiding, w, Element.basis(word)))
 
 
 def symmetrizer_image(k, braiding):
@@ -101,7 +134,7 @@ def symmetrizer_image(k, braiding):
     def column(word):
         acc = Element()
         for w in itertools.permutations(range(1, k + 1)):
-            acc.add_scaled(braid_lift_apply(braiding, w, word))
+            acc.add_scaled(lift(braiding, w, Element.basis(word)))
         return acc
     return LinMap.tabulate(braiding.space, k, column)
 
@@ -185,14 +218,11 @@ def permute_legs(x, order):
 
 
 def legs_reference(x, *steps):
-    """The reference form of a leg program: one apply_at or permute_legs
+    """The reference form of a leg program: one apply_leg or permute_legs
     per step, each summing into a new Element, left to right."""
     for step in steps:
-        if isinstance(step, list):
-            x = permute_legs(x, step)
-        else:
-            f, pos = step
-            x = apply_at(f, pos, x)
+        x = permute_legs(x, step) if isinstance(step, list) \
+            else apply_leg(*step, x)
     return x
 
 

@@ -10,14 +10,14 @@ from itertools import product as iproduct
 import pytest
 
 from conftest import (all_reduced_words, dual_numbers_twoyb, flip_braiding,
-                      graded_base, negated, quasi_shuffle_reference,
-                      split_product, symbolic_diagonal, unshuffle_components,
-                      zero_base)
+                      graded_base, lift_word, negated,
+                      quasi_shuffle_reference, split_product,
+                      symbolic_diagonal, unshuffle_components, zero_base)
 from test_hopf import sign_action, z2_rmatrix
 from test_tensoralg import UNIT_SPLIT_KEPT, _mutant_kernel
 from ybalg import tensoralg
 from ybalg.binfty import from_2yb, antipode, qb_validate, star_product
-from ybalg.braid import braid_lift_word, check_yang_baxter
+from ybalg.braid import check_yang_baxter
 from ybalg.catalog import (WedgeAlgebra, diagonal_braiding, exterior_braiding,
                            exterior_relations_check, group_algebra_hopf,
                            qflip_compat_check)
@@ -122,9 +122,9 @@ def test_criterion_03_lifts_independent_of_reduced_word(capsys):
         words = all_reduced_words(w)
         for letters in b.space.words(4):
             x = Element.basis(letters)
-            ref = braid_lift_word(b, words[0], x)
+            ref = lift_word(b, words[0], x)
             for word in words[1:]:
-                if braid_lift_word(b, word, x) != ref:
+                if lift_word(b, word, x) != ref:
                     failures.append((w, word, letters))
     report(capsys, 3,
            "braid lifts agree across all reduced words of every w in S_4",

@@ -6,16 +6,16 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import (assert_associative, diagonal_bases, diagonal_braidings,
-                      dual_numbers_twoyb, first_failure, flip_braiding,
-                      graded_base, quasi_shuffle_reference, symbolic_diagonal,
-                      zero_base)
+from conftest import (apply_leg, assert_associative, diagonal_bases,
+                      diagonal_braidings, dual_numbers_twoyb, first_failure,
+                      flip_braiding, graded_base, quasi_shuffle_reference,
+                      symbolic_diagonal, zero_base)
 from ybalg import binfty, tensoralg
 from ybalg.binfty import (QBStructure, TwoYB, YBBase, _apply_m_blocks,
                           _fold_dot, antipode, from_2yb, qb_from_obj,
                           qb_to_obj, qb_validate, quasi_shuffle, star_product)
 from ybalg.catalog import exterior_braiding
-from ybalg.linear import Element, LinMap, Space, apply_at, tensor_elements
+from ybalg.linear import Element, LinMap, Space, tensor_elements
 from ybalg.scalars import Scalar
 from ybalg.tensoralg import (DegreeCapExceeded, InvalidBase,
                              _first_factor_delta_beta, counit, deconcatenate,
@@ -456,7 +456,7 @@ def test_from_2yb_matches_stream_peeling():
     for total in range(2, 6):
         for p in range(1, total):
             def column(z):
-                prod = apply_at(a.star, 0, tensor_elements(
+                prod = apply_leg(a.star, 0, tensor_elements(
                     _fold_dot(a, Element.basis(z[:p])),
                     _fold_dot(a, Element.basis(z[p:]))))
                 return prod - _fold_dot(a, _stream_star(ref, z, p))

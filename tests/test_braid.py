@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (all_reduced_words, braid_lift, chi, compose,
-                      diagonal_braidings, first_failure, flip_braiding,
-                      inversions, sweedler_h4, symbolic_diagonal)
+                      diagonal_braidings, enumerate_shuffles, first_failure,
+                      flip_braiding, inversions, lift, lift_word,
+                      sweedler_h4, symbolic_diagonal)
 from ybalg import braid
-from ybalg.braid import (Braiding, braid_lift_word, check_yang_baxter,
-                         enumerate_shuffles, perm_inverse, perm_reduced_word,
-                         w_block)
+from ybalg.braid import (Braiding, check_yang_baxter, perm_inverse,
+                         perm_reduced_word, w_block)
 from ybalg.catalog import WedgeAlgebra, diagonal_braiding, exterior_braiding
 from ybalg.hopf import yd_adjoint, yd_braiding
-from ybalg.linear import Element, LinMap, Space, apply_at
+from ybalg.linear import Element, LinMap, Space, _legs
 from ybalg.scalars import Scalar, parse_scalar
-from ybalg.tensoralg import apply_letter_lift, beta_slots
+from ybalg.tensoralg import beta_slots
 
 
 def all_perms(n):
@@ -88,8 +88,7 @@ def _inverse_lift_mismatches(b):
         for w in all_perms(n):
             for word in b.space.words(n):
                 x = Element.basis(word)
-                back = apply_letter_lift(b, perm_inverse(w),
-                                         apply_letter_lift(b, w, x))
+                back = lift(b, perm_inverse(w), lift(b, w, x))
                 if back != x:
                     out.append((w, word))
     return out
@@ -208,8 +207,8 @@ def test_lift_respects_word_order():
     # sigma_{i_1} o ... o sigma_{i_l}: the rightmost generator acts first
     b = symbolic_diagonal(2)
     x = Element.basis((0, 1, 0))
-    direct = apply_at(b.fwd, 0, apply_at(b.fwd, 1, x))
-    assert braid_lift_word(b, [1, 2], x) == direct
+    direct = _legs(x, (b.fwd, 1), (b.fwd, 0))
+    assert lift_word(b, [1, 2], x) == direct
 
 
 def test_matsumoto_small():
@@ -218,7 +217,7 @@ def test_matsumoto_small():
         images = {}
         for word in all_reduced_words(w):
             for letters in b.space.words(3):
-                res = braid_lift_word(b, word, Element.basis(letters))
+                res = lift_word(b, word, Element.basis(letters))
                 images.setdefault(letters, res)
                 assert images[letters] == res
 

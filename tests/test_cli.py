@@ -208,14 +208,13 @@ def test_compute_braid_golden(tmp_path):
 
 def test_compute_braid_lifts_only_the_operand_words(tmp_path):
     # beta_33 is built for the operand word alone, from shorter images,
-    # not tabulated on the 2^6 words of degree 6, and lifts no permutation
+    # not tabulated on the 2^6 words of degree 6
     session = load_session(basic_session(tmp_path))
     compute_expression(session, "braid(sigma, 3, 3, e1*e2*e1*e2*e1*e2)")
     sigma = session.get("sigma")
     assert [key for key in sigma._beta_slot_cache if len(key[0]) == 6] == \
         [((0, 1, 0, 1, 0, 1), (3,))]
     assert len(sigma._beta_slot_cache) < 2 ** 6
-    assert not sigma._lift_cache
 
 
 @pytest.mark.parametrize("i, j", [(40, 0), (20, 20)])
@@ -224,7 +223,7 @@ def test_compute_braid_of_zero_lifts_nothing(tmp_path, i, j):
     assert cmd_compute(session, "braid(sigma, %d, %d, 0)" % (i, j)) == \
         (0, "0")
     sigma = session.get("sigma")
-    assert not sigma._beta_slot_cache and not sigma._lift_cache
+    assert not sigma._beta_slot_cache
 
 
 BRAID_DIFFERENTIAL = [
@@ -441,6 +440,30 @@ def test_compute_refuses_a_cancelled_top_degree_over_cap(tmp_path, capsys):
     assert capsys.readouterr().out == "0\n"
     assert main(["compute", path, "shuffle(e1, e1)", "--cap", "1"]) == 2
     assert capsys.readouterr().err == "error: degree 2 exceeds cap 1\n"
+
+
+@pytest.mark.parametrize("declaration, crossing", [
+    ({"kind": "catalog", "address": "exterior:N=2"}, Scalar.q_power(-1)),
+    ({"kind": "diagonal", "matrix": [["1", "q^2"], ["q", "-1"]]},
+     Scalar.q_power(2)),
+], ids=["exterior-2", "diagonal-2"])
+def test_compute_shuffles_a_1500_letter_word(tmp_path, capsys, declaration,
+                                             crossing):
+    # e1 sh e2^n is the sum over k of c^k e2^k e1 e2^(n-k), where
+    # sigma(e1 e2) = c e2 e1: no recursion as deep as the word, and seconds
+    path = write_session(tmp_path, {"version": 1, "objects": [
+        dict(name="s", **declaration)]})
+    n = 1500
+    start = time.perf_counter()
+    assert main(["compute", path, "shuffle(e1, %s)" % "*".join(["e2"] * n),
+                 "--cap", str(n + 1)]) == 0
+    assert time.perf_counter() - start < 20
+    expected, c = Element(), Scalar.one()
+    for k in range(n + 1):
+        expected.add_term(((1,) * k + (0,) + (1,) * (n - k), ()), c)
+        c = c * crossing
+    assert capsys.readouterr().out == \
+        format_element(expected, Space(["e1", "e2"])) + "\n"
 
 
 def run_alone(argv):

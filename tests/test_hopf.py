@@ -176,6 +176,16 @@ def test_rmatrix_rejects_corruption():
         RMatrix.from_element(h, noninv)
 
 
+def test_rmatrix_conjugation_witness_is_the_first_failing_letter():
+    # on Sweedler's H4, R = 1 (x) 1 is its own inverse, and R Delta(w) =
+    # Delta^op(w) R holds for 1 and the group-like g but fails at x
+    h = sweedler_h4()
+    one = tensor_elements(h.unit, h.unit)
+    with pytest.raises(InvalidRMatrix,
+                       match=r"^conjugation identity fails at \(2,\)$"):
+        RMatrix(h, one, one)
+
+
 def test_rmatrix_yd_sign_action():
     h, R = z2_rmatrix()
     r = RMatrix.from_element(h, R)

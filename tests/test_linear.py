@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (OTHER_ONES, kernel_coefficients, legs_reference,
-                      permute_legs)
+from conftest import (OTHER_ONES, apply_leg, kernel_coefficients,
+                      legs_reference, permute_legs)
 from ybalg.linear import (DegreeMismatch, Element, LinMap, Singular, Space,
-                          _legs, apply_at, column_echelon_basis,
+                          _legs, column_echelon_basis,
                           element_from_obj, element_to_obj, in_span,
                           linmap_from_obj, linmap_to_obj, map_invert_exact,
                           map_kernel_basis, tensor_elements, term_sort_key)
@@ -318,7 +318,8 @@ def combinations_of(draw, words):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_apply_at_matches_kronecker_reference(data):
-    # apply_at(f, pos, .) is id^pos (x) f (x) id^rest, cuts untouched
+    # the one-step leg program (f, pos) is id^pos (x) f (x) id^rest, cuts
+    # untouched
     sp = Space(["a", "b"])
     arity, out = data.draw(st.sampled_from([(1, 0), (1, 1), (1, 2), (2, 1)]))
     f = LinMap(arity, {w: data.draw(combinations_of(sp.words(out)))
@@ -328,10 +329,10 @@ def test_apply_at_matches_kronecker_reference(data):
     x = data.draw(combinations_of(sp.words(n)))
     ref = LinMap.identity(sp, pos).tensor(f).tensor(
         LinMap.identity(sp, rest)).apply(x)
-    assert apply_at(f, pos, x) == ref
+    assert _legs(x, (f, pos)) == ref
     cuts = tuple(sorted(data.draw(st.lists(st.integers(0, n), max_size=2))))
     cut_x = Element({(w, cuts): c for (w, _), c in x.terms.items()})
-    assert apply_at(f, pos, cut_x) == Element(
+    assert _legs(cut_x, (f, pos)) == Element(
         {(w, cuts): c for (w, _), c in ref.terms.items()})
 
 
@@ -339,7 +340,7 @@ def test_apply_at_matches_kronecker_reference(data):
 @given(st.data())
 def test_permute_legs_matches_adjacent_flips(data):
     # new leg t is old leg order[t], in the reference and as one step of a
-    # leg program; reference: adjacent flips by apply_at
+    # leg program; reference: adjacent flips by apply_leg
     sp = Space(["a", "b", "c"])
     n = data.draw(st.integers(1, 4))
     order = data.draw(st.permutations(range(n)))
@@ -350,7 +351,7 @@ def test_permute_legs_matches_adjacent_flips(data):
     ref, legs = x, list(range(n))
     for t in range(n):
         for j in range(legs.index(order[t]), t, -1):
-            ref = apply_at(tau, j - 1, ref)
+            ref = apply_leg(tau, j - 1, ref)
             legs[j - 1], legs[j] = legs[j], legs[j - 1]
     assert permute_legs(x, order) == ref
     assert _legs(x, list(order)) == ref

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (OTHER_ONES, assert_associative, beta_lift,
-                      braid_lift, diagonal_braidings, first_failure,
-                      flip_braiding, graded_base, kernel_coefficients,
-                      negated, split_product, symbolic_diagonal,
-                      symmetrizer_image, unshuffle_components)
+                      braid_lift, diagonal_braidings, enumerate_shuffles,
+                      first_failure, flip_braiding, graded_base,
+                      kernel_coefficients, lift, negated, split_product,
+                      symbolic_diagonal, symmetrizer_image,
+                      unshuffle_components)
 from ybalg import tensoralg
 from ybalg.binfty import qb_validate, quasi_shuffle, star_product
 from ybalg.braid import Braiding, check_yang_baxter, perm_inverse, w_block
@@ -20,7 +21,8 @@ from ybalg.catalog import (WedgeAlgebra, cartan_qmatrix, diagonal_braiding,
 from ybalg.linear import (Element, LinMap, Space, column_echelon_basis,
                           tensor_elements)
 from ybalg.scalars import Scalar, parse_scalar
-from ybalg.tensoralg import (_first_factor_delta_beta, apply_slots,
+from ybalg.tensoralg import (_first_factor_delta_beta, _unshuffle_component,
+                             apply_slots,
                              beta_slots, concat_product, counit, deconcatenate,
                              delta_beta, delta_beta_iter, delta_beta_via_w,
                              delta_iter, nichols_basis, power_coproduct,
@@ -288,8 +290,8 @@ def test_shuffle_associative_exterior():
     assert lhs == rhs
 
 
-def _shuffle_associative(b):
-    assert_associative(lambda x, y: qshuffle_product(x, y, b), b.space, 4)
+def _shuffle_associative(b, shuffle=qshuffle_product):
+    assert_associative(lambda x, y: shuffle(x, y, b), b.space, 4)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -298,14 +300,90 @@ def test_shuffle_associative_on_generated_braidings(b):
     _shuffle_associative(b)
 
 
-def test_generated_shuffle_associativity_catches_a_dropped_shuffle(
-        monkeypatch):
-    # every (p, q)-shuffle product with p, q >= 1 loses its last shuffle
-    shuffles = tensoralg.enumerate_shuffles
-    monkeypatch.setattr(tensoralg, "enumerate_shuffles", lambda p, q: (
-        shuffles(p, q)[:-1] if p and q else shuffles(p, q)))
+def test_generated_shuffle_associativity_catches_a_dropped_shuffle():
+    # every (p, q)-shuffle product with p, q >= 1 loses its last shuffle,
+    # the one in which every letter of u crosses all of v
+    mutant = _mutant_kernel(
+        "for k in range(c + 1):",
+        "for k in range(c if m == 0 and 0 < c == len(v) else c + 1):",
+        qshuffle_product)
     with pytest.raises(AssertionError):
-        first_failure(diagonal_braidings(), _shuffle_associative)
+        first_failure(diagonal_braidings(),
+                      lambda b: _shuffle_associative(b, mutant))
+
+
+def _shuffles_match_lifts(b, shuffle=qshuffle_product,
+                          component=_unshuffle_component):
+    """On every word of degree n <= 5, split as u v after p letters: u sh v
+    is the sum of T_w(u v) over the (p, n-p)-shuffles w, and the (p, n-p)
+    unshuffle component the sum of T_{w^{-1}}(u v) cut after p, by the
+    reference lifts, which apply sigma one generator at a time."""
+    for n in range(6):
+        for letters in b.space.words(n):
+            for p in range(n + 1):
+                shuffles = enumerate_shuffles(p, n - p)
+                ref, x = Element(), Element.basis(letters)
+                for w in shuffles:
+                    ref.add_scaled(lift(b, w, x))
+                assert shuffle(Element.basis(letters[:p]),
+                               Element.basis(letters[p:]), b) == ref, \
+                    (letters, p)
+                ref, x = Element(), Element.basis(letters, (p,))
+                for w in shuffles:
+                    ref.add_scaled(lift(b, perm_inverse(w), x))
+                assert component(b, letters, p) == ref, (letters, p)
+
+
+@pytest.mark.parametrize("name", sorted(BETA_DIFFERENTIAL))
+def test_shuffle_kernels_match_the_lift_reference(name):
+    _shuffles_match_lifts(BETA_DIFFERENTIAL[name]())
+
+
+def test_shuffle_kernels_match_the_lift_reference_on_generated_braidings():
+    first_failure(diagonal_braidings(), _shuffles_match_lifts)
+
+
+@pytest.mark.parametrize("role, old, new", [
+    ("shuffle", "for k in range(c + 1):", "for k in range(c):"),
+    ("shuffle", "end, cut = m + k + 1, (k,) if m else ()",
+     "end, cut = m + k + 1, (c,) if m else ()"),
+    ("component", "img = beta((w[i:] + a, (len(w) - i,)))",
+     "img = Element.basis(a + w[i:])"),
+], ids=["shuffle-longest-crossing-dropped", "shuffle-bound-never-falls",
+        "unshuffle-left-letter-unbraided"])
+def test_shuffle_differential_catches_planted_faults(role, old, new):
+    kernel = {"shuffle": qshuffle_product,
+              "component": _unshuffle_component}[role]
+    mutant = _mutant_kernel(old, new, kernel)
+
+    def check(b):
+        _shuffles_match_lifts(b, **{role: mutant})
+    with pytest.raises(AssertionError):
+        first_failure(diagonal_braidings(), check)
+    for make in BETA_DIFFERENTIAL.values():
+        with pytest.raises(AssertionError):
+            check(make())
+
+
+def test_unshuffle_component_of_a_1500_letter_word():
+    # e1 e2^1499 on q_ij = q^{2i+j+1}: one letter crosses the letters
+    # before it (p = 1), or the letters after it cross one (p = 1499); a
+    # kernel recursing once per letter would pass the recursion limit
+    b, n = symbolic_diagonal(2), 1500
+    word = (0,) + (1,) * (n - 1)
+    q = Scalar.q_power
+
+    def total(exponents):
+        out = Scalar.zero()
+        for e in exponents:
+            out = out + q(e)
+        return out
+    assert _unshuffle_component(b, word, 1) == Element({
+        (word, (1,)): Scalar.one(),
+        ((1, 0) + word[2:], (1,)): total(4 * t - 2 for t in range(1, n))})
+    assert _unshuffle_component(b, word, n - 1) == Element({
+        (word[1:] + (0,), (n - 1,)): q(2 * (n - 1)),
+        (word, (n - 1,)): total(4 * s for s in range(n - 1))})
 
 
 def test_quantum_coproduct_counit():
