@@ -22,8 +22,9 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .linear import (Element, FormatError, LinMap, Report, _checked,
-                     _leg_rows, _legs, _on_basis, _point,
-                     linmap_from_obj, linmap_to_obj, tensor_elements)
+                     _degree_cap, _leg_rows, _legs, _on_basis, _point,
+                     linmap_from_obj, linmap_to_obj, read_field,
+                     tensor_elements)
 from .tensoralg import (DegreeCapExceeded, InvalidBase, _bilinear, _linear,
                         _slot_rows, beta_slots, check_yb_algebra,
                         check_yb_product_rows, delta_beta_iter,
@@ -420,10 +421,11 @@ def qb_from_obj(obj, braiding):
     repeated in-word or block raises linear.FormatError."""
     V = braiding.space
     comps = {}
-    for e in _checked(obj, {"M": [{"p": int, "q": int, "map": list}],
-                            "degree_cap": int})["M"]:
+    entries = _checked(obj, {"M": [{"p": int, "q": int, "map": list}]})["M"]
+    cap = read_field(obj, "degree_cap", _degree_cap)
+    for e in entries:
         pq = (e["p"], e["q"])
         if pq in comps:
             raise FormatError("", "declares M_%d,%d twice" % pq)
         comps[pq] = linmap_from_obj(e["map"], [V] * sum(pq), [V])
-    return QBStructure(braiding, comps, obj["degree_cap"])
+    return QBStructure(braiding, comps, cap)

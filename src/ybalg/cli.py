@@ -24,7 +24,7 @@ import sys
 
 from . import binfty, catalog, hopf, tensoralg
 from .braid import Braiding
-from .linear import (Element, FormatError, Report, _checked,
+from .linear import (Element, FormatError, Report, _checked, _degree_cap,
                      element_to_obj, linmap_from_obj, read_field)
 from .scalars import ScalarParseError, parse_scalar
 
@@ -103,8 +103,9 @@ def load_session(path):
         raise ParseError("unsupported session version %r"
                          % (data.get("version"),))
     cap = data.get("degree_cap", 6)
-    if type(cap) is not int:
-        raise ParseError("degree_cap must be an integer, got %r" % (cap,))
+    if type(cap) is not int or cap < 0:
+        raise ParseError("degree_cap must be a non-negative integer, got %r"
+                         % (cap,))
     decls = data.get("objects", [])
     if not isinstance(decls, list):
         raise ParseError("objects must be a list of declarations")
@@ -173,7 +174,7 @@ def _build_object(decl, session):
     if kind == "quasishuffle":
         base = _ref(decl, "base", session, binfty.YBBase)
         return base.qb_structure(
-            read_field(decl, "degree_cap", _checked, int)
+            read_field(decl, "degree_cap", _degree_cap)
             if "degree_cap" in decl else session.degree_cap)
     if kind == "qb":
         return read_field(decl, "data", binfty.qb_from_obj,
@@ -516,7 +517,9 @@ def format_element(x, space):
             parts.append("-%s" % word)
         else:
             # a quotient already parenthesizes its sums; a sum needs them
-            if "/" not in cs and len(coeff.num.coeffs) > 1:
+            # (num.c has two entries or more exactly when num has two
+            # terms or more, as its end entries are nonzero)
+            if "/" not in cs and len(coeff.num.c) > 1:
                 cs = "(%s)" % cs
             parts.append("%s %s" % (cs, word))
     text = " + ".join(parts)

@@ -550,6 +550,13 @@ def _checked(value, form):
     return value
 
 
+def _degree_cap(value):
+    """A degree cap: a JSON integer, refused when negative."""
+    if _checked(value, int) < 0:
+        raise FormatError("", "is negative: a degree cap is at least 0")
+    return value
+
+
 def read_field(obj, key, read, *args):
     """read(obj.get(key), *args), with `key` put in front of the path of a
     FormatError it raises."""

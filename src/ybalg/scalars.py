@@ -1,10 +1,13 @@
 """Exact coefficient field: rational functions in one indeterminate q.
 
 A Poly is a Laurent polynomial in q with integer coefficients, stored as a
-mapping exponent -> coefficient (exponents may be negative, coefficients are
-never zero).  A Scalar is a quotient num/den of Polys in canonical form:
+Laurent shift `low` and a tuple `c` of coefficients, low degree first, so
+that it is q^low (c[0] + c[1] q + c[2] q^2 + ...).  The first and last
+entries of c are nonzero, and zero is low 0 with c empty, so equality and
+hashing compare the pair (low, c).  A Scalar is a quotient num/den of Polys
+in canonical form:
 
-  * den is an ordinary polynomial with nonzero constant term,
+  * den is an ordinary polynomial with nonzero constant term (low 0),
   * num and den are coprime as polynomials (after clearing the Laurent shift
     of num),
   * the integer gcd of all coefficients across num and den is 1,
@@ -14,6 +17,13 @@ never zero).  A Scalar is a quotient num/den of Polys in canonical form:
 Equality of Scalars is structural, which makes every identity check in the
 rest of the library an exact test.
 
+The gcd, exact division and product kernels below run on coefficient
+sequences low degree first, so they read and build c directly.  The one
+trade-off of the dense form is a sparse wide polynomial, which stores every
+zero between its terms: 1 + q^500 holds 501 entries.  The product kernel
+therefore skips the zero coefficients of its outer operand, so that such a
+factor costs one pass over the other operand per term.
+
 Every stock braiding has Laurent-polynomial entries, so almost all scalars
 have den = 1.  A Laurent polynomial over 1 is already canonical (nothing can
 cancel, the content across num and den is 1), and sums, differences and
@@ -21,16 +31,17 @@ products of such scalars stay Laurent, so `+`, `-` and `*` on two den = 1
 operands skip normalisation; negation never renormalises.
 
 No product runs the general normaliser.  A product by 1 is the other operand
-itself, whatever its denominator.  Of two Laurent polynomials, one a monomial,
-the product is the other shifted and scaled, no coefficient zero, so it is
-built as such with no zero filter.  Any other product with a non-Laurent
-operand follows Henrici (Knuth TAOCP vol. 2 4.5.1): of n1/d1 * n2/d2, both
-canonical, only g1 = gcd(n1, d2) and g2 = gcd(n2, d1) can cancel, so
-(n1/g1)(n2/g2) over (d1/g2)(d2/g1) is coprime, and dividing out the integer
-content across the two leaves it canonical.  Each gcd is primitive with a
-positive leading coefficient, so the denominator keeps a positive leading
-coefficient, and q divides no denominator, so the Laurent shifts of the
-numerators add.
+itself, whatever its denominator.  The end coefficients of a product of two
+Polys are products of nonzero end coefficients, so a Poly product is built
+as it stands, with no zeros to strip; a monomial factor only scales the
+other's coefficients and adds the shifts.  Any other product with a
+non-Laurent operand follows Henrici (Knuth TAOCP vol. 2 4.5.1): of
+n1/d1 * n2/d2, both canonical, only g1 = gcd(n1, d2) and g2 = gcd(n2, d1)
+can cancel, so (n1/g1)(n2/g2) over (d1/g2)(d2/g1) is coprime, and dividing
+out the integer content across the two leaves it canonical.  Each gcd is
+primitive with a positive leading coefficient, so the denominator keeps a
+positive leading coefficient, and q divides no denominator, so the Laurent
+shifts of the numerators add.
 
 Every other result (a sum with a non-Laurent operand, an inverse, a
 constructed scalar, a parsed one whose denominator is not exactly 1) is
@@ -58,14 +69,21 @@ class ScalarParseError(ValueError):
 
 
 class Poly:
-    """Laurent polynomial in q over the integers."""
+    """Laurent polynomial in q over the integers, q^low (c[0] + c[1] q +
+    ...) (module docstring).  Poly(mapping) builds it from a mapping
+    exponent -> coefficient, whose zero coefficients are dropped."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("low", "c")
 
     def __init__(self, coeffs=None):
-        if coeffs is None:
-            coeffs = {}
-        self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
+        self.low, self.c = 0, ()
+        terms = {e: v for e, v in coeffs.items() if v} if coeffs else None
+        if terms:
+            self.low = low = min(terms)
+            c = [0] * (max(terms) - low + 1)
+            for e, v in terms.items():
+                c[e - low] = v
+            self.c = tuple(c)
 
     @staticmethod
     def zero():
@@ -73,73 +91,86 @@ class Poly:
 
     @staticmethod
     def one():
-        return Poly({0: 1})
+        return _poly(0, _UNIT)
 
     @staticmethod
     def const(n):
-        return Poly({0: n})
+        return Poly.q(0, n)
 
     @staticmethod
     def q(exp=1, coeff=1):
-        return Poly({exp: coeff})
+        return _poly(exp, (coeff,)) if coeff else Poly()
+
+    @property
+    def coeffs(self):
+        """The mapping exponent -> coefficient of the nonzero terms, built
+        afresh on each read."""
+        return {e: v for e, v in enumerate(self.c, self.low) if v}
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.c
 
     def min_exp(self):
-        return min(self.coeffs)
+        if not self.c:
+            raise ValueError("the zero polynomial has no terms")
+        return self.low
 
     def max_exp(self):
-        return max(self.coeffs)
+        return self.min_exp() + len(self.c) - 1
 
     def leading_coeff(self):
-        return self.coeffs[self.max_exp()]
+        return self.c[self.max_exp() - self.low]
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(out)
+        a, b = self.c, other.c
+        if not b:
+            return self
+        if not a:
+            return other
+        la, lb = self.low, other.low
+        if la > lb:
+            la, a, lb, b = lb, b, la, a
+        out = list(a)
+        off = lb - la
+        if off + len(b) > len(out):
+            out += [0] * (off + len(b) - len(out))
+        for i, v in enumerate(b, off):
+            out[i] += v
+        return _strip(la, out)
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.coeffs.items()})
+        return _poly(self.low, tuple([-x for x in self.c]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        # a monomial factor shifts and scales the other: nothing cancels
-        a, b = self.coeffs, other.coeffs
+        a, b = self.c, other.c
+        if not a or not b:
+            return Poly()
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
-            out = Poly.__new__(Poly)
-            (e1, c1), = a.items()
-            if len(b) == 1:
-                (e2, c2), = b.items()
-                out.coeffs = {e1 + e2: c1 * c2}
-            else:
-                out.coeffs = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
-            return out
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return Poly(out)
+            s = a[0]
+            out = b if s == 1 else tuple([s * x for x in b])
+        else:
+            out = tuple(_dense_mul(a, b))
+        return _poly(self.low + other.low, out)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.low == other.low
+                and self.c == other.c)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
+        return hash((self.low, self.c))
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.c:
             return "0"
         parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
+        for e, c in reversed(list(enumerate(self.c, self.low))):
+            if not c:
+                continue
             sign = "-" if c < 0 else "+"
             a = abs(c)
             if e == 0:
@@ -157,9 +188,29 @@ class Poly:
     __repr__ = __str__
 
 
-def _to_dense(p, low):
-    """Coefficient list of p / q^low, low to high (low <= p.min_exp())."""
-    return [p.coeffs.get(i, 0) for i in range(low, p.max_exp() + 1)]
+_UNIT = (1,)
+
+
+def _poly(low, c):
+    """The Poly q^low (c[0] + c[1] q + ...), c a tuple whose first and last
+    entries are nonzero."""
+    p = object.__new__(Poly)
+    p.low, p.c = low, c
+    return p
+
+
+def _strip(low, c):
+    """The Poly q^low (c[0] + c[1] q + ...) of a coefficient list, the zeros
+    at both of its ends stripped."""
+    hi = len(c)
+    while hi and not c[hi - 1]:
+        hi -= 1
+    if not hi:
+        return Poly()
+    lo = 0
+    while not c[lo]:
+        lo += 1
+    return _poly(low + lo, tuple(c[lo:hi]))
 
 
 def _primitive_part(a):
@@ -171,7 +222,7 @@ def _pseudo_remainder(a, b):
     """a reduced modulo b over Z: each step subtracts a multiple of b from a
     (multiplied by b's leading coefficient only when that does not divide
     a's), so the result is an integer multiple of the true remainder."""
-    a = a[:]
+    a = list(a)
     lb, nb = b[-1], len(b) - 1
     while len(a) > nb:
         c = a.pop()
@@ -203,7 +254,7 @@ def _dense_gcd(a, b):
 
 def _dense_divexact(a, b):
     """Exact division of ordinary integer polys (a = b * result over Z)."""
-    a = a[:]
+    a = list(a)
     lb, nb = b[-1], len(b) - 1
     out = [0] * (len(a) - nb)
     for k in range(len(out) - 1, -1, -1):
@@ -215,7 +266,10 @@ def _dense_divexact(a, b):
 
 
 def _dense_mul(a, b):
-    """Product of two ordinary integer polys (may return an operand)."""
+    """Product of two ordinary integer polys (may return an operand).  The
+    outer loop skips the zero coefficients of the shorter operand, so a
+    sparse wide factor costs one pass over the other per term, not per
+    degree."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
@@ -223,8 +277,9 @@ def _dense_mul(a, b):
         return a if c == 1 else [x * c for x in a]
     out = [0] * (len(a) + len(b) - 1)
     for i, y in enumerate(b):
-        for j, x in enumerate(a, i):
-            out[j] += x * y
+        if y:
+            for j, x in enumerate(a, i):
+                out[j] += x * y
     return out
 
 
@@ -239,20 +294,16 @@ def _cancel(n, d):
 
 
 def _content_free(n, d, shift):
-    """num, den Polys of q^shift n/d (ordinary n, d) with the integer
-    content across n and d divided out and den's leading coefficient
-    made positive."""
+    """num, den Polys of q^shift n/d (ordinary n, d, each with nonzero end
+    coefficients) with the integer content across n and d divided out and
+    den's leading coefficient made positive."""
     cg = gcd(*n, *d)
     if d[-1] < 0:
         cg = -cg
     if cg != 1:
         n = [c // cg for c in n]
         d = [c // cg for c in d]
-    return (Poly({i + shift: c for i, c in enumerate(n)}),
-            Poly(dict(enumerate(d))))
-
-
-_UNIT = {0: 1}
+    return _poly(shift, tuple(n)), _poly(0, tuple(d))
 
 
 class Scalar:
@@ -270,9 +321,8 @@ class Scalar:
             self.num, self.den = Poly.zero(), Poly.one()
             return
         # clear Laurent shifts: den becomes ordinary with nonzero constant
-        mn, md = num.min_exp(), den.min_exp()
-        n0, d0 = _cancel(_to_dense(num, mn), _to_dense(den, md))
-        self.num, self.den = _content_free(n0, d0, mn - md)
+        self.num, self.den = _content_free(*_cancel(num.c, den.c),
+                                           num.low - den.low)
 
     # -- constructors ------------------------------------------------------
 
@@ -297,7 +347,7 @@ class Scalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.c
 
     # -- arithmetic --------------------------------------------------------
 
@@ -306,17 +356,18 @@ class Scalar:
     # Such results still go through __init__, so construction keeps one
     # entry point; the flag is passed positionally, where a call tracer's
     # argument tuple shows it.  A product by 1 is the other operand itself:
-    # every Scalar is canonical and immutable.
+    # every Scalar is canonical and immutable.  A denominator has low 0, so
+    # den = 1 is den.c == (1,).
 
     def __add__(self, other):
         sd, od = self.den, other.den
-        if sd.coeffs == _UNIT and od.coeffs == _UNIT:
+        if sd.c == _UNIT and od.c == _UNIT:
             return Scalar(self.num + other.num, sd, True)
         return Scalar(self.num * od + other.num * sd, sd * od)
 
     def __sub__(self, other):
         sd, od = self.den, other.den
-        if sd.coeffs == _UNIT and od.coeffs == _UNIT:
+        if sd.c == _UNIT and od.c == _UNIT:
             return Scalar(self.num - other.num, sd, True)
         return Scalar(self.num * od - other.num * sd, sd * od)
 
@@ -327,22 +378,21 @@ class Scalar:
         # nested so that two Laurent operands other than 1 still cost four
         # comparisons; past them, a Henrici product (module docstring)
         sn, on = self.num, other.num
-        if self.den.coeffs == _UNIT:
-            if sn.coeffs == _UNIT:
+        if self.den.c == _UNIT:
+            if sn.c == _UNIT and sn.low == 0:
                 return other
-            if other.den.coeffs == _UNIT:
-                if on.coeffs == _UNIT:
+            if other.den.c == _UNIT:
+                if on.c == _UNIT and on.low == 0:
                     return self
                 return Scalar(sn * on, self.den, True)
-        elif other.den.coeffs == _UNIT and on.coeffs == _UNIT:
+        elif other.den.c == _UNIT and on.c == _UNIT and on.low == 0:
             return self
-        if not sn.coeffs or not on.coeffs:
+        if not sn.c or not on.c:
             return _ZERO
-        ms, mo = sn.min_exp(), on.min_exp()
-        n1, d2 = _cancel(_to_dense(sn, ms), _to_dense(other.den, 0))
-        n2, d1 = _cancel(_to_dense(on, mo), _to_dense(self.den, 0))
+        n1, d2 = _cancel(sn.c, other.den.c)
+        n2, d1 = _cancel(on.c, self.den.c)
         num, den = _content_free(_dense_mul(n1, n2), _dense_mul(d1, d2),
-                                 ms + mo)
+                                 sn.low + on.low)
         return Scalar(num, den, True)
 
     def invert(self):
@@ -361,13 +411,15 @@ class Scalar:
         return hash((self.num, self.den))
 
     def __str__(self):
-        if self.den == Poly.one():
+        if self.den.c == _UNIT:
             return str(self.num)
         n = str(self.num)
-        if len(self.num.coeffs) > 1:
+        # two entries of c or more are two terms or more, as its ends are
+        # nonzero
+        if len(self.num.c) > 1:
             n = "(%s)" % n
         d = str(self.den)
-        if len(self.den.coeffs) > 1:
+        if len(self.den.c) > 1:
             d = "(%s)" % d
         return "%s/%s" % (n, d)
 
@@ -494,7 +546,7 @@ _SPAN_BUDGET = 512
 def _check_span(*factors):
     """Refuse a sum, or a product of the factors, whose degree span (the
     sum of the factors' spans) passes _SPAN_BUDGET."""
-    span = sum(p.max_exp() - p.min_exp() for p in factors if p.coeffs)
+    span = sum(len(p.c) - 1 for p in factors if p.c)
     if span > _SPAN_BUDGET:
         raise ScalarParseError(
             "a polynomial spanning %d degrees is past the limit: a scalar "
@@ -512,23 +564,22 @@ _POWER_BUDGET = 256
 
 
 def _poly_pow(p, e):
-    if len(p.coeffs) == 1:
-        (exp, c), = p.coeffs.items()
+    if len(p.c) == 1:
+        exp, c = p.low, p.c[0]
         if e < 0 and abs(c) != 1:
             raise ScalarParseError("negative power of a non-unit monomial")
     # negative powers only for monomials
     elif e < 0:
         raise ScalarParseError("negative power of a non-monomial")
-    if e > 1 and p.coeffs:
-        size = max(p.max_exp() - p.min_exp(),
-                   sum(abs(c) for c in p.coeffs.values()).bit_length() - 1)
+    if e > 1 and p.c:
+        size = max(len(p.c) - 1, sum(map(abs, p.c)).bit_length() - 1)
         if e * size > _POWER_BUDGET:
             raise ScalarParseError(
                 "the power ^%d of a base other than +-q^k is past the "
                 "limit: the exponent times the base's size must be at most "
                 "%d" % (e, _POWER_BUDGET))
-    if len(p.coeffs) == 1:
-        return Poly({exp * e: c ** abs(e)})
+    if len(p.c) == 1:
+        return Poly.q(exp * e, c ** abs(e))
     out = Poly.one()
     while e:
         if e & 1:
@@ -551,4 +602,4 @@ def parse_scalar(text):
             "%r... is nested too deeply" % text[:20]) from None
     if den.is_zero():
         raise ScalarParseError("division by zero in %r" % (text,))
-    return Scalar(num, den, den.coeffs == _UNIT)
+    return Scalar(num, den, den.c == _UNIT and den.low == 0)

@@ -595,6 +595,18 @@ E1E1 = ([0, 0], [[1]])
 CATALOG_FILES = Path(__file__).resolve().parent / "catalog_files"
 
 
+def quasishuffle_tower(session_cap=6, **fields):
+    """A quasishuffle declaration, its own fields given, on the base
+    algebra e1 e1 = e2 of the graded diagonal braiding."""
+    graded = {"name": "graded", "kind": "diagonal",
+              "matrix": [["q", "q^2"], ["q^2", "q^4"]]}
+    base = {"name": "base", "kind": "yb-base", "braiding": "graded",
+            "mult": [{"in": [0, 0], "out": [{"word": [1], "coeff": "1"}]}]}
+    return {"version": 1, "degree_cap": session_cap, "objects": [
+        graded, base, dict(fields, name="d", kind="quasishuffle",
+                           base="base")]}
+
+
 def catalog_address(address):
     """A catalog declaration of the given address."""
     return {"version": 1, "objects": [{"name": "d", "kind": "catalog",
@@ -612,8 +624,15 @@ def test_cartan_catalog_builds_a_braiding(tmp_path, capsys):
 
 
 # (id, session, field named in the error) for declarations that are
-# malformed only in a word, a repeated entry or a catalog parameter
+# malformed only in a word, a repeated entry, a degree cap or a catalog
+# parameter
 MALFORMED_FIELDS = [
+    ("qb-cap-negative", edited(
+        graded_qb([E1E1]),
+        lambda s: s["objects"][1]["data"].update(degree_cap=-1)),
+     "data.degree_cap"),
+    ("quasishuffle-cap-negative", quasishuffle_tower(degree_cap=-1),
+     "degree_cap"),
     ("hopf-antipode-out-letter-past-dim", hopf_edited(
         lambda h: h["antipode"][0]["out"][0].update(word=[7])),
      "data.antipode"),
@@ -665,6 +684,9 @@ def test_well_formed_fixtures_load(tmp_path):
     assert hopf.yd_validate(session.get("d")).ok
     path = write_session(tmp_path, graded_qb([E1E1]))
     assert main(["verify", path, "d", "--suite", "qb-infinity"]) == 0
+    for data in (quasishuffle_tower(), quasishuffle_tower(0, degree_cap=4)):
+        path = write_session(tmp_path, data)
+        assert main(["verify", path, "d", "--suite", "qb-infinity"]) == 0
 
 
 @pytest.mark.parametrize("data, field",
@@ -713,6 +735,9 @@ def test_malformed_declaration_names_field(tmp_path, capsys, data, field):
                                 "address": 3}]},
     {"version": 1, "objects": [{"name": ["a"], "kind": "catalog",
                                 "address": "exterior:N=2"}]},
+    # a negative session cap, inherited by a tower or bounding a braiding
+    quasishuffle_tower(-1),
+    {"version": 1, "degree_cap": -1, "objects": [dict(SIGMA, name="d")]},
     yd_without(yd_adjoint, "unit"),
     yd_without(yd_adjoint, "mult"),
     yd_without(yd_regular, "counit"),
@@ -730,7 +755,8 @@ def test_malformed_declaration_names_field(tmp_path, capsys, data, field):
         "hopf-data-not-an-object", "yd-data-not-an-object",
         "qb-data-empty-list", "yb-base-mult-not-a-map", "qb-cap-a-string",
         "quasishuffle-cap-a-string", "catalog-address-not-a-string",
-        "name-not-a-string", "yd-mult-without-unit", "yd-unit-without-mult",
+        "name-not-a-string", "cap-negative-tower", "cap-negative-braiding",
+        "yd-mult-without-unit", "yd-unit-without-mult",
         "yd-comult-without-counit", "yd-counit-without-comult",
         "qb-out-letter-past-dim", "qb-in-word-wrong-degree",
         "qb-negative-letter", "yb-base-in-word-wrong-degree",
@@ -741,7 +767,12 @@ def test_main_malformed_session_exits_2(tmp_path, capsys, data):
     with pytest.raises(ParseError):
         load_session(path)
     assert main(["verify", path, "d"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if isinstance(data, dict) and data.get("degree_cap") == -1:
+        # a negative session cap is refused at load, naming the field
+        assert err == ("error: degree_cap must be a non-negative integer, "
+                       "got -1\n")
 
 
 def test_qb_component_leaving_v_exits_2(tmp_path, capsys):

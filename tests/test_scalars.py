@@ -1,5 +1,6 @@
 """Exact rational-function scalars: canonical forms, parsing, field axioms."""
 
+import inspect
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import first_failure
+from ybalg import scalars as scalars_module
 from ybalg.scalars import (DivisionByZero, Poly, Scalar, ScalarParseError,
                            ZeroDenominator, parse_scalar)
 
@@ -215,9 +218,14 @@ def _ref_normalize(num, den):
             {i: c for i, c in enumerate(d0) if c})
 
 
-def laurent_polys(min_size=0, max_size=4, bound=5):
+def laurent_dicts(min_size=0, max_size=4, bound=5):
+    """Mappings exponent -> coefficient, zero coefficients among them."""
     return st.dictionaries(st.integers(-3, 3), st.integers(-bound, bound),
-                           min_size=min_size, max_size=max_size).map(Poly)
+                           min_size=min_size, max_size=max_size)
+
+
+def laurent_polys(min_size=0, max_size=4, bound=5):
+    return laurent_dicts(min_size, max_size, bound).map(Poly)
 
 
 def ordinary_polys():
@@ -389,9 +397,11 @@ def test_equal_values_hash_equal(x, y, p):
 # -- Poly products with a monomial factor against the double loop --------
 
 def _ref_poly_mul(a, b):
+    """The product of two mappings exponent -> coefficient, without its
+    zero coefficients."""
     out = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
@@ -414,9 +424,95 @@ def test_poly_product_matches_double_loop(a, b):
     before = dict(a.coeffs), dict(b.coeffs)
     for x, y in ((a, b), (b, a), (a, a)):
         p = x * y
-        assert p.coeffs == _ref_poly_mul(x, y)
+        assert p.coeffs == _ref_poly_mul(x.coeffs, y.coeffs)
         assert p.coeffs is not x.coeffs and p.coeffs is not y.coeffs
     assert (a.coeffs, b.coeffs) == before
+
+
+# -- the dense Poly against sparse mapping references --------------------
+
+def _ref_sum(a, b, sign=1):
+    """a + sign b of two mappings exponent -> coefficient, without its zero
+    coefficients."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_dicts():
+    """Mappings exponent -> coefficient, zero coefficients among them:
+    those of laurent_polys(), the empty one, and sparse wide ones of up to
+    four terms spanning up to 512 degrees."""
+    return st.one_of(laurent_dicts(), st.just({}),
+                     st.dictionaries(st.integers(-256, 256),
+                                     st.integers(-5, 5), max_size=4))
+
+
+def _dense_poly_matches_mappings(pair):
+    """Each operation on Polys built from the two mappings, against the
+    same operation on the mappings: equal coefficients, and equal and
+    equally hashed to the Poly built afresh from the reference mapping,
+    its terms in another order."""
+    da, db = pair
+    a, b = Poly(da), Poly(db)
+    ra, rb = _ref_sum({}, da), _ref_sum({}, db)
+    for p, ref in ((a, ra), (-a, _ref_sum({}, da, -1)),
+                   (a + b, _ref_sum(da, db)), (a - b, _ref_sum(da, db, -1)),
+                   ((a + b) - b, ra), (a * b, _ref_poly_mul(da, db))):
+        assert p.coeffs == ref
+        fresh = Poly(dict(reversed(list(ref.items()))))
+        assert p == fresh and hash(p) == hash(fresh), (p, ref)
+        assert Poly(p.coeffs) == p
+    assert (a == b) == (ra == rb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(poly_dicts(), poly_dicts()))
+@example(({0: 1, 500: 1}, {0: 1, 500: 1}))
+@example(({-250: 1, 250: -1}, {0: 1, 500: 1}))
+@example(({0: 1, 2: 1}, {2: -1}))
+@example(({0: 0, 3: 5, 7: 0}, {-2: 0}))
+def test_dense_poly_matches_sparse_mappings(pair):
+    _dense_poly_matches_mappings(pair)
+
+
+@pytest.mark.parametrize("kernel, old, new", [
+    (scalars_module._strip, "tuple(c[lo:hi])", "tuple(c[lo:])"),
+    (scalars_module._dense_mul, "if y:", "if y > 0:"),
+], ids=["strip-keeps-trailing-zeros", "dense-mul-drops-negative-rows"])
+def test_dense_poly_differential_catches_planted_faults(monkeypatch, kernel,
+                                                         old, new):
+    src = inspect.getsource(kernel)
+    assert src.count(old) == 1
+    namespace = dict(vars(scalars_module))
+    exec(src.replace(old, new), namespace)
+    monkeypatch.setattr(scalars_module, kernel.__name__,
+                        namespace[kernel.__name__])
+    with pytest.raises(AssertionError):
+        first_failure(st.tuples(poly_dicts(), poly_dicts()),
+                      _dense_poly_matches_mappings)
+
+
+# -- the benchmark tracer's reads ----------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(poly_dicts(), num_den_pairs())
+def test_tracer_reads_match_the_mapping_reference(d, pair):
+    # the benchmark's trace reads coeffs, min_exp, max_exp and
+    # leading_coeff of the polynomials a normalisation takes and makes
+    x = Scalar(*pair)
+    ref_num, ref_den = _ref_normalize(*pair)
+    for p, ref in ((Poly(d), _ref_sum({}, d)), (x.num, ref_num),
+                   (x.den, ref_den)):
+        assert p.coeffs == ref
+        if ref:
+            assert p.min_exp() == min(ref) and p.max_exp() == max(ref)
+            assert p.leading_coeff() == ref[max(ref)]
+        else:
+            for read in (p.min_exp, p.max_exp, p.leading_coeff):
+                with pytest.raises(ValueError):
+                    read()
 
 
 # -- parsed literals over 1 are built canonical --------------------------
