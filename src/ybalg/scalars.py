@@ -20,9 +20,10 @@ rest of the library an exact test.
 The gcd, exact division and product kernels below run on coefficient
 sequences low degree first, so they read and build c directly.  The one
 trade-off of the dense form is a sparse wide polynomial, which stores every
-zero between its terms: 1 + q^500 holds 501 entries.  The product kernel
-therefore skips the zero coefficients of its outer operand, so that such a
-factor costs one pass over the other operand per term.
+zero between its terms: 1 + q^k holds k + 1 entries, however large k is.
+The product kernel therefore skips the zero coefficients of its outer
+operand, so that such a factor costs one pass over the other operand per
+term.
 
 Every stock braiding has Laurent-polynomial entries, so almost all scalars
 have den = 1.  A Laurent polynomial over 1 is already canonical (nothing can
