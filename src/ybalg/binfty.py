@@ -173,9 +173,13 @@ def _eq5_side(M, x, i, j, k, left):
     sum_r M_{i,r}(u (x) (v*w)_r).
 
     The degree r of a word of the star product is its length, since every
-    component lands in V.
+    component lands in V.  A side whose components are all zero for r = 1,
+    ..., i+j (left) or j+k (right) is zero, with no star product built.
     """
     out = Element()
+    if all((M.component(r, k) if left else M.component(i, r)) is None
+           for r in range(1, (i if left else k) + j + 1)):
+        return out
     for (letters, cuts), a in x.terms.items():
         if left:
             prod = _star_pair_word(M, letters[:i + j], i, "reduced")
@@ -213,13 +217,14 @@ def qb_validate(M, degree_bound=None):
     Every identity is checked on each basis word with i+j+k up to the
     bound.  Associativity is taken in star form,
     sum_r M_{r,k}((u*v)_r (x) w) = sum_r M_{i,r}(u (x) (v*w)_r), through
-    the memoised star product.  "assoc-vanishing" checks that the reduced
-    iterate one past the summation limit is zero on every head u|v and
-    v|w: structural (no word splits into more nonempty pair factors than
-    it has letters), but still computed, as delta_beta_iter on the head,
-    once per distinct head and call; each reduced step runs over the
-    splits with both pairs nonempty, so a head of n letters leaves no term
-    after its n-th step.
+    the memoised star product; a side with no nonzero component among its
+    M_{r,k} (or M_{i,r}) is zero, and no star product is built for it.
+    "assoc-vanishing" checks that the reduced iterate one past the
+    summation limit is zero on every head u|v and v|w: structural (no word
+    splits into more nonempty pair factors than it has letters), but still
+    computed, as delta_beta_iter on the head, once per distinct head and
+    call; each reduced step runs over the splits with both pairs nonempty,
+    so a head of n letters leaves no term after its n-th step.
     Entries are named like "assoc 1,2,1", ordered by identity and then
     triple; a failure's witness is its first failing word.
     """

@@ -492,7 +492,7 @@ class _Parser:
             op = self.next()
             t = self.parse_term()
             acc = acc + t if op == "+" else acc - t
-            _check_span(acc)
+            _check_degrees(acc)
         return acc
 
     def parse_term(self):
@@ -506,7 +506,7 @@ class _Parser:
             # a product, or juxtaposition such as "2q" or "3(q+1)", is
             # refused before it is built
             f = self.parse_factor()
-            _check_span(acc, f)
+            _check_degrees(acc, f)
             acc = acc * f
 
     def parse_factor(self):
@@ -520,7 +520,8 @@ class _Parser:
             e = self.next()
             if not isinstance(e, int):
                 raise ScalarParseError("exponent must be an integer")
-            return _poly_pow(base, sign * e)
+            base = _poly_pow(base, sign * e)
+            _check_degrees(base)
         return base
 
     def parse_atom(self):
@@ -537,22 +538,34 @@ class _Parser:
         raise ScalarParseError("unexpected token %r" % (t,))
 
 
-# A polynomial the parser builds may span at most this many degrees: a
-# parsed scalar is normalised through dense coefficient lists as long as
-# the spans of its numerator and denominator.  Every sum and product is
-# checked; a power within _POWER_BUDGET spans at most that many degrees.
+# A polynomial the parser builds may span at most this many degrees, and
+# its exponents lie within plus or minus this: a parsed scalar is
+# normalised through dense coefficient lists as long as the spans of its
+# numerator and denominator, and a monomial q^k, one entry alone, stores
+# every degree between k and 0 once a later sum adds a constant to it.
+# Every power, sum and product is checked.
 _SPAN_BUDGET = 512
 
 
-def _check_span(*factors):
-    """Refuse a sum, or a product of the factors, whose degree span (the
-    sum of the factors' spans) passes _SPAN_BUDGET."""
-    span = sum(len(p.c) - 1 for p in factors if p.c)
+def _check_degrees(*factors):
+    """Refuse a power or sum, or a product of the factors, whose degree
+    span (the sum of the factors' spans) passes _SPAN_BUDGET, or whose
+    lowest or highest exponent (the sum of the factors') is past
+    +-_SPAN_BUDGET."""
+    factors = [p for p in factors if p.c]
+    span = sum(len(p.c) - 1 for p in factors)
     if span > _SPAN_BUDGET:
         raise ScalarParseError(
             "a polynomial spanning %d degrees is past the limit: a scalar "
             "literal's polynomials may span at most %d" % (span,
                                                            _SPAN_BUDGET))
+    low = sum(p.low for p in factors)
+    for e in (low, low + span):
+        if abs(e) > _SPAN_BUDGET:
+            raise ScalarParseError(
+                "the exponent %d is past the limit: a scalar literal's "
+                "exponents lie within -%d..%d" % (e, _SPAN_BUDGET,
+                                                  _SPAN_BUDGET))
 
 
 # A power is expanded only while its exponent times the base's size is at

@@ -371,6 +371,17 @@ def _towers(degree_cap=4):
             from_2yb(dual_numbers_twoyb(), degree_cap), planted]
 
 
+def _top_degree_tower():
+    """A planted false tower whose only interior components, M_12 and M_21,
+    sit at the top degree of the (1, 1, 1) associativity sides: a side that
+    skipped the top degree r = i+j or j+k would read zero there."""
+    e = Element.basis
+    return QBStructure(flip_braiding(2), {
+        (1, 2): LinMap(3, {(0, 1, 1): e((1,))}),
+        (2, 1): LinMap(3, {(1, 1, 0): e((1,), (), Scalar.from_int(2))}),
+    }, degree_cap=4)
+
+
 def _m_iterates(M, letters, cut):
     """The reference stream: the reduced iterates Delta_beta^{(n-1)},
     n = 1, ..., len(letters), of the pair word letters[:cut] |
@@ -489,9 +500,11 @@ def _reference_eq5_side(M, letters, i, j, k, left):
     return out
 
 
-def test_assoc_rows_match_reference():
+def _assoc_rows_agree(towers):
+    """qb_validate's assoc rows against the reference sides on each tower;
+    at least one tower must fail somewhere."""
     failed = 0
-    for M in _towers():
+    for M in towers:
         entries = {e["identity"]: e for e in qb_validate(M, 4).entries}
         for i, j, k in ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)):
             witness = next((z for z in M.space.words(i + j + k)
@@ -501,12 +514,55 @@ def test_assoc_rows_match_reference():
             got = entries["assoc %d,%d,%d" % (i, j, k)]
             assert (got["ok"], got["witness"]) == (witness is None, witness)
             failed += witness is not None
-    assert failed  # the planted tower fails somewhere
+    assert failed
+
+
+def test_assoc_rows_match_reference():
+    # the planted towers fail somewhere
+    _assoc_rows_agree(_towers() + [_top_degree_tower()])
+
+
+@pytest.mark.parametrize("old, new", [
+    ("+ j + 1)", "+ j)"),
+    ("if all(", "if any("),
+], ids=["top-degree-skipped", "any-component-zero"])
+def test_assoc_differential_catches_planted_fault(monkeypatch, old, new):
+    # a zero-side test that skips the top degree, or that takes one zero
+    # component for all, reads both (1, 1, 1) sides of the top-degree tower
+    # as zero
+    src = inspect.getsource(binfty._eq5_side)
+    assert src.count(old) == 1
+    namespace = dict(vars(binfty))
+    exec(src.replace(old, new), namespace)
+    monkeypatch.setattr(binfty, "_eq5_side", namespace["_eq5_side"])
+    with pytest.raises(AssertionError):
+        _assoc_rows_agree([_top_degree_tower()])
+
+
+def test_qb_validate_builds_no_star_product_for_zero_sides(monkeypatch):
+    # a zero-base tower has no interior component, so every associativity
+    # side is zero and no cofree recursion runs; the graded base's M_11
+    # keeps every side, and its count
+    calls = []
+    cofree_terms = binfty._cofree_terms
+
+    def counting(M, letters, cut):
+        calls.append(letters)
+        return cofree_terms(M, letters, cut)
+
+    monkeypatch.setattr(binfty, "_cofree_terms", counting)
+    for base, count in ((zero_base(exterior_braiding(2)), 0),
+                        (zero_base(symbolic_diagonal(2)), 0),
+                        (graded_base(), 32)):
+        calls.clear()
+        assert qb_validate(base.qb_structure(degree_cap=4), 4).ok
+        assert len(calls) == count
 
 
 def test_qb_validate_first_factor_step_count(monkeypatch):
-    # the star streams of the distinct heads plus one step past each for
-    # assoc-vanishing; a from-scratch re-expansion per triple (164 and 804
+    # the assoc-vanishing iterates alone, len(u) reduced steps per distinct
+    # head u cut after a letters (the star product is the cofree recursion,
+    # which takes none); a from-scratch re-expansion per triple (164 and 804
     # steps) would raise the counts
     calls = []
 

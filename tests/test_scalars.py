@@ -139,12 +139,14 @@ DOUBLING_CHAIN = "*".join("(q^%d+1)" % 2 ** k for k in range(16))
 
 @pytest.mark.parametrize("text", [
     "(q+1)^1000", "9^999999999", "(2q)^300", "((q+1)^16)^17", "(q^300+1)^2",
-    "q^100000+1", "q^-300+q^300", "(q^300+1)(q^300-1)",
+    "q^100000+1", "q^-300+q^300", "(q^300+1)(q^300-1)", "(-q)^999999",
+    "q^513", "q^-513", "q^-300*q^-300", "1/q^600", "(q^500+q^501)^2",
     pytest.param(DOUBLING_CHAIN, id="doubling-chain")])
 def test_power_past_the_limit_is_refused(text):
     # the exponent times the base's size (degree span, or log2 of the sum
-    # of its absolute coefficients) may not pass 256; +-q^k has no limit.
-    # No sum or product the parser builds may span more than 512 degrees.
+    # of its absolute coefficients) may not pass 256; +-q^k has no limit
+    # of its own.  No power, sum or product the parser builds may span more
+    # than 512 degrees or hold an exponent past +-512.
     with pytest.raises(ScalarParseError, match="past the limit"):
         parse_scalar(text)
 
@@ -158,7 +160,10 @@ def test_spans_within_the_limit_parse():
 
 
 def test_powers_within_the_limit_parse():
-    assert parse_scalar("(-q)^999999") == Scalar.q_power(999999, -1)
+    assert parse_scalar("(-q)^511") == Scalar.q_power(511, -1)
+    assert parse_scalar("q^512") == Scalar.q_power(512)
+    assert parse_scalar("q^-512") == Scalar.q_power(-512)
+    assert parse_scalar("q^300*q^-300") == Scalar.one()
     assert parse_scalar("((q+1)^16)^16") == parse_scalar("(q+1)^256")
     assert parse_scalar("(q^300+1)^1") == parse_scalar("q^300+1")
     assert parse_scalar("0^999999999") == Scalar.zero()
